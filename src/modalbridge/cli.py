@@ -440,7 +440,8 @@ def main(argv=None) -> int:
     except UnsupportedHurstError as exc:
         print(f"unsupported parameter: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (NumericalConditioningError, DriftDomainError, FloatingPointError) as exc:
+    except (NumericalConditioningError, DriftDomainError, FloatingPointError,
+            OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
     except ExprSyntaxError as exc:

@@ -2,12 +2,17 @@
 
 Forward simulation draws the exact joint Gaussian vector of (B, B^H) at the
 grid nodes (Cholesky of the joint covariance), adds an independent Brownian
-component, and discretizes only the drift integrals (Euler, left point).
-The bridge estimator samples the increment vector of the driftless pair
-conditioned on the terminal constraint, reconstructs paths with Volterra
-weights, applies the inverse kernel transform to the sampled drift integrand,
-and averages the Girsanov exponential; multiplied by the Gaussian prefactor
-this estimates the exact joint density.
+component, and discretizes only the drift integrals (Euler, left point, run
+time-major over contiguous per-step state vectors).
+
+The bridge estimator conditions iid N(0, dt) driving increments on the
+terminal point by a pathwise (Matheron) rank-2 correction, reconstructs paths
+with Volterra weights, applies the inverse kernel transform to the sampled
+drift integrand, and averages the Girsanov exponential; multiplied by the
+Gaussian prefactor this estimates the exact joint density.  The same noise,
+summed over adjacent step pairs, also runs on the grid of half the step
+count; that coupled fine-minus-half-grid difference is the reported
+discretization-bias estimate.
 
 Determinism: all sampling uses counter-based Philox streams; chunk k of a run
 with seed s uses the stream keyed s XOR k, and chunk results are merged in
@@ -20,16 +25,16 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .bridge import GaussianConditioner, condition_gaussian
 from .density import gaussian_prefactor
 from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift, validate_assumptions
 from .fraccalc import GridFunction, invert_KH
-from .kernel import Hurst, TimeGrid, kernel_profile, sample_joint_paths
+from .kernel import (Hurst, NumericalConditioningError, TimeGrid, cholesky_with_jitter,
+                     draw_joint_paths, joint_cov_matrix, kernel_profile)
 from .profiles import pair_fractions
 
 __all__ = [
@@ -135,8 +140,8 @@ class DensityEstimate:
     n_effective: int
 
     def __post_init__(self) -> None:
-        if self.value < 0.0 or self.std_err < 0.0:
-            raise ValueError("estimate and standard error must be nonnegative")
+        if not (self.value >= 0.0 and self.std_err >= 0.0):
+            raise ValueError("estimate and standard error must be nonnegative, not NaN")
 
 
 @dataclass(frozen=True)
@@ -152,9 +157,12 @@ def _worker_count(workers: Optional[int]) -> int:
     env = os.environ.get("MODALBRIDGE_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            if int(env) >= 1:
+                return int(env)
         except ValueError:
             pass
+        warnings.warn(f"MODALBRIDGE_THREADS={env!r} is not a positive integer; "
+                      "using 1 worker", RuntimeWarning)
     return 1
 
 
@@ -166,6 +174,26 @@ def _fingerprint(model: ModelSpec) -> str:
 
 def _chunk_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed ^ k) & (2 ** 64 - 1)))
+
+
+def _map_chunks(run_chunk, config: SimConfig, workers: Optional[int]) -> list:
+    """run_chunk over config.chunks(); results in chunk order at any worker count."""
+    chunks = config.chunks()
+    nw = _worker_count(workers)
+    if nw > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=nw) as pool:
+            return list(pool.map(run_chunk, chunks))
+    return [run_chunk(c) for c in chunks]
+
+
+def _cached(cache: dict, key, build):
+    """cache[key], built on a miss; a full cache (4 entries) drops its oldest."""
+    value = cache.get(key)
+    if value is None:
+        if len(cache) >= 4:
+            cache.pop(next(iter(cache)))
+        value = cache[key] = build()
+    return value
 
 
 # -- forward simulation ----------------------------------------------------------
@@ -193,70 +221,58 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     dt = grid.dt
     n = config.n_steps
     rho, rho_bar = model.rho, model.rho_bar
+    chol = _joint_cholesky(grid, model.hurst)  # here, so worker threads never touch the cache
 
     def run_chunk(args):
         k, m = args
         rng = _chunk_rng(config.seed, k)
-        b, bh = _sample_joint_chunk(grid, model.hurst, rng, m)
-        dw = math.sqrt(dt) * rng.standard_normal((m, n))
-        x = np.empty((m, n + 1))
-        y = np.empty((m, n + 1))
-        x[:, 0] = model.x0
-        y[:, 0] = model.y0
+        b, bh = draw_joint_paths(grid, model.hurst, rng, m, chol=chol)
+        # time-major: row i holds every path's value at node (or step) i
+        b, bh = np.ascontiguousarray(b.T), np.ascontiguousarray(bh.T)
+        dw = np.ascontiguousarray(rng.standard_normal((m, n)).T)
+        dw *= math.sqrt(dt)
+        x = np.full(m, float(model.x0))
+        y = np.full(m, float(model.y0))
         drift2 = np.zeros(m)
+        if keep_paths:
+            xs, ys = np.empty((n + 1, m)), np.empty((n + 1, m))
+            xs[0], ys[0] = x, y
         for i in range(n):
             try:
-                h1v = eval_drift(model.h1, t[i], x[:, i], y[:, i])
-                h2v = eval_drift(model.h2, t[i], x[:, i], y[:, i])
+                h1v = eval_drift(model.h1, t[i], x, y)
+                h2v = eval_drift(model.h2, t[i], x, y)
             except DriftDomainError as exc:
                 raise DriftDomainError(
                     f"drift evaluation failed at step {i} (t={t[i]:g}) in chunk {k}: {exc}"
                 ) from exc
-            x[:, i + 1] = (x[:, i] + rho * (b[:, i + 1] - b[:, i])
-                           + rho_bar * dw[:, i] + np.asarray(h1v) * dt)
+            x = x + rho * (b[i + 1] - b[i]) + rho_bar * dw[i] + np.asarray(h1v) * dt
             drift2 = drift2 + np.asarray(h2v) * dt
-            y[:, i + 1] = model.y0 + bh[:, i + 1] + drift2
+            y = model.y0 + bh[i + 1] + drift2
+            if keep_paths:
+                xs[i + 1], ys[i + 1] = x, y
         if keep_paths:
-            return x, y
-        return x[:, -1], y[:, -1]
+            return xs.T, ys.T
+        return x, y
 
-    chunks = config.chunks()
-    nw = _worker_count(workers)
-    if nw > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(c) for c in chunks]
+    results = _map_chunks(run_chunk, config, workers)
+    xs, ys = (np.concatenate([r[j] for r in results]) for j in (0, 1))
     if keep_paths:
-        xs = np.concatenate([r[0] for r in results], axis=0)
-        ys = np.concatenate([r[1] for r in results], axis=0)
         return PathEnsemble(terminal_x=xs[:, -1].copy(), terminal_y=ys[:, -1].copy(),
                             seed=config.seed, model_fingerprint=_fingerprint(model),
                             full_paths=(xs, ys))
-    tx = np.concatenate([r[0] for r in results])
-    ty = np.concatenate([r[1] for r in results])
-    return PathEnsemble(terminal_x=tx, terminal_y=ty, seed=config.seed,
+    return PathEnsemble(terminal_x=xs, terminal_y=ys, seed=config.seed,
                         model_fingerprint=_fingerprint(model))
 
 
 _chol_cache: dict = {}
 
 
-def _sample_joint_chunk(grid: TimeGrid, hurst: Hurst, rng: np.random.Generator,
-                        count: int):
-    """Joint (B, B^H) chunk draw reusing a cached Cholesky factor."""
-    from .kernel import cholesky_with_jitter, draw_joint_paths, joint_cov_matrix
-
+def _joint_cholesky(grid: TimeGrid, hurst: Hurst) -> Optional[np.ndarray]:
+    """Cached Cholesky factor of the joint (B, B^H) node covariance; None at H = 1/2."""
     if hurst.is_brownian:
-        return draw_joint_paths(grid, hurst, rng, count)
-    key = (hurst.H, grid.T, grid.n)
-    L = _chol_cache.get(key)
-    if L is None:
-        if len(_chol_cache) >= 4:
-            _chol_cache.pop(next(iter(_chol_cache)))
-        L = cholesky_with_jitter(joint_cov_matrix(grid, hurst))
-        _chol_cache[key] = L
-    return draw_joint_paths(grid, hurst, rng, count, chol=L)
+        return None
+    return _cached(_chol_cache, (hurst.H, grid.T, grid.n),
+                   lambda: cholesky_with_jitter(joint_cov_matrix(grid, hurst)))
 
 
 # -- pointwise density estimation ---------------------------------------------------
@@ -322,106 +338,66 @@ _invop_cache: dict = {}
 
 def _inverse_operator_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
     """Matrix of the integrand-mode inverse kernel transform on the grid."""
-    key = (hurst.H, grid.T, grid.n)
-    mat = _invop_cache.get(key)
-    if mat is None:
-        if len(_invop_cache) >= 4:
-            _invop_cache.pop(next(iter(_invop_cache)))
-        n = grid.n
-        zeros = np.zeros(n + 1)
-        cols = []
-        eye = np.eye(n + 1)
-        h0 = GridFunction(grid, zeros)
-        for j in range(n + 1):
-            cols.append(invert_KH(h0, hurst, integrand=eye[j]).values)
-        mat = np.column_stack(cols)
-        _invop_cache[key] = mat
-    return mat
+    def build():
+        h0 = GridFunction(grid, np.zeros(grid.n + 1))
+        return np.column_stack([invert_KH(h0, hurst, integrand=e).values
+                                for e in np.eye(grid.n + 1)])
+    return _cached(_invop_cache, (hurst.H, grid.T, grid.n), build)
 
 
-def _bridge_conditioner(model: ModelSpec, grid: TimeGrid, w_full: np.ndarray,
-                        endpoint):
-    """Conditioned law of the 2n increments given the terminal constraints."""
-    n = grid.n
-    dt = grid.dt
-    rho, rho_bar = model.rho, model.rho_bar
-    w_last = w_full[-1]  # weights mapping dB to Y_T
-    dim = 2 * n + 2
-    ix, iy = 2 * n, 2 * n + 1
-    cov = np.zeros((dim, dim))
-    cov[:2 * n, :2 * n] = dt * np.eye(2 * n)
-    # cross covariances with (X_T - x0, Y_T - y0)
-    cov[:n, ix] = cov[ix, :n] = rho * dt
-    cov[n:2 * n, ix] = cov[ix, n:2 * n] = rho_bar * dt
-    cov[:n, iy] = cov[iy, :n] = w_last * dt
-    # terminal block, consistent with the discretized reconstruction
-    cov[ix, ix] = model.T
-    cov[ix, iy] = cov[iy, ix] = rho * float(w_last.sum()) * dt
-    cov[iy, iy] = float((w_last ** 2).sum()) * dt
-    mean = np.zeros(dim)
-    observed = np.array([2 * n, 2 * n + 1])
-    values = np.array([endpoint[0] - model.x0, endpoint[1] - model.y0])
-    cond_mean, cond_cov = condition_gaussian(
-        GaussianConditioner(mean, cov, observed, values))
-    # factor the (rank 2n-2) conditional covariance for sampling
-    evals, evecs = np.linalg.eigh(cond_cov)
-    evals = np.clip(evals, 0.0, None)
-    factor = evecs * np.sqrt(evals)
-    return cond_mean, factor
+class _BridgeLevel:
+    """The bridge estimator's operators on one grid of n steps.
 
+    Before conditioning, the 2n increments [dB, dW] are iid N(0, dt).  The
+    terminal point imposes two linear constraints a @ incr = v, with rows
+    [rho, rho_bar] (for X_T) and [w_last, 0] (for Y_T, Volterra weights).
+    """
 
-def _bridge_run(model: ModelSpec, endpoint, config: SimConfig, n_steps: int,
-                workers: Optional[int]):
-    """One bridge MC pass at a fixed step count; returns (mean, var, n)."""
-    grid = TimeGrid(model.T, n_steps)
-    t = grid.nodes
-    dt = grid.dt
-    n = n_steps
-    rho, rho_bar = model.rho, model.rho_bar
-    w_full = volterra_weight_matrix(grid, model.hurst)
-    cond_mean, factor = _bridge_conditioner(model, grid, w_full, endpoint)
-    inv_op = _inverse_operator_matrix(grid, model.hurst)
+    def __init__(self, model: ModelSpec, n: int):
+        self.model, self.n = model, n
+        self.grid = TimeGrid(model.T, n)
+        self.w_full = volterra_weight_matrix(self.grid, model.hurst)
+        self.a = np.zeros((2, 2 * n))
+        self.a[0, :n], self.a[0, n:] = model.rho, model.rho_bar
+        self.a[1, :n] = self.w_full[-1]
+        self.g_inv = np.linalg.inv(self.a @ self.a.T)
+        self.inv_op_t = np.ascontiguousarray(
+            _inverse_operator_matrix(self.grid, model.hurst)[:n].T)
 
-    def run_chunk(args):
-        k, m = args
-        rng = _chunk_rng(config.seed, k)
-        z = rng.standard_normal((m, 2 * n))
-        incr = cond_mean + z @ factor.T
-        db = incr[:, :n]
-        dw = incr[:, n:]
-        x = np.empty((m, n + 1))
-        x[:, 0] = model.x0
-        x[:, 1:] = model.x0 + np.cumsum(rho * db + rho_bar * dw, axis=1)
-        y = np.empty((m, n + 1))
-        y[:, 0] = model.y0
-        y[:, 1:] = model.y0 + db @ w_full.T
-        tt = np.broadcast_to(t, (m, n + 1))
+    def condition(self, incr: np.ndarray, v: np.ndarray) -> None:
+        """Pathwise (Matheron) conditioning in place: a row s ~ N(0, dt I) maps to
+        s + a^T (a a^T)^-1 (v - a s), which has the exact conditional law."""
+        incr += ((v - incr @ self.a.T) @ self.g_inv) @ self.a
+
+    def weights(self, incr: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
+        """Girsanov weights of the rows of incr, conditioned here in place."""
+        model, n, dt = self.model, self.n, self.grid.dt
+        self.condition(incr, v)
+        db, dw = incr[:, :n], incr[:, n:]
+        x = np.zeros((len(incr), n + 1))
+        np.multiply(db, model.rho, out=x[:, 1:])
+        x[:, 1:] += model.rho_bar * dw
+        np.cumsum(x, axis=1, out=x)
+        x += model.x0
+        y = np.zeros_like(x)
+        np.matmul(db, self.w_full.T, out=y[:, 1:])
+        y += model.y0
+        tt = np.broadcast_to(self.grid.nodes, x.shape)
         try:
             g2 = np.asarray(eval_drift(model.h2, tt, x, y), dtype=float)
             g1 = np.asarray(eval_drift(model.h1, tt, x, y), dtype=float)
         except DriftDomainError as exc:
             raise DriftDomainError(f"bridge drift evaluation failed in chunk {k}: {exc}") from exc
-        h2t = g2 @ inv_op.T
-        h1t = (g1 - rho * h2t) / rho_bar
-        expo = ((h1t[:, :n] * dw).sum(axis=1) + (h2t[:, :n] * db).sum(axis=1)
-                - 0.5 * dt * ((h1t[:, :n] ** 2).sum(axis=1)
-                              + (h2t[:, :n] ** 2).sum(axis=1)))
-        vals = np.exp(expo)
-        return float(vals.sum()), float((vals ** 2).sum()), m
-
-    chunks = config.chunks()
-    nw = _worker_count(workers)
-    if nw > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(c) for c in chunks]
-    s = sum(r[0] for r in results)
-    s2 = sum(r[1] for r in results)
-    count = sum(r[2] for r in results)
-    mean = s / count
-    var = max(s2 / count - mean * mean, 0.0) * count / max(count - 1, 1)
-    return mean, var, count
+        del x, y
+        h2t = g2 @ self.inv_op_t
+        h1t = np.multiply(h2t, -model.rho)
+        h1t += g1[:, :n]
+        h1t /= model.rho_bar
+        del g1, g2
+        dot = lambda p, q: np.einsum("ij,ij->i", p, q)
+        expo = dot(h1t, dw) + dot(h2t, db) - 0.5 * dt * (dot(h1t, h1t) + dot(h2t, h2t))
+        with np.errstate(over="ignore"):
+            return np.exp(expo)
 
 
 def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
@@ -429,15 +405,39 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
     """Bridge-measure Monte Carlo estimate of the exact joint density.
 
     Estimates phi * E[exp(Girsanov exponent)] under the terminal-pinned
-    driftless law.  The same seed is rerun at half the step count and the
-    difference is reported as the discretization-bias estimate.
+    driftless law.  Each chunk also runs its noise, summed in adjacent pairs,
+    on the grid of half the step count; the difference of the two estimates
+    is the discretization-bias estimate.  Non-finite weight sums raise
+    NumericalConditioningError.
     """
+    n = config.n_steps
+    nc = n // 2
+    if nc < 2:
+        raise ValueError(f"bridge needs n_steps >= 4 for its half grid, got {n}")
+    fine, coarse = _BridgeLevel(model, n), _BridgeLevel(model, nc)
+    v = np.array([endpoint[0] - model.x0, endpoint[1] - model.y0])
+
+    def run_chunk(args):
+        k, m = args
+        incr = _chunk_rng(config.seed, k).standard_normal((m, 2 * n))
+        incr *= math.sqrt(fine.grid.dt)
+        # pairs within the dB and the dW block; an odd n leaves each block's last unpaired
+        pairs = incr.reshape(m, 2, n)[:, :, :2 * nc].reshape(m, 2, nc, 2)
+        coarse_incr = (pairs[..., 0] + pairs[..., 1]).reshape(m, 2 * nc)
+        coarse_incr *= math.sqrt(coarse.grid.dt / (2.0 * fine.grid.dt))
+        w = fine.weights(incr, v, k)
+        del incr, pairs  # free the fine level before the half grid runs (peak memory)
+        wc = coarse.weights(coarse_incr, v, k)
+        return float(w.sum()), float((w * w).sum()), float(wc.sum())
+
+    results = _map_chunks(run_chunk, config, workers)
+    s, s2, sc = (sum(r[j] for r in results) for j in range(3))
+    if not all(math.isfinite(q) for q in (s, s2, sc)):
+        raise NumericalConditioningError("bridge Girsanov weights overflow (non-finite sums)")
+    count = config.n_paths
+    mean = s / count
+    var = max(s2 / count - mean * mean, 0.0) * count / max(count - 1, 1)
     phi = gaussian_prefactor(endpoint[0] - model.x0, endpoint[1] - model.y0, model)
-    mean, var, count = _bridge_run(model, endpoint, config, config.n_steps, workers)
-    estimate = phi * mean
-    std_err = phi * math.sqrt(var / count)
-    half_steps = max(2, config.n_steps // 2)
-    mean_h, _, _ = _bridge_run(model, endpoint, config, half_steps, workers)
-    bias = abs(estimate - phi * mean_h)
-    return BridgeDensityEstimate(value=estimate, std_err=std_err,
-                                 n_effective=count, discretization_bias=bias)
+    return BridgeDensityEstimate(value=phi * mean, std_err=phi * math.sqrt(var / count),
+                                 n_effective=count,
+                                 discretization_bias=phi * abs(mean - sc / count))

@@ -188,6 +188,32 @@ def test_bridge_mc_json(tmp_path):
     assert payload["estimate"] > 0
 
 
+# the far-tail endpoint of a strong constant drift: exp overflows and the
+# Gaussian prefactor underflows
+OVERFLOW_MODEL = {"H": 0.3, "rho": 0.4, "x0": 0.0, "y0": 0.0, "T": 1.0,
+                  "h1": "60", "h2": "0"}
+
+
+def test_bridge_mc_overflow_exits_3_without_nan(tmp_path):
+    cfg = write_config(tmp_path, {
+        "model": OVERFLOW_MODEL,
+        "bridge_mc": {"n_paths": 2000, "n_steps": 32, "endpoint": [60.0, 0.0]},
+    })
+    proc = run_cli(["bridge-mc", "--config", cfg])
+    assert proc.returncode == 3
+    assert "NaN" not in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+def test_density_overflow_exits_3_without_traceback(tmp_path):
+    cfg = write_config(tmp_path, {"model": OVERFLOW_MODEL,
+                                  "density": {"endpoints": [[60.0, 0.0]]}})
+    proc = run_cli(["density", "--config", cfg])
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "numerical error" in proc.stderr
+
+
 def test_csv_float_format_17_digits(tmp_path):
     cfg = write_config(tmp_path, {"model": MODEL,
                                   "modal_path": {"n": 8, "endpoint": [1.0, 1.0]}})

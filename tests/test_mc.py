@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from modalbridge.bridge import GaussianConditioner, condition_gaussian
 from modalbridge.density import exact_timeonly_density, gaussian_prefactor
 from modalbridge.driftspec import ModelSpec, parse_drift
-from modalbridge.kernel import Hurst, TimeGrid
-from modalbridge.mc import (BinEstimator, KdeEstimator, PathEnsemble, SimConfig,
-                            bridge_mc_density, estimate_density_at,
-                            simulate_forward, volterra_weight_matrix)
+from modalbridge.kernel import Hurst, NumericalConditioningError, TimeGrid
+from modalbridge.mc import (BinEstimator, DensityEstimate, KdeEstimator, PathEnsemble,
+                            SimConfig, _BridgeLevel, _worker_count, bridge_mc_density,
+                            estimate_density_at, simulate_forward,
+                            volterra_weight_matrix)
 
 ZERO = parse_drift("0")
 
@@ -28,6 +30,23 @@ def test_sim_config_validation():
     assert cfg.chunks() == [(0, 4), (1, 4), (2, 2)]
 
 
+def test_density_estimate_rejects_nan():
+    with pytest.raises(ValueError):
+        DensityEstimate(float("nan"), 0.1, 10)
+    with pytest.raises(ValueError):
+        DensityEstimate(0.1, float("nan"), 10)
+
+
+def test_worker_count_warns_on_invalid_env(monkeypatch):
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("MODALBRIDGE_THREADS", bad)
+        with pytest.warns(RuntimeWarning, match="MODALBRIDGE_THREADS"):
+            assert _worker_count(None) == 1
+    monkeypatch.setenv("MODALBRIDGE_THREADS", "3")
+    assert _worker_count(None) == 3
+    assert _worker_count(2) == 2
+
+
 def test_estimator_validation():
     with pytest.raises(ValueError):
         BinEstimator(0.0, 0.1)
@@ -45,6 +64,36 @@ def test_forward_determinism_and_worker_invariance():
     assert np.array_equal(a.terminal_y, b.terminal_y)
     assert np.array_equal(a.terminal_x, c.terminal_x)
     assert np.array_equal(a.terminal_y, c.terminal_y)
+
+
+def test_forward_time_major_loop_matches_column_reference():
+    # the Euler arithmetic is unchanged by the time-major layout: compare the
+    # kept paths bit for bit with a column-wise loop over the same chunk's draws
+    from modalbridge.driftspec import eval_drift
+    from modalbridge.kernel import cholesky_with_jitter, draw_joint_paths, joint_cov_matrix
+    from modalbridge.mc import _chunk_rng
+
+    for H in (0.3, 0.5):
+        m = ModelSpec(Hurst(H), 0.3, 0.1, -0.2, 0.25, parse_drift("0.5*sin(x) + y"),
+                      parse_drift("cos(y) - x"))
+        n, count = 16, 300
+        grid = TimeGrid(m.T, n)
+        ens = simulate_forward(m, SimConfig(n_paths=count, n_steps=n, seed=8),
+                               keep_paths=True, warn_horizon=False)
+        chol = None if H == 0.5 else cholesky_with_jitter(joint_cov_matrix(grid, m.hurst))
+        rng = _chunk_rng(8, 0)
+        b, bh = draw_joint_paths(grid, m.hurst, rng, count, chol=chol)
+        dw = math.sqrt(grid.dt) * rng.standard_normal((count, n))
+        x, y = np.full((count, n + 1), m.x0), np.full((count, n + 1), m.y0)
+        drift2 = np.zeros(count)
+        for i in range(n):
+            t = grid.nodes[i]
+            x[:, i + 1] = (x[:, i] + m.rho * (b[:, i + 1] - b[:, i]) + m.rho_bar * dw[:, i]
+                           + eval_drift(m.h1, t, x[:, i], y[:, i]) * grid.dt)
+            drift2 = drift2 + eval_drift(m.h2, t, x[:, i], y[:, i]) * grid.dt
+            y[:, i + 1] = m.y0 + bh[:, i + 1] + drift2
+        assert np.array_equal(ens.full_paths[0], x) and np.array_equal(ens.full_paths[1], y)
+        assert np.array_equal(ens.terminal_x, x[:, -1])
 
 
 def test_forward_brownian_covariance():
@@ -239,20 +288,20 @@ def test_bridge_transformed_drift_solves_defining_system():
     # along reconstructed bridge paths, the transformed integrand must map
     # back through the kernel transform to the running integral of the drift
     from modalbridge.fraccalc import GridFunction, apply_KH
-    from modalbridge.mc import _bridge_conditioner, _inverse_operator_matrix
+    from modalbridge.mc import _BridgeLevel, _inverse_operator_matrix
     import numpy.random as npr
 
     m = ModelSpec(Hurst(0.3), 0.4, 0.0, 0.0, 0.5,
                   parse_drift("0.5*x + 0.2"), parse_drift("0.4*y - 0.1"))
     n = 256
-    grid = TimeGrid(m.T, n)
+    level = _BridgeLevel(m, n)
+    grid = level.grid
     t = grid.nodes
-    w = volterra_weight_matrix(grid, m.hurst)
-    cond_mean, factor = _bridge_conditioner(m, grid, w, (0.3, -0.2))
+    w = level.w_full
     inv_op = _inverse_operator_matrix(grid, m.hurst)
     rng = np.random.Generator(npr.Philox(key=42))
-    z = rng.standard_normal((4, 2 * n))
-    incr = cond_mean + z @ factor.T
+    incr = math.sqrt(grid.dt) * rng.standard_normal((4, 2 * n))
+    level.condition(incr, np.array([0.3, -0.2]))
     db, dw = incr[:, :n], incr[:, n:]
     x = np.empty((4, n + 1))
     x[:, 0] = m.x0
@@ -301,3 +350,64 @@ def test_bridge_halving_bias_sanity():
                 + half.discretization_bias + 3.0 * (full.std_err + half.std_err):
             hits += 1
     assert hits >= 4
+
+
+def _dense_bridge_oracle(m, grid, w_last, v):
+    """Conditional law of the 2n increments from the dense (2n+2)-dim Gaussian."""
+    n, dt = grid.n, grid.dt
+    ix, iy = 2 * n, 2 * n + 1
+    cov = np.zeros((2 * n + 2, 2 * n + 2))
+    cov[:2 * n, :2 * n] = dt * np.eye(2 * n)
+    cov[:n, ix] = cov[ix, :n] = m.rho * dt
+    cov[n:2 * n, ix] = cov[ix, n:2 * n] = m.rho_bar * dt
+    cov[:n, iy] = cov[iy, :n] = w_last * dt
+    cov[ix, ix] = m.T
+    cov[ix, iy] = cov[iy, ix] = m.rho * float(w_last.sum()) * dt
+    cov[iy, iy] = float((w_last ** 2).sum()) * dt
+    return condition_gaussian(GaussianConditioner(np.zeros(2 * n + 2), cov,
+                                                  np.array([ix, iy]), v))
+
+
+@pytest.mark.parametrize("H", [0.3, 0.7])
+def test_bridge_pathwise_conditioning_matches_dense_oracle(H):
+    # no sampling: the in-place rank-2 correction is affine, so its mean is the
+    # image of the zero draw and its covariance that of sqrt(dt) * identity rows
+    m = ModelSpec(Hurst(H), 0.4, 0.1, -0.2, 0.5, ZERO, ZERO)
+    n = 32
+    level = _BridgeLevel(m, n)
+    grid = level.grid
+    v = np.array([0.3, -0.25])
+    mean = np.zeros((1, 2 * n))
+    level.condition(mean, v)
+    rows = math.sqrt(grid.dt) * np.eye(2 * n)
+    level.condition(rows, np.zeros(2))
+    cond_mean, cond_cov = _dense_bridge_oracle(m, grid, level.w_full[-1], v)
+    np.testing.assert_allclose(mean[0], cond_mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rows.T @ rows, cond_cov, rtol=0, atol=1e-12)
+    # the closed forms a^T G^-1 v and dt (I - a^T G^-1 a)
+    a, g_inv = level.a, level.g_inv
+    np.testing.assert_allclose(a.T @ g_inv @ v, cond_mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grid.dt * (np.eye(2 * n) - a.T @ g_inv @ a), cond_cov,
+                               rtol=0, atol=1e-12)
+
+
+def test_bridge_odd_steps_worker_invariance():
+    # n = 15: the half grid has 7 steps and the last normal of each block is unpaired
+    m = ModelSpec(Hurst(0.3), 0.4, 0.0, 0.0, 0.5,
+                  parse_drift("0.5*sin(x)"), parse_drift("0.3*cos(y)"))
+    cfg = SimConfig(n_paths=3000, n_steps=15, seed=21, chunk_size=700)
+    a = bridge_mc_density(m, (0.1, 0.2), cfg)
+    for workers in (1, 2, 4):
+        b = bridge_mc_density(m, (0.1, 0.2), cfg, workers=workers)
+        assert (b.value, b.std_err, b.discretization_bias) == \
+            (a.value, a.std_err, a.discretization_bias)
+    assert a.value > 0 and math.isfinite(a.discretization_bias)
+    assert abs(a.value - gaussian_prefactor(0.1, 0.2, m)) < 0.5 * a.value
+    with pytest.raises(ValueError, match="half grid"):  # n = 3 has no 2-step half grid
+        bridge_mc_density(m, (0.1, 0.2), SimConfig(n_paths=10, n_steps=3, seed=21))
+
+
+def test_bridge_overflow_raises_instead_of_nan():
+    m = ModelSpec(Hurst(0.3), 0.4, 0.0, 0.0, 1.0, parse_drift("60"), ZERO)
+    with pytest.raises(NumericalConditioningError):
+        bridge_mc_density(m, (60.0, 0.0), SimConfig(n_paths=2000, n_steps=32, seed=0))
