@@ -23,6 +23,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .driftspec import ModelSpec
 from .kernel import (Hurst, NumericalConditioningError, TimeGrid,
                      autocovariance, kernel_partial_integral)
+from .opcache import OperatorCache
 
 __all__ = [
     "GaussianConditioner",
@@ -155,36 +156,44 @@ class ModalPath:
     endpoint: tuple
 
 
+_coeff_cache = OperatorCache(16)
+
+
 def modal_coeffs(model: ModelSpec, grid: TimeGrid):
-    """The four bridge coefficients m11, m12, m21, m22 on the grid nodes."""
+    """The four bridge coefficients m11, m12, m21, m22 on the grid nodes.
+
+    They do not depend on the endpoint or the drifts, so they are built once
+    per (H, rho, model T, grid T, n) and returned as cached read-only arrays.
+    """
     if model.rho_bar_H_sq < 1e-10:
         raise ValueError("degenerate rho_bar_H; modal coefficients undefined")
+    key = (model.H, model.rho, model.T, grid.T, grid.n)
+    return _coeff_cache.get(key, lambda: _build_modal_coeffs(model, grid))
+
+
+def _build_modal_coeffs(model: ModelSpec, grid: TimeGrid):
     t = grid.nodes
     T, H = model.T, model.H
     hurst = model.hurst
     frac = t / T
     if hurst.is_brownian:
-        m11 = frac.copy()
-        m22 = frac.copy()
-        m12 = np.zeros_like(t)
-        m21 = np.zeros_like(t)
-        return m11, m12, m21, m22
-    r_tT = autocovariance(t, T, hurst)
-    pow_h = t ** (H + 0.5)
-    if model.rho == 0.0:
-        m11 = frac.copy()
-        m22 = r_tT / T ** (2.0 * H)
-        m12 = np.zeros_like(t)
-        m21 = np.zeros_like(t)
-        return m11, m12, m21, m22
-    rho, rho_h = model.rho, model.rho_H
-    denom = model.rho_bar_H_sq
-    part = kernel_partial_integral(t, T, hurst)
-    m11 = (frac - rho * rho_h / T ** (H + 0.5) * part) / denom
-    m12 = (-rho_h * t / T ** (H + 0.5) + rho / T ** (2.0 * H) * part) / denom
-    m21 = rho_h / denom * (pow_h / T - r_tT / T ** (H + 0.5))
-    m22 = (-rho_h ** 2 * frac ** (H + 0.5) + r_tT / T ** (2.0 * H)) / denom
-    return m11, m12, m21, m22
+        coeffs = frac, np.zeros_like(t), np.zeros_like(t), frac.copy()
+    elif model.rho == 0.0:
+        r_tT = autocovariance(t, T, hurst)
+        coeffs = frac, np.zeros_like(t), np.zeros_like(t), r_tT / T ** (2.0 * H)
+    else:
+        r_tT = autocovariance(t, T, hurst)
+        pow_h = t ** (H + 0.5)
+        rho, rho_h = model.rho, model.rho_H
+        denom = model.rho_bar_H_sq
+        part = kernel_partial_integral(t, T, hurst)
+        coeffs = ((frac - rho * rho_h / T ** (H + 0.5) * part) / denom,
+                  (-rho_h * t / T ** (H + 0.5) + rho / T ** (2.0 * H) * part) / denom,
+                  rho_h / denom * (pow_h / T - r_tT / T ** (H + 0.5)),
+                  (-rho_h ** 2 * frac ** (H + 0.5) + r_tT / T ** (2.0 * H)) / denom)
+    for c in coeffs:
+        c.flags.writeable = False
+    return coeffs
 
 
 def modal_path(model: ModelSpec, grid: TimeGrid, endpoint) -> ModalPath:

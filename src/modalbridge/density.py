@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import ModalPath, modal_path, terminal_cov
-from .driftspec import DriftClass, ModelSpec, eval_drift
+from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift
 from .fraccalc import GridFunction, UnsupportedHurstError as _FraccalcUnsupported
 from .fraccalc import apply_KH, invert_KH
 from .kernel import TimeGrid
@@ -88,8 +88,17 @@ def drift_functionals(model: ModelSpec, path: ModalPath) -> DriftFunctionals:
     """
     grid = path.grid
     t = grid.nodes
-    bar1 = np.asarray(eval_drift(model.h1, t, path.x_path, path.y_path))
-    bar2 = np.asarray(eval_drift(model.h2, t, path.x_path, path.y_path))
+    bars = []
+    for name, expr in (("h1", model.h1), ("h2", model.h2)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(eval_drift(expr, t, path.x_path, path.y_path), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.argmin(np.isfinite(vals)))
+            raise DriftDomainError(
+                f"drift {name} = {expr.to_source()} is not finite along the modal path "
+                f"(t={t[bad]:g}, x={path.x_path[bad]:g}, y={path.y_path[bad]:g})")
+        bars.append(vals)
+    bar1, bar2 = bars
     bar_h1 = GridFunction(grid, bar1)
     bar_h2 = GridFunction(grid, bar2)
     if model.hurst.is_brownian:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import Hurst, TimeGrid, kernel_profile
+from .opcache import OperatorCache
 from .profiles import SingularProfile, product_integrate
 from .special import gamma_fn
 
@@ -180,14 +181,14 @@ def apply_KH(f: GridFunction, hurst: Hurst) -> GridFunction:
 
 
 # inverse-transform b-term weight: psi(v) = (1 - v^(1/2-H)) (1-v)^(-H-1/2), H > 1/2
-_psi_cache: dict = {}
+_psi_cache = OperatorCache(8)
 
 
 def _psi_profile(hurst: Hurst) -> SingularProfile:
-    H = hurst.H
-    prof = _psi_cache.get(H)
-    if prof is not None:
-        return prof
+    return _psi_cache.get(hurst.H, lambda: _build_psi_profile(hurst.H))
+
+
+def _build_psi_profile(H: float) -> SingularProfile:
     c = 0.5 - H  # negative
 
     def resid0(v):
@@ -208,11 +209,7 @@ def _psi_profile(hurst: Hurst) -> SingularProfile:
         v = np.asarray(v, dtype=float)
         return (1.0 - np.power(v, c)) * np.power(1.0 - v, -H - 0.5)
 
-    if len(_psi_cache) >= 8:
-        _psi_cache.pop(next(iter(_psi_cache)))
-    prof = SingularProfile(resid0, resid1, w, b0=c, a1=c)
-    _psi_cache[H] = prof
-    return prof
+    return SingularProfile(resid0, resid1, w, b0=c, a1=c)
 
 
 def _derivative_by_differencing(h: np.ndarray, dt: float) -> np.ndarray:

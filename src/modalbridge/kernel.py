@@ -22,6 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
+from .opcache import OperatorCache
 from .special import beta_fn, gamma_fn, hyp2f1
 
 __all__ = [
@@ -184,44 +185,41 @@ def _unit_kernel(v: np.ndarray, hurst: Hurst) -> np.ndarray:
     return out
 
 
-_profile_cache: dict = {}
+_profile_cache = OperatorCache(16)
 
 
 def kernel_profile(hurst: Hurst):
     """Cached :class:`SingularProfile` of k(v) = K_H(1, v)."""
+    return _profile_cache.get(hurst.H, lambda: _build_kernel_profile(hurst))
+
+
+def _build_kernel_profile(hurst: Hurst):
     from .profiles import SingularProfile
 
-    key = hurst.H
-    prof = _profile_cache.get(key)
-    if prof is None:
-        H = hurst.H
-        b0 = -abs(H - 0.5)
-        a1 = H - 0.5
-        A = _leading_coef(hurst)
+    H = hurst.H
+    b0 = -abs(H - 0.5)
+    a1 = H - 0.5
+    A = _leading_coef(hurst)
 
-        def resid0(v):
-            v = np.asarray(v, dtype=float)
-            out = np.empty_like(v)
-            tiny = v < 1e-270
-            out[tiny] = A
-            vv = np.maximum(v, 1e-270)
-            rest = ~tiny
-            out[rest] = _unit_kernel(vv[rest], hurst) * vv[rest] ** (-b0)
-            return out
+    def resid0(v):
+        v = np.asarray(v, dtype=float)
+        out = np.empty_like(v)
+        tiny = v < 1e-270
+        out[tiny] = A
+        vv = np.maximum(v, 1e-270)
+        rest = ~tiny
+        out[rest] = _unit_kernel(vv[rest], hurst) * vv[rest] ** (-b0)
+        return out
 
-        def resid1(v):
-            v = np.asarray(v, dtype=float)
-            z = 1.0 - 1.0 / np.maximum(v, 1e-270)
-            return hurst.c_H * hyp2f1(H - 0.5, 0.5 - H, H + 0.5, z)
+    def resid1(v):
+        v = np.asarray(v, dtype=float)
+        z = 1.0 - 1.0 / np.maximum(v, 1e-270)
+        return hurst.c_H * hyp2f1(H - 0.5, 0.5 - H, H + 0.5, z)
 
-        def w(v):
-            return _unit_kernel(v, hurst)
+    def w(v):
+        return _unit_kernel(v, hurst)
 
-        if len(_profile_cache) >= 16:
-            _profile_cache.pop(next(iter(_profile_cache)))
-        prof = SingularProfile(resid0, resid1, w, b0, a1)
-        _profile_cache[key] = prof
-    return prof
+    return SingularProfile(resid0, resid1, w, b0, a1)
 
 
 def kernel_partial_integral(tau: float, t: float, hurst: Hurst):

@@ -35,6 +35,7 @@ from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift, vali
 from .fraccalc import GridFunction, invert_KH
 from .kernel import (Hurst, NumericalConditioningError, TimeGrid, cholesky_with_jitter,
                      draw_joint_paths, joint_cov_matrix, kernel_profile)
+from .opcache import OperatorCache
 from .profiles import pair_fractions
 
 __all__ = [
@@ -186,16 +187,6 @@ def _map_chunks(run_chunk, config: SimConfig, workers: Optional[int]) -> list:
     return [run_chunk(c) for c in chunks]
 
 
-def _cached(cache: dict, key, build):
-    """cache[key], built on a miss; a full cache (4 entries) drops its oldest."""
-    value = cache.get(key)
-    if value is None:
-        if len(cache) >= 4:
-            cache.pop(next(iter(cache)))
-        value = cache[key] = build()
-    return value
-
-
 # -- forward simulation ----------------------------------------------------------
 
 def simulate_forward(model: ModelSpec, config: SimConfig,
@@ -264,15 +255,15 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
                         model_fingerprint=_fingerprint(model))
 
 
-_chol_cache: dict = {}
+_chol_cache = OperatorCache(4)
 
 
 def _joint_cholesky(grid: TimeGrid, hurst: Hurst) -> Optional[np.ndarray]:
     """Cached Cholesky factor of the joint (B, B^H) node covariance; None at H = 1/2."""
     if hurst.is_brownian:
         return None
-    return _cached(_chol_cache, (hurst.H, grid.T, grid.n),
-                   lambda: cholesky_with_jitter(joint_cov_matrix(grid, hurst)))
+    return _chol_cache.get((hurst.H, grid.T, grid.n),
+                           lambda: cholesky_with_jitter(joint_cov_matrix(grid, hurst)))
 
 
 # -- pointwise density estimation ---------------------------------------------------
@@ -333,7 +324,7 @@ def volterra_weight_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
     return w
 
 
-_invop_cache: dict = {}
+_invop_cache = OperatorCache(4)
 
 
 def _inverse_operator_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
@@ -342,7 +333,7 @@ def _inverse_operator_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
         h0 = GridFunction(grid, np.zeros(grid.n + 1))
         return np.column_stack([invert_KH(h0, hurst, integrand=e).values
                                 for e in np.eye(grid.n + 1)])
-    return _cached(_invop_cache, (hurst.H, grid.T, grid.n), build)
+    return _invop_cache.get((hurst.H, grid.T, grid.n), build)
 
 
 class _BridgeLevel:

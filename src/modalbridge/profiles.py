@@ -12,6 +12,11 @@ stored as a Chebyshev interpolant of its smooth reduced form (the algebraic
 endpoint factor is divided out before interpolating).  Evaluation is then
 vectorized and cheap, which is what makes exact piecewise-linear product
 integration against w affordable on large grids.
+
+Product integration on an n-step grid is linear in the grid values and does
+not depend on the grid spacing, so :func:`product_integrate` applies one
+(n, n+1) matrix per (profile, n), built from the moments at the pair
+fractions j/i on first use and cached.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy.special import roots_jacobi, roots_legendre
+
+from .opcache import OperatorCache
 
 __all__ = ["SingularProfile", "pair_fractions", "product_integrate"]
 
@@ -236,33 +243,48 @@ def pair_fractions(n: int):
     return jj / ii, starts
 
 
-class _MomentTable:
-    """Per-(profile, n) cache of M0/M1 at the pair fractions."""
+def _product_matrix(profile: SingularProfile, n: int) -> np.ndarray:
+    """Product-integration matrix P of one profile on the n-step unit grid.
 
-    def __init__(self, profile: SingularProfile, n: int) -> None:
-        xs, starts = pair_fractions(n)
-        self.n = n
-        self.starts = starts
-        self.m0 = profile.moment0(xs)
-        self.m1 = profile.moment1(xs)
+    Row i-1 of P (shape (n, n+1)) maps grid values f_0..f_n to
+    int_0^1 w(v) fhat(i v) dv, fhat the piecewise-linear interpolant on the
+    nodes 0..n.  With d0[i, j] and d1[i, j] the M0 and M1 increments between
+    the pair fractions j/i and (j+1)/i, f_j carries the weight
 
-    def row(self, i: int):
-        s = self.starts[i - 1]
-        return self.m0[s:s + i + 1], self.m1[s:s + i + 1]
+        (j+1) d0[i, j] - i d1[i, j] + i d1[i, j-1] - (j-1) d0[i, j-1]
+
+    (terms with j = i or j - 1 < 0 absent).  The grid spacing cancels, so one
+    matrix serves every horizon.  Rows are built in blocks of ``_BLOCK`` so
+    the transient arrays stay near the size of one block.  P is read-only.
+    """
+    p = np.zeros((n, n + 1))
+    for lo in range(1, n + 1, _BLOCK):
+        hi = min(lo + _BLOCK, n + 1)
+        d0 = _row_increments(profile.moment0, lo, hi)
+        d1 = _row_increments(profile.moment1, lo, hi)
+        i = np.arange(lo, hi, dtype=float)[:, None]
+        j = np.arange(hi, dtype=float)
+        p[lo - 1:hi - 1, :hi] = ((j + 1.0) * d0[:, 1:] - i * d1[:, 1:]
+                                 + i * d1[:, :-1] - (j - 1.0) * d0[:, :-1])
+    p.flags.writeable = False
+    return p
 
 
-_table_cache: dict = {}
+def _row_increments(moment, lo: int, hi: int) -> np.ndarray:
+    """M(min(j+1, i)/i) - M(min(j, i)/i) for rows i = lo..hi-1, columns j = -1..hi-1.
+
+    Columns j = -1 and j >= i are exactly zero: past node i a row repeats M(1).
+    """
+    row, j = np.tril_indices(hi - lo, lo, hi)  # nodes j = 0..i of row i = lo + row
+    m = np.full((hi - lo, hi), moment(1.0))
+    m[row, j] = moment(j / (row + lo))
+    d = np.zeros((hi - lo, hi + 1))
+    d[:, 1:-1] = np.diff(m, axis=1)
+    return d
 
 
-def _moment_table(profile: SingularProfile, n: int, key) -> _MomentTable:
-    k = (key, n)
-    tab = _table_cache.get(k)
-    if tab is None:
-        if len(_table_cache) >= 3:
-            _table_cache.pop(next(iter(_table_cache)))
-        tab = _MomentTable(profile, n)
-        _table_cache[k] = tab
-    return tab
+_BLOCK = 64  # rows of a product-integration matrix built per pass
+_table_cache = OperatorCache(3)
 
 
 def product_integrate(profile: SingularProfile, t: np.ndarray, f: np.ndarray,
@@ -271,15 +293,11 @@ def product_integrate(profile: SingularProfile, t: np.ndarray, f: np.ndarray,
 
     Returns the array I_i = int_0^1 w(v) fhat(t_i * v) dv for i = 1..n (I_0 = 0),
     where fhat is the piecewise-linear interpolant of f on the uniform grid t.
-    ``key`` identifies the profile for the moment-table cache.
+    ``key`` identifies the profile for the cache of product-integration
+    matrices, which holds one matrix per (key, n).
     """
     n = len(t) - 1
-    dt = t[-1] / n
-    slope = np.diff(f) / dt
-    a_coef = f[:-1] - slope * t[:-1]
-    tab = _moment_table(profile, n, key)
+    p = _table_cache.get((key, n), lambda: _product_matrix(profile, n))
     out = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        m0, m1 = tab.row(i)
-        out[i] = a_coef[:i] @ np.diff(m0) + t[i] * (slope[:i] @ np.diff(m1))
+    out[1:] = p @ f
     return out

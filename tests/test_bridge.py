@@ -204,3 +204,25 @@ def test_modal_coeff_increment_bounds():
             assert abs(m12[j] - m12[i]) <= c * dt_pow / T ** H
             assert abs(m21[j] - m21[i]) <= c * dt_pow / math.sqrt(T)
             assert abs(m22[j] - m22[i]) <= c * abs(t[j] - t[i]) ** H / T ** H
+
+
+def test_cached_modal_coeffs_are_read_only():
+    grid = TimeGrid(1.0, 32)
+    for H, rho in ((0.5, 0.3), (0.3, 0.0), (0.3, 0.4)):
+        first = modal_coeffs(zero_model(H, rho), grid)
+        for c in first:
+            assert not c.flags.writeable
+            with pytest.raises(ValueError):
+                c[1] = 1.0
+        again = modal_coeffs(zero_model(H, rho), grid)
+        assert all(a is b for a, b in zip(first, again))
+
+
+def test_modal_coeff_cache_keys_on_rho_and_horizon():
+    base = modal_coeffs(zero_model(0.3, 0.4, T=1.0), TimeGrid(1.0, 32))
+    other_rho = modal_coeffs(zero_model(0.3, 0.5, T=1.0), TimeGrid(1.0, 32))
+    other_T = modal_coeffs(zero_model(0.3, 0.4, T=2.0), TimeGrid(2.0, 32))
+    for coeffs in (other_rho, other_T):
+        assert any(not np.array_equal(a, b) for a, b in zip(base, coeffs))
+    # m12 scales with T^(1/2 - H) at fixed t/T, so a T-blind cache would fail here
+    np.testing.assert_allclose(other_T[1], base[1] * 2.0 ** (0.5 - 0.3), rtol=1e-12, atol=1e-14)

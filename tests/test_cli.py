@@ -214,6 +214,17 @@ def test_density_overflow_exits_3_without_traceback(tmp_path):
     assert "numerical error" in proc.stderr
 
 
+def test_density_nonfinite_drift_exits_3(tmp_path):
+    model = {"H": 0.3, "rho": 0.3, "x0": 0.0, "y0": 0.0, "T": 0.25,
+             "h1": "exp(x)", "h2": "0"}
+    cfg = write_config(tmp_path, {"model": model,
+                                  "density": {"n": 64, "endpoints": [[800.0, 0.0]]}})
+    proc = run_cli(["density", "--config", cfg])
+    assert proc.returncode == 3
+    assert "numerical error" in proc.stderr and "exp(x)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_csv_float_format_17_digits(tmp_path):
     cfg = write_config(tmp_path, {"model": MODEL,
                                   "modal_path": {"n": 8, "endpoint": [1.0, 1.0]}})

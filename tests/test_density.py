@@ -9,7 +9,8 @@ from modalbridge.density import (UnsupportedHurstError, alpha_exponent,
                                  approx_density, drift_functionals,
                                  exact_timeonly_density, gaussian_prefactor,
                                  omega_1, omega_full)
-from modalbridge.driftspec import DriftClass, ModelSpec, parse_drift
+from modalbridge import bridge, fraccalc, kernel, profiles
+from modalbridge.driftspec import DriftClass, DriftDomainError, ModelSpec, parse_drift
 from modalbridge.fraccalc import GridFunction, apply_KH
 from modalbridge.kernel import Hurst, TimeGrid
 
@@ -228,3 +229,24 @@ def test_general_rejected_above_three_quarters():
     m = make_model("sin(x)", "cos(y)", H=0.8, holder_gamma=0.4)
     with pytest.raises(UnsupportedHurstError):
         approx_density(m, (0.1, 0.1), 64)
+
+
+@pytest.mark.parametrize("H", [0.3, 0.7])
+def test_warm_density_equals_cold_bit_for_bit(H):
+    m = make_model("0.5*sin(x) + 0.2*y", "0.3*cos(y) - 0.1*x", H=H, rho=0.4,
+                   holder_gamma=H / 2 if H > 0.5 else None)
+    endpoints = [(0.1, 0.1), (0.5, -0.3)]
+    for cache in (kernel._profile_cache, fraccalc._psi_cache, profiles._table_cache,
+                  bridge._coeff_cache):
+        cache.clear()
+    cold = [approx_density(m, ep, 128) for ep in endpoints]
+    # warm, and in the other order, so no state leaks from one endpoint to the next
+    warm = [approx_density(m, ep, 128) for ep in endpoints[::-1]][::-1]
+    assert warm == cold
+
+
+def test_nonfinite_drift_on_modal_path_is_a_domain_error():
+    # exp(x) overflows far out along the path to x = 800
+    m = make_model("exp(x)", "0", H=0.3, rho=0.3, T=0.25)
+    with pytest.raises(DriftDomainError, match="h1 = exp"):
+        approx_density(m, (800.0, 0.0), 64)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from modalbridge.fraccalc import _psi_profile
 from modalbridge.kernel import Hurst, kernel_profile, kernel_total_integral
 from modalbridge.profiles import SingularProfile, pair_fractions, product_integrate
 
@@ -84,3 +85,31 @@ def test_product_integrate_flat_weight_is_average():
         # trapezoid average of the piecewise-linear interpolant
         seg = np.trapezoid(f[:i + 1], t[:i + 1]) / t[i]
         assert out[i] == pytest.approx(seg, rel=1e-12)
+
+
+def product_integrate_loop(profile, t, f):
+    """Row-by-row product integration: the reference for the matrix form."""
+    n = len(t) - 1
+    dt = t[-1] / n
+    slope = np.diff(f) / dt
+    a_coef = f[:-1] - slope * t[:-1]
+    xs, starts = pair_fractions(n)
+    m0, m1 = profile.moment0(xs), profile.moment1(xs)
+    out = np.zeros(n + 1)
+    for i in range(1, n + 1):
+        row = slice(starts[i - 1], starts[i - 1] + i + 1)
+        out[i] = a_coef[:i] @ np.diff(m0[row]) + t[i] * (slope[:i] @ np.diff(m1[row]))
+    return out
+
+
+@pytest.mark.parametrize("name,H", [("kernel", 0.3), ("kernel", 0.7), ("psi", 0.7)])
+@pytest.mark.parametrize("n", [5, 64, 130])  # 130 is not a multiple of the row block
+def test_product_matrix_matches_row_loop(name, H, n):
+    hurst = Hurst(H)
+    prof = kernel_profile(hurst) if name == "kernel" else _psi_profile(hurst)
+    t = np.linspace(0.0, 0.37, n + 1)
+    f = np.sin(7.0 * t) + 0.1 * np.random.default_rng(n).standard_normal(n + 1)
+    out = product_integrate(prof, t, f, key=(name, H))
+    ref = product_integrate_loop(prof, t, f)
+    assert out[0] == 0.0
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
