@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .driftspec import ModelSpec
-from .kernel import (Hurst, NumericalConditioningError, TimeGrid,
-                     autocovariance, kernel_partial_integral)
+from .kernel import TimeGrid, autocovariance, cholesky_with_jitter, kernel_partial_integral
 from .opcache import OperatorCache
 
 __all__ = [
@@ -66,23 +65,6 @@ class GaussianConditioner:
         object.__setattr__(self, "observed_values", vals)
 
 
-def _cho_factor_with_jitter(mat: np.ndarray):
-    try:
-        return cho_factor(mat, lower=True)
-    except np.linalg.LinAlgError:
-        pass
-    trace = float(np.trace(mat))
-    eps = 1e-14 * trace
-    while eps <= 1e-10 * trace:
-        try:
-            return cho_factor(mat + eps * np.eye(mat.shape[0]), lower=True)
-        except np.linalg.LinAlgError:
-            eps *= 2.0
-    raise NumericalConditioningError(
-        f"observed block of size {mat.shape[0]} is singular even with jitter"
-    )
-
-
 def condition_gaussian(g: GaussianConditioner):
     """Conditional (mean, cov) of the unobserved coordinates given the observed.
 
@@ -95,7 +77,7 @@ def condition_gaussian(g: GaussianConditioner):
     s_yy = g.cov[np.ix_(obs, obs)]
     s_xy = g.cov[np.ix_(keep, obs)]
     s_xx = g.cov[np.ix_(keep, keep)]
-    chol = _cho_factor_with_jitter(s_yy)
+    chol = (cholesky_with_jitter(s_yy), True)
     resid = g.observed_values - g.mean[obs]
     cond_mean = g.mean[keep] + s_xy @ cho_solve(chol, resid)
     cond_cov = s_xx - s_xy @ cho_solve(chol, s_xy.T)

@@ -11,6 +11,11 @@ therefore reduce to the unit profile k(v) = K_H(1, v), whose cumulative
 moments are precomputed once per H (see :mod:`modalbridge.profiles`).  k has
 algebraic endpoint behaviour v^(-|H-1/2|) at 0 and (1-v)^(H-1/2) at 1, which
 the profile quadrature absorbs exactly.
+
+The Volterra weights of the driving Brownian increments and the cross block
+Cov(B_s, B^H_t) of the joint covariance are the same profile moments summed
+two ways: both come from one table of moment increments between the pair
+fractions j/i, and the cross block is the running sums of the Volterra rows.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from .opcache import OperatorCache
+from .profiles import SingularProfile, moment_increments
 from .special import beta_fn, gamma_fn, hyp2f1
 
 __all__ = [
@@ -34,6 +40,7 @@ __all__ = [
     "kernel_total_integral",
     "kernel_partial_integral",
     "kernel_partial_integral_quad",
+    "volterra_weight_matrix",
     "joint_cov_matrix",
     "sample_joint_paths",
     "cholesky_with_jitter",
@@ -194,8 +201,6 @@ def kernel_profile(hurst: Hurst):
 
 
 def _build_kernel_profile(hurst: Hurst):
-    from .profiles import SingularProfile
-
     H = hurst.H
     b0 = -abs(H - 0.5)
     a1 = H - 0.5
@@ -281,7 +286,8 @@ def cholesky_with_jitter(cov: np.ndarray, max_jitter_frac: float = 1e-10):
     """Cholesky factor of a symmetric PSD matrix, with escalating jitter.
 
     Jitter eps * I is added with eps doubling from 1e-14 * trace up to
-    max_jitter_frac * trace before giving up.
+    max_jitter_frac * trace before giving up.  A matrix whose trace is not
+    positive has no jitter scale and fails at once.
     """
     cov = np.asarray(cov, dtype=float)
     try:
@@ -289,6 +295,10 @@ def cholesky_with_jitter(cov: np.ndarray, max_jitter_frac: float = 1e-10):
     except np.linalg.LinAlgError:
         pass
     trace = float(np.trace(cov))
+    if not trace > 0.0:
+        raise NumericalConditioningError(
+            f"Cholesky failed for {cov.shape[0]}x{cov.shape[0]} matrix with trace "
+            f"{trace:g}, which gives no jitter scale")
     eps = 1e-14 * trace
     while eps <= max_jitter_frac * trace:
         try:
@@ -301,21 +311,35 @@ def cholesky_with_jitter(cov: np.ndarray, max_jitter_frac: float = 1e-10):
     )
 
 
+def volterra_weight_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
+    """Lower-triangular W with W[i-1, j] = (1/dt) int_{t_j}^{t_{j+1}} K_H(t_i, s) ds.
+
+    Applied to N(0, dt) increments of the driving Brownian motion these weights
+    reproduce the exact cross-covariance with B at the nodes.  By homogeneity
+    the entry is t_i^(H+1/2) / dt times the profile's M0 increment between the
+    fractions j/i and (j+1)/i.
+    """
+    n = grid.n
+    if hurst.is_brownian:
+        return np.tril(np.ones((n, n)))
+    d0 = moment_increments(kernel_profile(hurst).moment0, 1, n + 1)
+    t = grid.nodes[1:, None]
+    return t ** (hurst.H + 0.5) * d0[:, 1:-1] / grid.dt
+
+
 def joint_cov_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
     """Covariance of (B_{t_1..t_n}, B^H_{t_1..t_n}) under the driftless law.
 
     Block layout: index 0..n-1 holds the Brownian nodes, n..2n-1 the fBm
-    nodes.  Cov(B_s, B^H_t) = int_0^(s ^ t) K_H(t, u) du by the Ito isometry.
+    nodes.  Cov(B_s, B^H_t) = int_0^(s ^ t) K_H(t, u) du by the Ito isometry,
+    which is dt times a running sum along row t of the Volterra weights.
     """
     t = grid.nodes[1:]
     n = grid.n
     cov = np.empty((2 * n, 2 * n))
     cov[:n, :n] = np.minimum(t[:, None], t[None, :])
     cov[n:, n:] = autocovariance(t[:, None], t[None, :], hurst)
-    cross = np.empty((n, n))
-    for j in range(n):
-        # column j: Cov(B_{t_i}, B^H_{t_j}) = partial integral at min(t_i, t_j)
-        cross[:, j] = kernel_partial_integral(np.minimum(t, t[j]), t[j], hurst)
+    cross = grid.dt * np.cumsum(volterra_weight_matrix(grid, hurst), axis=1).T
     cov[:n, n:] = cross
     cov[n:, :n] = cross.T
     return cov

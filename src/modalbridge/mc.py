@@ -34,9 +34,8 @@ from .density import gaussian_prefactor
 from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift, validate_assumptions
 from .fraccalc import GridFunction, invert_KH
 from .kernel import (Hurst, NumericalConditioningError, TimeGrid, cholesky_with_jitter,
-                     draw_joint_paths, joint_cov_matrix, kernel_profile)
+                     draw_joint_paths, joint_cov_matrix, volterra_weight_matrix)
 from .opcache import OperatorCache
-from .profiles import pair_fractions
 
 __all__ = [
     "BinEstimator",
@@ -302,27 +301,6 @@ def estimate_density_at(ensemble: PathEnsemble, point, estimator: Estimator) -> 
 
 
 # -- bridge-measure estimator ---------------------------------------------------------
-
-def volterra_weight_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
-    """Lower-triangular W with W[i-1, j] = (1/dt) int_{t_j}^{t_{j+1}} K_H(t_i, s) ds.
-
-    Applied to N(0, dt) increments of the driving Brownian motion these weights
-    reproduce the exact cross-covariance with B at the nodes.
-    """
-    n = grid.n
-    t = grid.nodes
-    dt = grid.dt
-    if hurst.is_brownian:
-        return np.tril(np.ones((n, n)))
-    prof = kernel_profile(hurst)
-    xs, starts = pair_fractions(n)
-    m0 = prof.moment0(xs)
-    w = np.zeros((n, n))
-    for i in range(1, n + 1):
-        row = m0[starts[i - 1]: starts[i - 1] + i + 1]
-        w[i - 1, :i] = t[i] ** (hurst.H + 0.5) * np.diff(row) / dt
-    return w
-
 
 _invop_cache = OperatorCache(4)
 

@@ -16,7 +16,9 @@ integration against w affordable on large grids.
 Product integration on an n-step grid is linear in the grid values and does
 not depend on the grid spacing, so :func:`product_integrate` applies one
 (n, n+1) matrix per (profile, n), built from the moments at the pair
-fractions j/i on first use and cached.
+fractions j/i on first use and cached.  :func:`moment_increments` is that
+table of moment increments; the kernel module builds its Volterra weights
+from the same table.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .opcache import OperatorCache
 
-__all__ = ["SingularProfile", "pair_fractions", "product_integrate"]
+__all__ = ["SingularProfile", "moment_increments", "pair_fractions", "product_integrate"]
 
 _GL_NODES, _GL_WEIGHTS = roots_legendre(12)
 _DEG = 12          # Chebyshev degree of the per-panel antiderivative
@@ -260,8 +262,8 @@ def _product_matrix(profile: SingularProfile, n: int) -> np.ndarray:
     p = np.zeros((n, n + 1))
     for lo in range(1, n + 1, _BLOCK):
         hi = min(lo + _BLOCK, n + 1)
-        d0 = _row_increments(profile.moment0, lo, hi)
-        d1 = _row_increments(profile.moment1, lo, hi)
+        d0 = moment_increments(profile.moment0, lo, hi)
+        d1 = moment_increments(profile.moment1, lo, hi)
         i = np.arange(lo, hi, dtype=float)[:, None]
         j = np.arange(hi, dtype=float)
         p[lo - 1:hi - 1, :hi] = ((j + 1.0) * d0[:, 1:] - i * d1[:, 1:]
@@ -270,7 +272,7 @@ def _product_matrix(profile: SingularProfile, n: int) -> np.ndarray:
     return p
 
 
-def _row_increments(moment, lo: int, hi: int) -> np.ndarray:
+def moment_increments(moment, lo: int, hi: int) -> np.ndarray:
     """M(min(j+1, i)/i) - M(min(j, i)/i) for rows i = lo..hi-1, columns j = -1..hi-1.
 
     Columns j = -1 and j >= i are exactly zero: past node i a row repeats M(1).

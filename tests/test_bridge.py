@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from modalbridge.bridge import (CovBlocks, GaussianConditioner, condition_gaussian,
                                 cov_blocks, modal_coeffs, modal_path, terminal_cov)
 from modalbridge.driftspec import ModelSpec, parse_drift
-from modalbridge.kernel import (Hurst, TimeGrid, autocovariance,
-                                kernel_partial_integral, kernel_total_integral)
+from modalbridge.kernel import (Hurst, NumericalConditioningError, TimeGrid, autocovariance,
+                                cholesky_with_jitter, kernel_partial_integral,
+                                kernel_total_integral)
 
 ZERO = parse_drift("0")
 
@@ -77,6 +79,56 @@ def test_condition_gaussian_vs_sampling_oracle():
         est[b] = x.mean(0) + beta @ (y_obs - y.mean(0))
     se = est.std(0, ddof=1) / math.sqrt(batches)
     assert np.all(np.abs(est.mean(0) - mean) <= 3.0 * se)
+
+
+def test_rank_deficient_observed_block_conditions_with_jitter():
+    # the observed block [[1, 1], [1, 1]] is singular, so only the jittered factor exists
+    cov = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    g = GaussianConditioner(np.zeros(3), cov, np.array([1, 2]), np.array([0.5, 0.5]))
+    mean, cc = condition_gaussian(g)
+    np.testing.assert_allclose(mean, [0.5], rtol=1e-12)
+    np.testing.assert_allclose(cc, [[1.0]], rtol=1e-12)
+
+
+def test_indefinite_matrix_raises():
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(NumericalConditioningError):
+        cholesky_with_jitter(indefinite)
+    cov = np.eye(3)
+    cov[1:, 1:] = indefinite
+    with pytest.raises(NumericalConditioningError):
+        condition_gaussian(GaussianConditioner(np.zeros(3), cov, np.array([1, 2]),
+                                               np.zeros(2)))
+
+
+def _outcome_within(call, seconds=10.0):
+    """The value or exception of call(), which must finish within the time limit."""
+    box = []
+
+    def run():
+        try:
+            box.append(call())
+        except Exception as exc:  # handed back to the test
+            box.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "call did not finish"
+    return box[0]
+
+
+def test_jitter_without_a_positive_trace_fails_at_once():
+    # jitter scales with the trace: a zero trace once left the doubling loop
+    # spinning forever
+    out = _outcome_within(lambda: cholesky_with_jitter(np.zeros((2, 2))))
+    assert isinstance(out, NumericalConditioningError)
+    # observing the t = 0 node of a Brownian motion: a zero-variance observed block
+    t = np.array([0.0, 0.5, 1.0])
+    g = GaussianConditioner(np.zeros(3), np.minimum(t[:, None], t[None, :]),
+                            np.array([0]), np.array([0.0]))
+    assert isinstance(_outcome_within(lambda: condition_gaussian(g)),
+                      NumericalConditioningError)
 
 
 # -- covariance blocks ----------------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 
 from modalbridge.kernel import (Hurst, TimeGrid, autocovariance, joint_cov_matrix,
                                 kernel_alt, kernel_hyp, kernel_partial_integral,
-                                kernel_partial_integral_quad, kernel_total_integral,
-                                sample_joint_paths)
+                                kernel_partial_integral_quad, kernel_profile,
+                                kernel_total_integral, sample_joint_paths,
+                                volterra_weight_matrix)
+from modalbridge.profiles import pair_fractions
 
 H_SET = (0.1, 0.25, 0.4, 0.6, 0.75, 0.9)
 
@@ -158,6 +160,38 @@ def test_joint_cov_matrix_structure():
     t = grid.nodes[1:]
     expect = kernel_partial_integral(t[0], t[1], h2)
     assert cov2[0, n + 1] == pytest.approx(expect, rel=1e-10)
+
+
+def volterra_rows_loop(grid, hurst):
+    """Row-by-row Volterra weights over the flat pair fractions: the reference."""
+    n, t, dt = grid.n, grid.nodes, grid.dt
+    xs, starts = pair_fractions(n)
+    m0 = kernel_profile(hurst).moment0(xs)
+    w = np.zeros((n, n))
+    for i in range(1, n + 1):
+        row = m0[starts[i - 1]: starts[i - 1] + i + 1]
+        w[i - 1, :i] = t[i] ** (hurst.H + 0.5) * np.diff(row) / dt
+    return w
+
+
+def cross_block_loop(grid, hurst):
+    """Column-by-column Cov(B_{t_i}, B^H_{t_j}) from partial integrals: the reference."""
+    t = grid.nodes[1:]
+    cross = np.empty((grid.n, grid.n))
+    for j in range(grid.n):
+        cross[:, j] = kernel_partial_integral(np.minimum(t, t[j]), t[j], hurst)
+    return cross
+
+
+@pytest.mark.parametrize("H", [0.1, 0.3, 0.7, 0.9])
+@pytest.mark.parametrize("n", [7, 128])
+@pytest.mark.parametrize("T", [0.25, 3.0])
+def test_volterra_weights_and_cross_block_match_loops(H, n, T):
+    grid, hurst = TimeGrid(T, n), Hurst(H)
+    np.testing.assert_allclose(volterra_weight_matrix(grid, hurst),
+                               volterra_rows_loop(grid, hurst), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(joint_cov_matrix(grid, hurst)[:n, n:],
+                               cross_block_loop(grid, hurst), rtol=1e-13, atol=0.0)
 
 
 def test_joint_cov_cholesky_large_grid():
