@@ -12,6 +12,14 @@ where D collects the time-integrals of the transformed drifts.  The 1/2 on
 the quadratic term comes from the lognormal mean e^(var/2) of the residual
 Gaussian; the TimeOnly exactness tests pin it (without it, constant drifts
 would not reproduce the exact Gaussian density).
+
+Only three time integrals of the drifts enter omega: those of bar_h2, hat_h2
+and hat_h1.  With w the trapezoid weights and L the matrix of the inverse
+kernel transform, hat_h2 = L bar_h2 gives int hat_h2 = q . bar_h2 with
+q = L' w, so approx_density takes all three as dot products with (w, q),
+which are built once per (H, T, n) without forming L.  drift_functionals
+keeps the full route through invert_KH and returns the transformed drifts
+themselves.
 """
 
 from __future__ import annotations
@@ -24,8 +32,9 @@ import numpy as np
 from .bridge import ModalPath, modal_path, terminal_cov
 from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift
 from .fraccalc import GridFunction, UnsupportedHurstError as _FraccalcUnsupported
-from .fraccalc import apply_KH, invert_KH
-from .kernel import TimeGrid
+from .fraccalc import inverse_operator_adjoint, invert_KH
+from .kernel import Hurst, TimeGrid
+from .opcache import OperatorCache
 
 __all__ = [
     "DriftFunctionals",
@@ -79,15 +88,9 @@ def _trapz(values: np.ndarray, dt: float) -> float:
     return float(np.trapezoid(values, dx=dt))
 
 
-def drift_functionals(model: ModelSpec, path: ModalPath) -> DriftFunctionals:
-    """Evaluate the drifts along the modal path and solve for hat_h1, hat_h2.
-
-    hat_h2 is the inverse kernel transform of the running integral of
-    bar_h2 (the integrand is passed directly, no differencing), and
-    hat_h1 = (bar_h1 - rho hat_h2) / rho_bar.
-    """
-    grid = path.grid
-    t = grid.nodes
+def _drifts_along(model: ModelSpec, path: ModalPath):
+    """bar_h1 and bar_h2: the drifts on the modal path, required to be finite."""
+    t = path.grid.nodes
     bars = []
     for name, expr in (("h1", model.h1), ("h2", model.h2)):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -98,7 +101,18 @@ def drift_functionals(model: ModelSpec, path: ModalPath) -> DriftFunctionals:
                 f"drift {name} = {expr.to_source()} is not finite along the modal path "
                 f"(t={t[bad]:g}, x={path.x_path[bad]:g}, y={path.y_path[bad]:g})")
         bars.append(vals)
-    bar1, bar2 = bars
+    return bars
+
+
+def drift_functionals(model: ModelSpec, path: ModalPath) -> DriftFunctionals:
+    """Evaluate the drifts along the modal path and solve for hat_h1, hat_h2.
+
+    hat_h2 is the inverse kernel transform of the running integral of
+    bar_h2 (the integrand is passed directly, no differencing), and
+    hat_h1 = (bar_h1 - rho hat_h2) / rho_bar.
+    """
+    grid = path.grid
+    bar1, bar2 = _drifts_along(model, path)
     bar_h1 = GridFunction(grid, bar1)
     bar_h2 = GridFunction(grid, bar2)
     if model.hurst.is_brownian:
@@ -122,8 +136,25 @@ def drift_functionals(model: ModelSpec, path: ModalPath) -> DriftFunctionals:
     )
 
 
-def _linear_and_quadratic(f: DriftFunctionals, model: ModelSpec, endpoint):
-    """The two pieces of omega: 1' D Sigma^-1 Delta and (1/2) 1' D Sigma^-1 D' 1."""
+# Read-only (w, q) per (H, T, n): the trapezoid weights w and q = L' w, with L the
+# matrix of the integrand-mode inverse transform, so that int hat_h2 = q . bar_h2.
+_functional_cache = OperatorCache(16)
+
+
+def _trapezoid_functionals(grid: TimeGrid, hurst: Hurst):
+    def build():
+        w = np.full(grid.n + 1, grid.dt)
+        w[[0, -1]] *= 0.5
+        q = inverse_operator_adjoint(grid, hurst, w)
+        w.flags.writeable = q.flags.writeable = False
+        return w, q
+    return _functional_cache.get((hurst.H, grid.T, grid.n), build)
+
+
+def _linear_and_quadratic(int_hat_h1: float, int_hat_h2: float, int_bar_h2: float,
+                          model: ModelSpec, endpoint):
+    """The two pieces of omega: 1' D Sigma^-1 Delta and (1/2) 1' D Sigma^-1 D' 1,
+    from the time integrals of hat_h1, hat_h2 and bar_h2."""
     T, H = model.T, model.H
     rho, rho_bar, rho_h = model.rho, model.rho_bar, model.rho_H
     bar_sq = model.rho_bar_H_sq
@@ -131,8 +162,8 @@ def _linear_and_quadratic(f: DriftFunctionals, model: ModelSpec, endpoint):
     dy = endpoint[1] - model.y0
     sqrt_t = math.sqrt(T)
     # A = rho_bar <hat h1>/sqrt(T) + rho <hat h2>/sqrt(T) - rho_H <bar h2>/T^H
-    a = (rho_bar * f.int_hat_h1 + rho * f.int_hat_h2) / sqrt_t - rho_h * f.int_bar_h2 / T ** H
-    u2 = f.int_bar_h2 / T ** H
+    a = (rho_bar * int_hat_h1 + rho * int_hat_h2) / sqrt_t - rho_h * int_bar_h2 / T ** H
+    u2 = int_bar_h2 / T ** H
     linear = (a * (dx / sqrt_t) - rho_h * a * (dy / T ** H)) / bar_sq \
         + u2 * (dy / T ** H)
     quadratic = 0.5 * (a * a / bar_sq + u2 * u2)
@@ -141,13 +172,15 @@ def _linear_and_quadratic(f: DriftFunctionals, model: ModelSpec, endpoint):
 
 def omega_full(f: DriftFunctionals, model: ModelSpec, endpoint) -> float:
     """Full log-correction, linear part minus the halved quadratic form."""
-    linear, quadratic = _linear_and_quadratic(f, model, endpoint)
+    linear, quadratic = _linear_and_quadratic(f.int_hat_h1, f.int_hat_h2, f.int_bar_h2,
+                                              model, endpoint)
     return linear - quadratic
 
 
 def omega_1(f: DriftFunctionals, model: ModelSpec, endpoint) -> float:
     """Leading (linear-in-endpoint) part of the log-correction."""
-    linear, _ = _linear_and_quadratic(f, model, endpoint)
+    linear, _ = _linear_and_quadratic(f.int_hat_h1, f.int_hat_h2, f.int_bar_h2,
+                                      model, endpoint)
     return linear
 
 
@@ -193,16 +226,23 @@ def approx_density(model: ModelSpec, endpoint, n: int = 512) -> DensityApprox:
     """Modal-path small-time approximation of the joint density at endpoint.
 
     Also reports the exp(omega_full) variant, which is exact when the drifts
-    depend on time only.
+    depend on time only.  Only three integrals of the drifts enter omega, and
+    hat_h2 is linear in bar_h2, so they are taken as dot products with the
+    cached (w, q) instead of through drift_functionals.
     """
     alpha = alpha_exponent(model)  # raises for General with H >= 3/4
     grid = TimeGrid(model.T, n)
     path = modal_path(model, grid, endpoint)
-    f = drift_functionals(model, path)
+    bar1, bar2 = _drifts_along(model, path)
+    w, q = _trapezoid_functionals(grid, model.hurst)
+    int_bar_h2 = float(w @ bar2)
+    int_hat_h2 = float(q @ bar2)
+    int_hat_h1 = (float(w @ bar1) - model.rho * int_hat_h2) / model.rho_bar
     dx = endpoint[0] - model.x0
     dy = endpoint[1] - model.y0
     phi = gaussian_prefactor(dx, dy, model)
-    linear, quadratic = _linear_and_quadratic(f, model, endpoint)
+    linear, quadratic = _linear_and_quadratic(int_hat_h1, int_hat_h2, int_bar_h2,
+                                              model, endpoint)
     w1 = linear
     wf = linear - quadratic
     return DensityApprox(

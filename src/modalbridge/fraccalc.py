@@ -20,6 +20,14 @@ the input must be recovered by differencing, the first few nodes of the
 reduced derivative t^(1/2-H) h'(t) are repaired by a local quadratic fit
 (differencing across the t^(H+1/2) leading behaviour of h is the dominant
 error source otherwise).
+
+Integrand-mode inversion is linear in the integrand, so
+inverse_operator_matrix builds its whole (n+1) x (n+1) matrix directly from
+the same weights (Toeplitz forms of the RL and Marchaud segment weights, the
+t-power diagonals, the node-0 fit and extrapolation as fixed row
+combinations, and the cached psi product-integration matrix), in row blocks
+and without a loop over columns.  inverse_operator_adjoint takes L' w from the
+same row blocks without holding L.
 """
 
 from __future__ import annotations
@@ -27,10 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernel import Hurst, TimeGrid, kernel_profile
 from .opcache import OperatorCache
-from .profiles import SingularProfile, product_integrate
+from .profiles import SingularProfile, product_integrate, product_matrix
 from .special import gamma_fn
 
 __all__ = [
@@ -40,6 +49,8 @@ __all__ = [
     "weyl_derivative",
     "apply_KH",
     "invert_KH",
+    "inverse_operator_matrix",
+    "inverse_operator_adjoint",
     "MAX_SUPPORTED_H",
 ]
 
@@ -133,6 +144,17 @@ def weyl_derivative(f: GridFunction, alpha: float) -> GridFunction:
     return GridFunction(f.grid, out)
 
 
+def _marchaud_weights(alpha: float, n: int):
+    """Segment weights of the Marchaud tail; A_m = B_m = 0 for m < 2."""
+    m = np.arange(0, n + 2, dtype=float)
+    A = np.zeros(n + 2)
+    B = np.zeros(n + 2)
+    with np.errstate(divide="ignore"):
+        A[2:] = (m[1:-1] ** (-alpha) - m[2:] ** (-alpha)) / alpha
+        B[2:] = m[2:] * A[2:] - (m[2:] ** (1.0 - alpha) - m[1:-1] ** (1.0 - alpha)) / (1.0 - alpha)
+    return A, B
+
+
 def _marchaud_tail(alpha: float, dt: float, g: np.ndarray) -> np.ndarray:
     """J_i = int_0^{t_i} (g_i - ghat(s)) (t_i - s)^(-alpha-1) ds, piecewise-linear ghat.
 
@@ -140,12 +162,7 @@ def _marchaud_tail(alpha: float, dt: float, g: np.ndarray) -> np.ndarray:
     the factor (g_i - g_{i-1} - slope * dt) = 0 exactly.
     """
     n = len(g) - 1
-    m = np.arange(0, n + 2, dtype=float)
-    A = np.zeros(n + 2)
-    B = np.zeros(n + 2)
-    with np.errstate(divide="ignore"):
-        A[2:] = (m[1:-1] ** (-alpha) - m[2:] ** (-alpha)) / alpha
-        B[2:] = m[2:] * A[2:] - (m[2:] ** (1.0 - alpha) - m[1:-1] ** (1.0 - alpha)) / (1.0 - alpha)
+    A, B = _marchaud_weights(alpha, n)
     slope = np.diff(g) / dt
     cumA = np.cumsum(A[: n + 1])
     convA = np.convolve(g, A[: n + 1])[: n + 1]
@@ -294,3 +311,107 @@ def invert_KH(h: GridFunction, hurst: Hurst, integrand=None) -> GridFunction:
     out[1:] = (a_part[1:] + b_part[1:]) / (norm * gamma_fn(1.5 - H))
     out[0] = 2.0 * out[1] - out[2]
     return GridFunction(grid, out)
+
+
+# -- the inverse transform as a matrix ---------------------------------------------
+
+_BLOCK = 64  # rows of the inverse-transform matrix built per pass
+
+
+def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
+    """Read-only view T with T[i, k] = c[i - k] for k <= i and 0 above the diagonal."""
+    m = len(c)
+    return sliding_window_view(np.concatenate([c[::-1], np.zeros(m - 1)]), m)[::-1]
+
+
+def _inverse_operator_rows(grid: TimeGrid, hurst: Hurst):
+    """Rows 1..n of the inverse-transform matrix L at H != 1/2, as (lo, block)
+    pairs: block holds rows lo, lo+1, ... (at most ``_BLOCK`` of them)."""
+    n, dt, H = grid.n, grid.dt, hurst.H
+    t = grid.nodes
+    norm = hurst.c_H * gamma_fn(H + 0.5)
+    if H < 0.5:
+        if n < 3:
+            raise ValueError(f"the node-0 fit at H < 1/2 needs n >= 3, got n={n}")
+        alpha = 0.5 - H
+        A, B = _rl_weights(alpha, n)
+        w1 = (A - B)[: n + 1]
+        toeplitz = _lower_toeplitz(w1 + B[1: n + 2])
+        s = np.zeros(n + 1)
+        s[1:] = t[1:] ** alpha  # u = s g, with u_0 from the fit below
+        fit0 = np.array([3.0, -3.0, 1.0]) * s[1:4]
+        row_scale = dt ** alpha / gamma_fn(alpha) / norm / s[1:]
+        for lo in range(1, n + 1, _BLOCK):
+            hi = min(lo + _BLOCK, n + 1)
+            block = toeplitz[lo:hi] * s
+            block[:, 1:4] += w1[lo:hi, None] * fit0
+            block *= row_scale[lo - 1: hi - 1, None]
+            yield lo, block
+        return
+    beta = H - 0.5
+    A, B = _marchaud_weights(beta, n)
+    toeplitz = _lower_toeplitz(B[: n + 1] - A[: n + 1] - B[1: n + 2])
+    diag = np.cumsum(A[: n + 1]) + 1.0 / (1.0 - beta)
+    psi = product_matrix(_psi_profile(hurst), n, key=("psi", H))
+    t_pow = t[1:] ** (-beta)
+    j_scale = beta * dt ** (-beta)
+    row_scale = 1.0 / (norm * gamma_fn(1.5 - H))
+    for lo in range(1, n + 1, _BLOCK):
+        hi = min(lo + _BLOCK, n + 1)
+        rows = np.arange(hi - lo)
+        i = rows + lo
+        block = np.array(toeplitz[lo:hi])
+        block[:, 0] += B[lo + 1: hi + 1]  # the tail's difference sum skips node 0
+        block[rows, i] += diag[i]
+        block[rows, i - 1] -= 1.0 / (1.0 - beta)
+        block *= j_scale
+        block[rows, i] += t_pow[i - 1]
+        block += (beta * t_pow[i - 1])[:, None] * psi[lo - 1: hi - 1]
+        block *= row_scale
+        yield lo, block
+
+
+def inverse_operator_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
+    """The (n+1) x (n+1) matrix L of the integrand-mode inverse transform.
+
+    L @ g equals invert_KH(h, hurst, integrand=g).values (up to rounding) for
+    every g on the grid.  Each step of that route is linear in g and becomes a
+    matrix factor here: the RL integral (H < 1/2) and the Marchaud tail
+    (H > 1/2) are lower-triangular Toeplitz matrices of their segment weights,
+    with one column fixed where the convolution skips node 0; the t-power
+    prefactors are diagonals; the quadratic node-0 fit of t^(1/2-H) g is the
+    fixed row combination 3 u_1 - 3 u_2 + u_3; the psi term is the cached
+    product-integration matrix; and row 0 is 2 row_1 - row_2.  Rows are built
+    in blocks of ``_BLOCK``; at H = 1/2, L is the identity.
+    """
+    _check_hurst_supported(hurst)
+    n = grid.n
+    if hurst.is_brownian:
+        return np.eye(n + 1)
+    out = np.empty((n + 1, n + 1))
+    for lo, block in _inverse_operator_rows(grid, hurst):
+        out[lo: lo + len(block)] = block
+    out[0] = 2.0 * out[1] - out[2]
+    return out
+
+
+def inverse_operator_adjoint(grid: TimeGrid, hurst: Hurst, w: np.ndarray) -> np.ndarray:
+    """L' w for the matrix L of inverse_operator_matrix, one row block at a time.
+
+    w . invert_KH(h, hurst, integrand=g).values = (L' w) . g, so a fixed linear
+    functional of the inverse transform becomes one vector, and L itself is
+    never held: row 0 of L (2 row_1 - row_2) is folded into the weights.
+    """
+    _check_hurst_supported(hurst)
+    w = np.asarray(w, dtype=float)
+    if w.shape != (grid.n + 1,):
+        raise ValueError("w must match the grid")
+    if hurst.is_brownian:
+        return w.copy()
+    v = w[1:].copy()
+    v[0] += 2.0 * w[0]
+    v[1] -= w[0]
+    out = np.zeros(grid.n + 1)
+    for lo, block in _inverse_operator_rows(grid, hurst):
+        out += v[lo - 1: lo - 1 + len(block)] @ block
+    return out

@@ -287,9 +287,13 @@ def cholesky_with_jitter(cov: np.ndarray, max_jitter_frac: float = 1e-10):
 
     Jitter eps * I is added with eps doubling from 1e-14 * trace up to
     max_jitter_frac * trace before giving up.  A matrix whose trace is not
-    positive has no jitter scale and fails at once.
+    positive has no jitter scale and fails at once, and so does a matrix with
+    a non-finite entry (the factorization itself would return NaN or inf).
     """
     cov = np.asarray(cov, dtype=float)
+    if not np.all(np.isfinite(cov)):
+        raise NumericalConditioningError(
+            f"Cholesky of a {cov.shape[0]}x{cov.shape[0]} matrix with non-finite entries")
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .density import gaussian_prefactor
 from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift, validate_assumptions
-from .fraccalc import GridFunction, invert_KH
+from .fraccalc import inverse_operator_matrix
 from .kernel import (Hurst, NumericalConditioningError, TimeGrid, cholesky_with_jitter,
                      draw_joint_paths, joint_cov_matrix, volterra_weight_matrix)
 from .opcache import OperatorCache
@@ -306,11 +306,11 @@ _invop_cache = OperatorCache(4)
 
 
 def _inverse_operator_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
-    """Matrix of the integrand-mode inverse kernel transform on the grid."""
+    """Read-only matrix of the integrand-mode inverse kernel transform on the grid."""
     def build():
-        h0 = GridFunction(grid, np.zeros(grid.n + 1))
-        return np.column_stack([invert_KH(h0, hurst, integrand=e).values
-                                for e in np.eye(grid.n + 1)])
+        op = inverse_operator_matrix(grid, hurst)
+        op.flags.writeable = False
+        return op
     return _invop_cache.get((hurst.H, grid.T, grid.n), build)
 
 

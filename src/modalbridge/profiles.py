@@ -31,7 +31,8 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .opcache import OperatorCache
 
-__all__ = ["SingularProfile", "moment_increments", "pair_fractions", "product_integrate"]
+__all__ = ["SingularProfile", "moment_increments", "pair_fractions", "product_integrate",
+           "product_matrix"]
 
 _GL_NODES, _GL_WEIGHTS = roots_legendre(12)
 _DEG = 12          # Chebyshev degree of the per-panel antiderivative
@@ -299,7 +300,11 @@ def product_integrate(profile: SingularProfile, t: np.ndarray, f: np.ndarray,
     matrices, which holds one matrix per (key, n).
     """
     n = len(t) - 1
-    p = _table_cache.get((key, n), lambda: _product_matrix(profile, n))
     out = np.zeros(n + 1)
-    out[1:] = p @ f
+    out[1:] = product_matrix(profile, n, key) @ f
     return out
+
+
+def product_matrix(profile: SingularProfile, n: int, key) -> np.ndarray:
+    """The read-only product-integration matrix of one profile on n steps, cached per (key, n)."""
+    return _table_cache.get((key, n), lambda: _product_matrix(profile, n))

@@ -131,6 +131,13 @@ def test_jitter_without_a_positive_trace_fails_at_once():
                       NumericalConditioningError)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_matrix_raises(bad):
+    # np.linalg.cholesky factors these without complaint into a NaN or inf factor
+    with pytest.raises(NumericalConditioningError, match="non-finite"):
+        cholesky_with_jitter(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 # -- covariance blocks ----------------------------------------------------------------
 
 def test_terminal_cov_structure():

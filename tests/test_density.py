@@ -9,7 +9,7 @@ from modalbridge.density import (UnsupportedHurstError, alpha_exponent,
                                  approx_density, drift_functionals,
                                  exact_timeonly_density, gaussian_prefactor,
                                  omega_1, omega_full)
-from modalbridge import bridge, fraccalc, kernel, profiles
+from modalbridge import bridge, density, fraccalc, kernel, profiles
 from modalbridge.driftspec import DriftClass, DriftDomainError, ModelSpec, parse_drift
 from modalbridge.fraccalc import GridFunction, apply_KH
 from modalbridge.kernel import Hurst, TimeGrid
@@ -250,3 +250,40 @@ def test_nonfinite_drift_on_modal_path_is_a_domain_error():
     m = make_model("exp(x)", "0", H=0.3, rho=0.3, T=0.25)
     with pytest.raises(DriftDomainError, match="h1 = exp"):
         approx_density(m, (800.0, 0.0), 64)
+
+
+@pytest.mark.parametrize("n", [64, 130, 512])
+@pytest.mark.parametrize("H", [0.2, 0.3, 0.4, 0.5, 0.7])
+def test_density_dot_products_match_drift_functionals(H, n):
+    drifts = {"General": ("0.5*sin(x) + 0.2*y", "0.3*cos(y) - 0.1*x"),
+              "Linear": ("0.3*x - 0.2*y + 1", "0.5*y + 0.1*x")}
+    for cls, (h1, h2) in drifts.items():
+        m = make_model(h1, h2, H=H, rho=0.4, holder_gamma=H / 2 if H > 0.5 else None)
+        assert m.drift_class.value == cls
+        for ep in [(0.1, 0.1), (0.5, -0.3), (-0.4, 0.6)]:
+            d = approx_density(m, ep, n)
+            f = drift_functionals(m, modal_path(m, TimeGrid(m.T, n), ep))
+            w1, wf = omega_1(f, m, ep), omega_full(f, m, ep)
+            phi = gaussian_prefactor(ep[0], ep[1], m)
+            assert d.p_hat == pytest.approx(phi * math.exp(w1), rel=1e-12)
+            assert d.p_hat_full == pytest.approx(phi * math.exp(wf), rel=1e-12)
+            assert d.omega_1 == pytest.approx(w1, rel=1e-12)
+            # omega_full is a difference of two pieces and can cancel to ~1e-5
+            assert d.omega_full == pytest.approx(wf, rel=1e-12, abs=1e-15)
+
+
+def test_trapezoid_functionals_are_cached_read_only_per_horizon():
+    grid, hurst = TimeGrid(0.5, 64), Hurst(0.3)
+    w, q = density._trapezoid_functionals(grid, hurst)
+    assert density._trapezoid_functionals(grid, hurst)[1] is q
+    for vec in (w, q):
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+    # models that differ only in T must not share vectors
+    m_short = make_model("0.5*sin(x)", "0.3*cos(y)", H=0.3, T=0.5)
+    m_long = make_model("0.5*sin(x)", "0.3*cos(y)", H=0.3, T=0.8)
+    approx_density(m_short, (0.1, 0.1), 64)
+    approx_density(m_long, (0.1, 0.1), 64)
+    w_long, q_long = density._trapezoid_functionals(TimeGrid(0.8, 64), hurst)
+    assert not np.allclose(w_long, w)
+    assert not np.allclose(q_long, q)

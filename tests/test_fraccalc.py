@@ -3,8 +3,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma
 
-from modalbridge.fraccalc import (GridFunction, MAX_SUPPORTED_H, apply_KH,
-                                  invert_KH, rl_integral, weyl_derivative)
+from modalbridge.fraccalc import (GridFunction, MAX_SUPPORTED_H, UnsupportedHurstError,
+                                  apply_KH, inverse_operator_adjoint,
+                                  inverse_operator_matrix, invert_KH,
+                                  rl_integral, weyl_derivative)
 from modalbridge.kernel import Hurst, TimeGrid, kernel_total_integral
 
 
@@ -193,3 +195,35 @@ def test_round_trip_converges(H, name, fn):
         errs[n] = float(np.max(np.abs(back[lo:] - f[lo:])))
     assert errs[500] < 5e-3
     assert errs[500] / max(errs[1000], 1e-300) > 1.5 or errs[1000] < 1e-9
+
+
+@pytest.mark.parametrize("n", [5, 64, 130])  # 130 is not a multiple of the row block
+@pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_inverse_operator_matrix_matches_column_loop(H, n):
+    grid, hurst = TimeGrid(0.7, n), Hurst(H)
+    h0 = GridFunction(grid, np.zeros(n + 1))
+    columns = np.column_stack([invert_KH(h0, hurst, integrand=e).values
+                               for e in np.eye(n + 1)])
+    L = inverse_operator_matrix(grid, hurst)
+    assert L.shape == (n + 1, n + 1)
+    assert np.max(np.abs(L - columns)) <= 1e-13 * np.max(np.abs(columns))
+    w = np.cos(np.arange(n + 1.0))
+    np.testing.assert_allclose(inverse_operator_adjoint(grid, hurst, w), columns.T @ w,
+                               rtol=0, atol=1e-13 * np.max(np.abs(columns.T @ w)))
+
+
+def test_inverse_operator_matrix_and_adjoint_reject_bad_input():
+    grid = TimeGrid(1.0, 16)
+    with pytest.raises(UnsupportedHurstError):
+        inverse_operator_matrix(grid, Hurst(0.96))
+    with pytest.raises(UnsupportedHurstError):
+        inverse_operator_adjoint(grid, Hurst(0.96), np.ones(17))
+    with pytest.raises(ValueError, match="match the grid"):
+        inverse_operator_adjoint(grid, Hurst(0.3), np.ones(16))
+
+
+def test_inverse_operator_matrix_needs_three_steps_below_half():
+    # the quadratic node-0 fit at H < 1/2 reads nodes 1..3
+    with pytest.raises(ValueError, match="n >= 3"):
+        inverse_operator_matrix(TimeGrid(1.0, 2), Hurst(0.3))
+    assert inverse_operator_matrix(TimeGrid(1.0, 2), Hurst(0.7)).shape == (3, 3)
