@@ -16,10 +16,10 @@ would not reproduce the exact Gaussian density).
 Only three time integrals of the drifts enter omega: those of bar_h2, hat_h2
 and hat_h1.  With w the trapezoid weights and L the matrix of the inverse
 kernel transform, hat_h2 = L bar_h2 gives int hat_h2 = q . bar_h2 with
-q = L' w, so approx_density takes all three as dot products with (w, q),
-which are built once per (H, T, n) without forming L.  drift_functionals
-keeps the full route through invert_KH and returns the transformed drifts
-themselves.
+q = L' w, so approx_density takes all three as dot products with (w, q).
+The pair is built once per (H, T, n), and L is dropped once q is formed.
+drift_functionals keeps the full route through invert_KH and returns the
+transformed drifts themselves.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .bridge import ModalPath, modal_path, terminal_cov
 from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift
 from .fraccalc import GridFunction, UnsupportedHurstError as _FraccalcUnsupported
-from .fraccalc import inverse_operator_adjoint, invert_KH
+from .fraccalc import inverse_operator_matrix, invert_KH
 from .kernel import Hurst, TimeGrid
 from .opcache import OperatorCache
 
@@ -145,7 +145,7 @@ def _trapezoid_functionals(grid: TimeGrid, hurst: Hurst):
     def build():
         w = np.full(grid.n + 1, grid.dt)
         w[[0, -1]] *= 0.5
-        q = inverse_operator_adjoint(grid, hurst, w)
+        q = inverse_operator_matrix(grid, hurst).T @ w  # L itself is not kept
         w.flags.writeable = q.flags.writeable = False
         return w, q
     return _functional_cache.get((hurst.H, grid.T, grid.n), build)

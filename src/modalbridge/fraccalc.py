@@ -26,8 +26,7 @@ inverse_operator_matrix builds its whole (n+1) x (n+1) matrix directly from
 the same weights (Toeplitz forms of the RL and Marchaud segment weights, the
 t-power diagonals, the node-0 fit and extrapolation as fixed row
 combinations, and the cached psi product-integration matrix), in row blocks
-and without a loop over columns.  inverse_operator_adjoint takes L' w from the
-same row blocks without holding L.
+and without a loop over columns.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "apply_KH",
     "invert_KH",
     "inverse_operator_matrix",
-    "inverse_operator_adjoint",
     "MAX_SUPPORTED_H",
 ]
 
@@ -324,51 +322,11 @@ def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate([c[::-1], np.zeros(m - 1)]), m)[::-1]
 
 
-def _inverse_operator_rows(grid: TimeGrid, hurst: Hurst):
-    """Rows 1..n of the inverse-transform matrix L at H != 1/2, as (lo, block)
-    pairs: block holds rows lo, lo+1, ... (at most ``_BLOCK`` of them)."""
-    n, dt, H = grid.n, grid.dt, hurst.H
-    t = grid.nodes
-    norm = hurst.c_H * gamma_fn(H + 0.5)
-    if H < 0.5:
-        if n < 3:
-            raise ValueError(f"the node-0 fit at H < 1/2 needs n >= 3, got n={n}")
-        alpha = 0.5 - H
-        A, B = _rl_weights(alpha, n)
-        w1 = (A - B)[: n + 1]
-        toeplitz = _lower_toeplitz(w1 + B[1: n + 2])
-        s = np.zeros(n + 1)
-        s[1:] = t[1:] ** alpha  # u = s g, with u_0 from the fit below
-        fit0 = np.array([3.0, -3.0, 1.0]) * s[1:4]
-        row_scale = dt ** alpha / gamma_fn(alpha) / norm / s[1:]
-        for lo in range(1, n + 1, _BLOCK):
-            hi = min(lo + _BLOCK, n + 1)
-            block = toeplitz[lo:hi] * s
-            block[:, 1:4] += w1[lo:hi, None] * fit0
-            block *= row_scale[lo - 1: hi - 1, None]
-            yield lo, block
-        return
-    beta = H - 0.5
-    A, B = _marchaud_weights(beta, n)
-    toeplitz = _lower_toeplitz(B[: n + 1] - A[: n + 1] - B[1: n + 2])
-    diag = np.cumsum(A[: n + 1]) + 1.0 / (1.0 - beta)
-    psi = product_matrix(_psi_profile(hurst), n, key=("psi", H))
-    t_pow = t[1:] ** (-beta)
-    j_scale = beta * dt ** (-beta)
-    row_scale = 1.0 / (norm * gamma_fn(1.5 - H))
-    for lo in range(1, n + 1, _BLOCK):
-        hi = min(lo + _BLOCK, n + 1)
-        rows = np.arange(hi - lo)
-        i = rows + lo
-        block = np.array(toeplitz[lo:hi])
-        block[:, 0] += B[lo + 1: hi + 1]  # the tail's difference sum skips node 0
-        block[rows, i] += diag[i]
-        block[rows, i - 1] -= 1.0 / (1.0 - beta)
-        block *= j_scale
-        block[rows, i] += t_pow[i - 1]
-        block += (beta * t_pow[i - 1])[:, None] * psi[lo - 1: hi - 1]
-        block *= row_scale
-        yield lo, block
+# node-0 value of np.polyfit(t[1:4], u[1:4], 2), as weights on u_1, u_2, ...: the
+# quadratic through nodes 1..3 extrapolated to t = 0 or, at n = 2, the minimum-norm
+# solution polyfit finds for its column-scaled 2 x 3 Vandermonde system (the same
+# weights on every uniform grid)
+_NODE0_FIT = {2: np.array([47.0, -16.0]) / 35.0, 3: np.array([3.0, -3.0, 1.0])}
 
 
 def inverse_operator_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
@@ -379,39 +337,54 @@ def inverse_operator_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
     matrix factor here: the RL integral (H < 1/2) and the Marchaud tail
     (H > 1/2) are lower-triangular Toeplitz matrices of their segment weights,
     with one column fixed where the convolution skips node 0; the t-power
-    prefactors are diagonals; the quadratic node-0 fit of t^(1/2-H) g is the
-    fixed row combination 3 u_1 - 3 u_2 + u_3; the psi term is the cached
-    product-integration matrix; and row 0 is 2 row_1 - row_2.  Rows are built
-    in blocks of ``_BLOCK``; at H = 1/2, L is the identity.
+    prefactors are diagonals; the quadratic node-0 fit of t^(1/2-H) g is a
+    fixed row combination (3 u_1 - 3 u_2 + u_3 for n >= 3); the psi term is
+    the cached product-integration matrix; and row 0 is 2 row_1 - row_2.
+    Rows are built in blocks of ``_BLOCK``; at H = 1/2, L is the identity.
     """
     _check_hurst_supported(hurst)
-    n = grid.n
+    n, dt, H = grid.n, grid.dt, hurst.H
     if hurst.is_brownian:
         return np.eye(n + 1)
+    t = grid.nodes
+    norm = hurst.c_H * gamma_fn(H + 0.5)
     out = np.empty((n + 1, n + 1))
-    for lo, block in _inverse_operator_rows(grid, hurst):
-        out[lo: lo + len(block)] = block
+    if H < 0.5:
+        alpha = 0.5 - H
+        A, B = _rl_weights(alpha, n)
+        w1 = (A - B)[: n + 1]
+        toeplitz = _lower_toeplitz(w1 + B[1: n + 2])
+        s = np.zeros(n + 1)
+        s[1:] = t[1:] ** alpha  # u = s g, with u_0 from the fit below
+        fit0 = _NODE0_FIT[min(n, 3)] * s[1:4]
+        row_scale = dt ** alpha / gamma_fn(alpha) / norm / s[1:]
+        for lo in range(1, n + 1, _BLOCK):
+            hi = min(lo + _BLOCK, n + 1)
+            block = out[lo:hi]
+            np.multiply(toeplitz[lo:hi], s, out=block)
+            block[:, 1:4] += w1[lo:hi, None] * fit0
+            block *= row_scale[lo - 1: hi - 1, None]
+    else:
+        beta = H - 0.5
+        A, B = _marchaud_weights(beta, n)
+        toeplitz = _lower_toeplitz(B[: n + 1] - A[: n + 1] - B[1: n + 2])
+        diag = np.cumsum(A[: n + 1]) + 1.0 / (1.0 - beta)
+        psi = product_matrix(_psi_profile(hurst), n, key=("psi", H))
+        t_pow = t[1:] ** (-beta)
+        j_scale = beta * dt ** (-beta)
+        row_scale = 1.0 / (norm * gamma_fn(1.5 - H))
+        for lo in range(1, n + 1, _BLOCK):
+            hi = min(lo + _BLOCK, n + 1)
+            rows = np.arange(hi - lo)
+            i = rows + lo
+            block = out[lo:hi]
+            block[...] = toeplitz[lo:hi]
+            block[:, 0] += B[lo + 1: hi + 1]  # the tail's difference sum skips node 0
+            block[rows, i] += diag[i]
+            block[rows, i - 1] -= 1.0 / (1.0 - beta)
+            block *= j_scale
+            block[rows, i] += t_pow[i - 1]
+            block += (beta * t_pow[i - 1])[:, None] * psi[lo - 1: hi - 1]
+            block *= row_scale
     out[0] = 2.0 * out[1] - out[2]
-    return out
-
-
-def inverse_operator_adjoint(grid: TimeGrid, hurst: Hurst, w: np.ndarray) -> np.ndarray:
-    """L' w for the matrix L of inverse_operator_matrix, one row block at a time.
-
-    w . invert_KH(h, hurst, integrand=g).values = (L' w) . g, so a fixed linear
-    functional of the inverse transform becomes one vector, and L itself is
-    never held: row 0 of L (2 row_1 - row_2) is folded into the weights.
-    """
-    _check_hurst_supported(hurst)
-    w = np.asarray(w, dtype=float)
-    if w.shape != (grid.n + 1,):
-        raise ValueError("w must match the grid")
-    if hurst.is_brownian:
-        return w.copy()
-    v = w[1:].copy()
-    v[0] += 2.0 * w[0]
-    v[1] -= w[0]
-    out = np.zeros(grid.n + 1)
-    for lo, block in _inverse_operator_rows(grid, hurst):
-        out += v[lo - 1: lo - 1 + len(block)] @ block
     return out

@@ -4,8 +4,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma
 
 from modalbridge.fraccalc import (GridFunction, MAX_SUPPORTED_H, UnsupportedHurstError,
-                                  apply_KH, inverse_operator_adjoint,
-                                  inverse_operator_matrix, invert_KH,
+                                  apply_KH, inverse_operator_matrix, invert_KH,
                                   rl_integral, weyl_derivative)
 from modalbridge.kernel import Hurst, TimeGrid, kernel_total_integral
 
@@ -197,7 +196,10 @@ def test_round_trip_converges(H, name, fn):
     assert errs[500] / max(errs[1000], 1e-300) > 1.5 or errs[1000] < 1e-9
 
 
-@pytest.mark.parametrize("n", [5, 64, 130])  # 130 is not a multiple of the row block
+# n = 2 and 3: the node-0 fit at H < 1/2 reads nodes 1..min(n, 3); at n = 2 the
+# reference route's polyfit is rank-deficient and warns
+@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 130])  # 130 is not a multiple of the row block
 @pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_inverse_operator_matrix_matches_column_loop(H, n):
     grid, hurst = TimeGrid(0.7, n), Hurst(H)
@@ -207,23 +209,8 @@ def test_inverse_operator_matrix_matches_column_loop(H, n):
     L = inverse_operator_matrix(grid, hurst)
     assert L.shape == (n + 1, n + 1)
     assert np.max(np.abs(L - columns)) <= 1e-13 * np.max(np.abs(columns))
-    w = np.cos(np.arange(n + 1.0))
-    np.testing.assert_allclose(inverse_operator_adjoint(grid, hurst, w), columns.T @ w,
-                               rtol=0, atol=1e-13 * np.max(np.abs(columns.T @ w)))
 
 
-def test_inverse_operator_matrix_and_adjoint_reject_bad_input():
-    grid = TimeGrid(1.0, 16)
+def test_inverse_operator_matrix_rejects_unsupported_hurst():
     with pytest.raises(UnsupportedHurstError):
-        inverse_operator_matrix(grid, Hurst(0.96))
-    with pytest.raises(UnsupportedHurstError):
-        inverse_operator_adjoint(grid, Hurst(0.96), np.ones(17))
-    with pytest.raises(ValueError, match="match the grid"):
-        inverse_operator_adjoint(grid, Hurst(0.3), np.ones(16))
-
-
-def test_inverse_operator_matrix_needs_three_steps_below_half():
-    # the quadratic node-0 fit at H < 1/2 reads nodes 1..3
-    with pytest.raises(ValueError, match="n >= 3"):
-        inverse_operator_matrix(TimeGrid(1.0, 2), Hurst(0.3))
-    assert inverse_operator_matrix(TimeGrid(1.0, 2), Hurst(0.7)).shape == (3, 3)
+        inverse_operator_matrix(TimeGrid(1.0, 16), Hurst(0.96))

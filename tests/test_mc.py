@@ -407,6 +407,30 @@ def test_bridge_odd_steps_worker_invariance():
         bridge_mc_density(m, (0.1, 0.2), SimConfig(n_paths=10, n_steps=3, seed=21))
 
 
+@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+@pytest.mark.parametrize("n_steps", [4, 5])
+def test_bridge_with_two_step_half_grid_matches_column_loop_operator(n_steps, monkeypatch):
+    # the half grid has n = 2 steps, the smallest the H < 1/2 operator takes;
+    # the reference operator is built column by column through invert_KH
+    from modalbridge import mc
+    from modalbridge.fraccalc import GridFunction, invert_KH
+
+    def column_loop(grid, hurst):
+        h0 = GridFunction(grid, np.zeros(grid.n + 1))
+        return np.column_stack([invert_KH(h0, hurst, integrand=e).values
+                                for e in np.eye(grid.n + 1)])
+
+    m = ModelSpec(Hurst(0.3), 0.4, 0.0, 0.0, 0.5,
+                  parse_drift("0.5*sin(x)"), parse_drift("0.3*cos(y)"))
+    cfg = SimConfig(n_paths=2000, n_steps=n_steps, seed=8)
+    a = bridge_mc_density(m, (0.1, 0.2), cfg)
+    assert a.value > 0 and math.isfinite(a.discretization_bias)
+    monkeypatch.setattr(mc, "_inverse_operator_matrix", column_loop)
+    b = bridge_mc_density(m, (0.1, 0.2), cfg)
+    assert b.value == pytest.approx(a.value, rel=1e-12)
+    assert b.discretization_bias == pytest.approx(a.discretization_bias, rel=1e-9, abs=1e-15)
+
+
 def test_bridge_overflow_raises_instead_of_nan():
     m = ModelSpec(Hurst(0.3), 0.4, 0.0, 0.0, 1.0, parse_drift("60"), ZERO)
     with pytest.raises(NumericalConditioningError):
