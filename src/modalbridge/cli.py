@@ -13,8 +13,10 @@ Subcommands::
 Exit codes: 0 ok, 1 validation failure, 2 config error, 3 numerical error,
 4 unsupported parameter.  CSV output is deterministic byte-for-byte for a
 given (config, seed): floats are printed with 17 significant digits, LF line
-endings, UTF-8, header row always present.  MODALBRIDGE_THREADS caps worker
-parallelism (worker count never changes results).
+endings, UTF-8, header row always present.  The Monte Carlo estimators run
+their row blocks on as many worker threads as there are usable cores, or on
+MODALBRIDGE_THREADS of them (1 runs serially); the worker count never changes
+results, which are byte-identical for a fixed BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -318,7 +320,7 @@ def cmd_simulate(args) -> int:
         n_paths=int(block["n_paths"]),
         n_steps=int(block["n_steps"]),
         seed=seed,
-        chunk_size=int(block.get("chunk_size", 32768)),
+        chunk_size=int(block.get("chunk_size", SimConfig.chunk_size)),
     )
     estimator = _estimator_from_config(block["estimator"])
     point = tuple(float(v) for v in block["point"])
@@ -354,7 +356,7 @@ def cmd_bridge_mc(args) -> int:
         n_paths=int(block["n_paths"]),
         n_steps=int(block["n_steps"]),
         seed=seed,
-        chunk_size=int(block.get("chunk_size", 32768)),
+        chunk_size=int(block.get("chunk_size", SimConfig.chunk_size)),
     )
     endpoint = tuple(float(v) for v in block["endpoint"])
     est = bridge_mc_density(model, endpoint, config)

@@ -14,16 +14,26 @@ summed over adjacent step pairs, also runs on the grid of half the step
 count; that coupled fine-minus-half-grid difference is the reported
 discretization-bias estimate.
 
-Determinism: all sampling uses counter-based Philox streams; chunk k of a run
-with seed s uses the stream keyed s XOR k, and chunk results are merged in
-chunk order, so the worker count never changes the output.
+Both estimators run through one block runner.  The calling thread walks the
+chunks in order; chunk k of a run with seed s draws from the counter-based
+Philox stream keyed s XOR k, in row blocks of _BLOCK_ROWS paths (the last one
+takes the remainder) drawn in stream order: the forward draws every block's
+joint (B, B^H) normals before any block's W normals, as one whole-chunk draw
+would.  Each block then runs the row-local kernel on a thread pool, and a
+chunk's sums are taken over its concatenated block outputs.  So the output is bit-identical to one whole-chunk pass, at any
+worker count, for a fixed BLAS thread setting (OPENBLAS_NUM_THREADS can change
+the bits of the joint covariance's Cholesky factor).  The worker count is the
+``workers`` argument, else MODALBRIDGE_THREADS, else the number of usable cores;
+MODALBRIDGE_THREADS=1 runs every block on the calling thread.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -51,6 +61,7 @@ __all__ = [
 ]
 
 _MAX_VALUES = 200_000_000  # n_steps * n_paths guard
+_BLOCK_ROWS = 2048  # paths per pool task; no result depends on it
 
 
 @dataclass(frozen=True)
@@ -163,7 +174,10 @@ def _worker_count(workers: Optional[int]) -> int:
             pass
         warnings.warn(f"MODALBRIDGE_THREADS={env!r} is not a positive integer; "
                       "using 1 worker", RuntimeWarning)
-    return 1
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fingerprint(model: ModelSpec) -> str:
@@ -176,14 +190,50 @@ def _chunk_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed ^ k) & (2 ** 64 - 1)))
 
 
-def _map_chunks(run_chunk, config: SimConfig, workers: Optional[int]) -> list:
-    """run_chunk over config.chunks(); results in chunk order at any worker count."""
-    chunks = config.chunks()
+def _block_rows(m: int) -> list:
+    """Row counts of the blocks that cover a chunk of m paths, in order.
+
+    The last block also takes the remainder, so a block has at least
+    _BLOCK_ROWS rows unless it is the whole chunk: OpenBLAS rounds a product
+    of a few rows (its gemv and small-matrix kernels) differently from the
+    same rows of a taller product.
+    """
+    full, rem = divmod(m, _BLOCK_ROWS)
+    if full == 0:
+        return [m]
+    return [_BLOCK_ROWS] * (full - 1) + [_BLOCK_ROWS + rem]
+
+
+def _run_blocks(config: SimConfig, draw_blocks, kernel, workers: Optional[int]) -> list:
+    """kernel(k, *args) over the row blocks of every chunk; per chunk, its block results.
+
+    The calling thread walks config.chunks() in order, and draw_blocks(rng,
+    rows) yields each block's arguments from chunk k's stream.  The kernels run
+    on a pool with at most 2 x workers blocks in flight.  A failing block
+    raises in block order, after the pool has shut down, so the error is the
+    same at any worker count.
+    """
+    def jobs():
+        for k, m in config.chunks():
+            for args in draw_blocks(_chunk_rng(config.seed, k), _block_rows(m)):
+                yield k, args
+
     nw = _worker_count(workers)
-    if nw > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            return list(pool.map(run_chunk, chunks))
-    return [run_chunk(c) for c in chunks]
+    if nw == 1:
+        done = [(k, kernel(k, *args)) for k, args in jobs()]
+    else:
+        done, pending = [], deque()
+        pool = ThreadPoolExecutor(max_workers=nw)
+        try:
+            for k, args in jobs():
+                pending.append((k, pool.submit(kernel, k, *args)))
+                if len(pending) == 2 * nw:
+                    k0, future = pending.popleft()
+                    done.append((k0, future.result()))
+            done.extend((k0, future.result()) for k0, future in pending)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [[r for _, r in group] for _, group in itertools.groupby(done, lambda d: d[0])]
 
 
 # -- forward simulation ----------------------------------------------------------
@@ -213,13 +263,17 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     rho, rho_bar = model.rho, model.rho_bar
     chol = _joint_cholesky(grid, model.hurst)  # here, so worker threads never touch the cache
 
-    def run_chunk(args):
-        k, m = args
-        rng = _chunk_rng(config.seed, k)
-        b, bh = draw_joint_paths(grid, model.hurst, rng, m, chol=chol)
+    def draw_blocks(rng, rows):
+        # every joint block before the first W block: the stream order of one chunk draw
+        joint = [draw_joint_paths(grid, model.hurst, rng, r, chol=chol) for r in rows]
+        for (b, bh), r in zip(joint, rows):
+            yield b, bh, rng.standard_normal((r, n))
+
+    def run_block(k, b, bh, dw):
+        m = len(dw)
         # time-major: row i holds every path's value at node (or step) i
         b, bh = np.ascontiguousarray(b.T), np.ascontiguousarray(bh.T)
-        dw = np.ascontiguousarray(rng.standard_normal((m, n)).T)
+        dw = np.ascontiguousarray(dw.T)
         dw *= math.sqrt(dt)
         x = np.full(m, float(model.x0))
         y = np.full(m, float(model.y0))
@@ -244,8 +298,8 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
             return xs.T, ys.T
         return x, y
 
-    results = _map_chunks(run_chunk, config, workers)
-    xs, ys = (np.concatenate([r[j] for r in results]) for j in (0, 1))
+    blocks = [r for chunk in _run_blocks(config, draw_blocks, run_block, workers) for r in chunk]
+    xs, ys = (np.concatenate([r[j] for r in blocks]) for j in (0, 1))
     if keep_paths:
         return PathEnsemble(terminal_x=xs[:, -1].copy(), terminal_y=ys[:, -1].copy(),
                             seed=config.seed, model_fingerprint=_fingerprint(model),
@@ -315,15 +369,17 @@ def _inverse_operator_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
 
 
 class _BridgeLevel:
-    """The bridge estimator's operators on one grid of n steps.
+    """The bridge estimator's operators on one grid of n steps, read-only.
 
     Before conditioning, the 2n increments [dB, dW] are iid N(0, dt).  The
     terminal point imposes two linear constraints a @ incr = v, with rows
     [rho, rho_bar] (for X_T) and [w_last, 0] (for Y_T, Volterra weights).
+    The operators depend on (H, rho, T, n) only, so one level serves every
+    drift and start point, and the pool's threads share it.
     """
 
     def __init__(self, model: ModelSpec, n: int):
-        self.model, self.n = model, n
+        self.n, self.rho, self.rho_bar = n, model.rho, model.rho_bar
         self.grid = TimeGrid(model.T, n)
         self.w_full = volterra_weight_matrix(self.grid, model.hurst)
         self.a = np.zeros((2, 2 * n))
@@ -332,20 +388,22 @@ class _BridgeLevel:
         self.g_inv = np.linalg.inv(self.a @ self.a.T)
         self.inv_op_t = np.ascontiguousarray(
             _inverse_operator_matrix(self.grid, model.hurst)[:n].T)
+        for op in (self.w_full, self.a, self.g_inv, self.inv_op_t):
+            op.flags.writeable = False
 
     def condition(self, incr: np.ndarray, v: np.ndarray) -> None:
         """Pathwise (Matheron) conditioning in place: a row s ~ N(0, dt I) maps to
         s + a^T (a a^T)^-1 (v - a s), which has the exact conditional law."""
         incr += ((v - incr @ self.a.T) @ self.g_inv) @ self.a
 
-    def weights(self, incr: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
+    def weights(self, model: ModelSpec, incr: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
         """Girsanov weights of the rows of incr, conditioned here in place."""
-        model, n, dt = self.model, self.n, self.grid.dt
+        n, dt = self.n, self.grid.dt
         self.condition(incr, v)
         db, dw = incr[:, :n], incr[:, n:]
         x = np.zeros((len(incr), n + 1))
-        np.multiply(db, model.rho, out=x[:, 1:])
-        x[:, 1:] += model.rho_bar * dw
+        np.multiply(db, self.rho, out=x[:, 1:])
+        x[:, 1:] += self.rho_bar * dw
         np.cumsum(x, axis=1, out=x)
         x += model.x0
         y = np.zeros_like(x)
@@ -359,9 +417,9 @@ class _BridgeLevel:
             raise DriftDomainError(f"bridge drift evaluation failed in chunk {k}: {exc}") from exc
         del x, y
         h2t = g2 @ self.inv_op_t
-        h1t = np.multiply(h2t, -model.rho)
+        h1t = np.multiply(h2t, -self.rho)
         h1t += g1[:, :n]
-        h1t /= model.rho_bar
+        h1t /= self.rho_bar
         del g1, g2
         dot = lambda p, q: np.einsum("ij,ij->i", p, q)
         expo = dot(h1t, dw) + dot(h2t, db) - 0.5 * dt * (dot(h1t, h1t) + dot(h2t, h2t))
@@ -369,12 +427,19 @@ class _BridgeLevel:
             return np.exp(expo)
 
 
+_level_cache = OperatorCache(8)
+
+
+def _bridge_level(model: ModelSpec, n: int) -> _BridgeLevel:
+    return _level_cache.get((model.H, model.rho, model.T, n), lambda: _BridgeLevel(model, n))
+
+
 def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
                       workers: Optional[int] = None) -> BridgeDensityEstimate:
     """Bridge-measure Monte Carlo estimate of the exact joint density.
 
     Estimates phi * E[exp(Girsanov exponent)] under the terminal-pinned
-    driftless law.  Each chunk also runs its noise, summed in adjacent pairs,
+    driftless law.  Each block also runs its noise, summed in adjacent pairs,
     on the grid of half the step count; the difference of the two estimates
     is the discretization-bias estimate.  Non-finite weight sums raise
     NumericalConditioningError.
@@ -383,23 +448,26 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
     nc = n // 2
     if nc < 2:
         raise ValueError(f"bridge needs n_steps >= 4 for its half grid, got {n}")
-    fine, coarse = _BridgeLevel(model, n), _BridgeLevel(model, nc)
+    fine, coarse = _bridge_level(model, n), _bridge_level(model, nc)
     v = np.array([endpoint[0] - model.x0, endpoint[1] - model.y0])
 
-    def run_chunk(args):
-        k, m = args
-        incr = _chunk_rng(config.seed, k).standard_normal((m, 2 * n))
+    def draw_blocks(rng, rows):
+        for r in rows:
+            yield (rng.standard_normal((r, 2 * n)),)
+
+    def run_block(k, incr):
+        m = len(incr)
         incr *= math.sqrt(fine.grid.dt)
-        # pairs within the dB and the dW block; an odd n leaves each block's last unpaired
+        # pairs within the dB and the dW half; an odd n leaves each half's last unpaired
         pairs = incr.reshape(m, 2, n)[:, :, :2 * nc].reshape(m, 2, nc, 2)
         coarse_incr = (pairs[..., 0] + pairs[..., 1]).reshape(m, 2 * nc)
         coarse_incr *= math.sqrt(coarse.grid.dt / (2.0 * fine.grid.dt))
-        w = fine.weights(incr, v, k)
-        del incr, pairs  # free the fine level before the half grid runs (peak memory)
-        wc = coarse.weights(coarse_incr, v, k)
-        return float(w.sum()), float((w * w).sum()), float(wc.sum())
+        return fine.weights(model, incr, v, k), coarse.weights(model, coarse_incr, v, k)
 
-    results = _map_chunks(run_chunk, config, workers)
+    results = []
+    for blocks in _run_blocks(config, draw_blocks, run_block, workers):
+        w, wc = (np.concatenate([b[j] for b in blocks]) for j in (0, 1))
+        results.append((float(w.sum()), float((w * w).sum()), float(wc.sum())))
     s, s2, sc = (sum(r[j] for r in results) for j in range(3))
     if not all(math.isfinite(q) for q in (s, s2, sc)):
         raise NumericalConditioningError("bridge Girsanov weights overflow (non-finite sums)")

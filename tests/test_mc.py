@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,9 +11,10 @@ from modalbridge.density import exact_timeonly_density, gaussian_prefactor
 from modalbridge.driftspec import ModelSpec, parse_drift
 from modalbridge.kernel import Hurst, NumericalConditioningError, TimeGrid
 from modalbridge.mc import (BinEstimator, DensityEstimate, KdeEstimator, PathEnsemble,
-                            SimConfig, _BridgeLevel, _worker_count, bridge_mc_density,
-                            estimate_density_at, simulate_forward,
+                            SimConfig, _BridgeLevel, _run_blocks, _worker_count,
+                            bridge_mc_density, estimate_density_at, simulate_forward,
                             volterra_weight_matrix)
+from modalbridge.opcache import OperatorCache
 
 ZERO = parse_drift("0")
 
@@ -45,6 +49,41 @@ def test_worker_count_warns_on_invalid_env(monkeypatch):
     monkeypatch.setenv("MODALBRIDGE_THREADS", "3")
     assert _worker_count(None) == 3
     assert _worker_count(2) == 2
+
+
+def test_worker_count_defaults_to_usable_cores(monkeypatch):
+    monkeypatch.delenv("MODALBRIDGE_THREADS", raising=False)
+    assert _worker_count(None) == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert _worker_count(None) == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(None) == 1
+
+
+def test_block_runner_keeps_order_and_bounds_blocks_in_flight():
+    # 5 chunks of 8192 paths, each 4 blocks of 2048; slow kernels let the
+    # calling thread run ahead as far as the bound allows
+    cfg = SimConfig(n_paths=5 * 8192, n_steps=2, seed=0, chunk_size=8192)
+    for workers in (1, 2, 3):
+        drawn, finished, ahead = [0], [0], []
+
+        def draw_blocks(rng, rows):
+            for r in rows:
+                drawn[0] += 1
+                ahead.append(drawn[0] - finished[0])
+                yield drawn[0], r
+
+        def kernel(k, index, rows):
+            time.sleep(0.002)
+            finished[0] += 1
+            return k, index, rows
+
+        out = _run_blocks(cfg, draw_blocks, kernel, workers)
+        assert [[(k, r) for k, _, r in chunk] for chunk in out] == [[(k, 2048)] * 4
+                                                                    for k in range(5)]
+        assert [i for chunk in out for _, i, _ in chunk] == list(range(1, 21))
+        assert max(ahead) <= 2 * workers + 1
 
 
 def test_estimator_validation():
@@ -94,6 +133,98 @@ def test_forward_time_major_loop_matches_column_reference():
             y[:, i + 1] = m.y0 + bh[:, i + 1] + drift2
         assert np.array_equal(ens.full_paths[0], x) and np.array_equal(ens.full_paths[1], y)
         assert np.array_equal(ens.terminal_x, x[:, -1])
+
+
+def _whole_chunk_forward(m, cfg):
+    """Kept paths of simulate_forward, one whole-chunk draw and a column loop per chunk."""
+    from modalbridge.driftspec import eval_drift
+    from modalbridge.kernel import cholesky_with_jitter, draw_joint_paths, joint_cov_matrix
+    from modalbridge.mc import _chunk_rng
+
+    n = cfg.n_steps
+    grid = TimeGrid(m.T, n)
+    chol = None if m.hurst.is_brownian else cholesky_with_jitter(joint_cov_matrix(grid, m.hurst))
+    xs, ys = [], []
+    for k, count in cfg.chunks():
+        rng = _chunk_rng(cfg.seed, k)
+        b, bh = draw_joint_paths(grid, m.hurst, rng, count, chol=chol)
+        dw = math.sqrt(grid.dt) * rng.standard_normal((count, n))
+        x, y = np.full((count, n + 1), m.x0), np.full((count, n + 1), m.y0)
+        drift2 = np.zeros(count)
+        for i in range(n):
+            t = grid.nodes[i]
+            x[:, i + 1] = (x[:, i] + m.rho * (b[:, i + 1] - b[:, i]) + m.rho_bar * dw[:, i]
+                           + eval_drift(m.h1, t, x[:, i], y[:, i]) * grid.dt)
+            drift2 = drift2 + eval_drift(m.h2, t, x[:, i], y[:, i]) * grid.dt
+            y[:, i + 1] = m.y0 + bh[:, i + 1] + drift2
+        xs.append(x)
+        ys.append(y)
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def _whole_chunk_bridge(m, endpoint, cfg):
+    """bridge_mc_density's (value, std_err, bias), one whole-chunk draw per chunk."""
+    from modalbridge.mc import _chunk_rng
+
+    n, nc = cfg.n_steps, cfg.n_steps // 2
+    fine, coarse = _BridgeLevel(m, n), _BridgeLevel(m, nc)
+    v = np.array([endpoint[0] - m.x0, endpoint[1] - m.y0])
+    s = s2 = sc = 0
+    for k, count in cfg.chunks():
+        incr = _chunk_rng(cfg.seed, k).standard_normal((count, 2 * n))
+        incr *= math.sqrt(fine.grid.dt)
+        pairs = incr.reshape(count, 2, n)[:, :, :2 * nc].reshape(count, 2, nc, 2)
+        coarse_incr = (pairs[..., 0] + pairs[..., 1]).reshape(count, 2 * nc)
+        coarse_incr *= math.sqrt(coarse.grid.dt / (2.0 * fine.grid.dt))
+        w = fine.weights(m, incr, v, k)
+        wc = coarse.weights(m, coarse_incr, v, k)
+        s, s2, sc = s + float(w.sum()), s2 + float((w * w).sum()), sc + float(wc.sum())
+    count = cfg.n_paths
+    mean = s / count
+    var = max(s2 / count - mean * mean, 0.0) * count / max(count - 1, 1)
+    phi = gaussian_prefactor(endpoint[0] - m.x0, endpoint[1] - m.y0, m)
+    return phi * mean, phi * math.sqrt(var / count), phi * abs(mean - sc / count)
+
+
+@pytest.mark.parametrize("H", [0.3, 0.5])
+def test_blocked_estimators_equal_whole_chunk_reference(H):
+    # chunks of 5000 paths run as blocks of 2048 and 2952, the last chunk of
+    # 1000 as one block; the blocked run must reproduce one pass per chunk
+    m = ModelSpec(Hurst(H), 0.3, 0.1, -0.2, 0.25, parse_drift("0.5*sin(x) + y"),
+                  parse_drift("cos(y) - x"))
+    cfg = SimConfig(n_paths=11000, n_steps=8, seed=17, chunk_size=5000)
+    x, y = _whole_chunk_forward(m, cfg)
+    bridge = _whole_chunk_bridge(m, (0.1, 0.05), cfg)
+    for workers in (1, 2, 4):
+        ens = simulate_forward(m, cfg, workers=workers, keep_paths=True, warn_horizon=False)
+        assert np.array_equal(ens.full_paths[0], x) and np.array_equal(ens.full_paths[1], y)
+        assert np.array_equal(ens.terminal_x, x[:, -1])
+        assert np.array_equal(ens.terminal_y, y[:, -1])
+        plain = simulate_forward(m, cfg, workers=workers, warn_horizon=False)
+        assert np.array_equal(plain.terminal_x, x[:, -1])
+        assert np.array_equal(plain.terminal_y, y[:, -1])
+        est = bridge_mc_density(m, (0.1, 0.05), cfg, workers=workers)
+        assert (est.value, est.std_err, est.discretization_bias) == bridge
+
+
+def test_block_error_is_the_same_at_any_worker_count():
+    # log(x + 0.2) fails once a path passes below -0.2, in every block at its
+    # own step: the error raised must be the first block's, after the pool ends
+    from modalbridge.driftspec import DriftDomainError
+
+    m = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 1.0, parse_drift("log(x + 0.2)"), ZERO)
+    cfg = SimConfig(n_paths=4 * 2048, n_steps=32, seed=4)
+    baseline = threading.active_count()
+    for run in (lambda w: simulate_forward(m, cfg, workers=w, warn_horizon=False),
+                lambda w: bridge_mc_density(m, (-0.1, 0.0), cfg, workers=w)):
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(DriftDomainError) as info:
+                run(workers)
+            messages.append(str(info.value))
+            assert threading.active_count() == baseline
+        assert messages[0] == messages[1]
+        assert "in chunk 0" in messages[0]
 
 
 def test_forward_brownian_covariance():
@@ -426,9 +557,39 @@ def test_bridge_with_two_step_half_grid_matches_column_loop_operator(n_steps, mo
     a = bridge_mc_density(m, (0.1, 0.2), cfg)
     assert a.value > 0 and math.isfinite(a.discretization_bias)
     monkeypatch.setattr(mc, "_inverse_operator_matrix", column_loop)
+    monkeypatch.setattr(mc, "_level_cache", OperatorCache(8))  # build the levels anew
     b = bridge_mc_density(m, (0.1, 0.2), cfg)
     assert b.value == pytest.approx(a.value, rel=1e-12)
     assert b.discretization_bias == pytest.approx(a.discretization_bias, rel=1e-9, abs=1e-15)
+
+
+def test_bridge_levels_are_cached_read_only_and_model_free(monkeypatch):
+    # a level depends on (H, rho, T, n) only: a warm call with another drift
+    # and start point reuses both levels and matches a cold call
+    from modalbridge import mc
+
+    builds = []
+
+    def counting(grid, hurst):
+        builds.append(grid.n)
+        return volterra_weight_matrix(grid, hurst)
+
+    monkeypatch.setattr(mc, "volterra_weight_matrix", counting)
+    monkeypatch.setattr(mc, "_level_cache", OperatorCache(8))
+    first = ModelSpec(Hurst(0.3), 0.4, 0.0, 0.0, 0.5, parse_drift("0.5*sin(x)"), ZERO)
+    second = ModelSpec(Hurst(0.3), 0.4, 0.2, -0.1, 0.5, parse_drift("0.2"),
+                       parse_drift("0.3*cos(y)"))
+    cfg = SimConfig(n_paths=500, n_steps=16, seed=2)
+    bridge_mc_density(first, (0.1, 0.2), cfg)
+    warm = bridge_mc_density(second, (0.1, 0.2), cfg)
+    assert sorted(builds) == [8, 16]
+    level = mc._bridge_level(second, 16)
+    for op in (level.w_full, level.a, level.g_inv, level.inv_op_t):
+        assert not op.flags.writeable
+    monkeypatch.setattr(mc, "_level_cache", OperatorCache(8))
+    cold = bridge_mc_density(second, (0.1, 0.2), cfg)
+    assert (warm.value, warm.std_err, warm.discretization_bias) == \
+        (cold.value, cold.std_err, cold.discretization_bias)
 
 
 def test_bridge_overflow_raises_instead_of_nan():
