@@ -13,13 +13,12 @@ the quadratic term comes from the lognormal mean e^(var/2) of the residual
 Gaussian; the TimeOnly exactness tests pin it (without it, constant drifts
 would not reproduce the exact Gaussian density).
 
-Only three time integrals of the drifts enter omega: those of bar_h2, hat_h2
-and hat_h1.  With w the trapezoid weights and L the matrix of the inverse
-kernel transform, hat_h2 = L bar_h2 gives int hat_h2 = q . bar_h2 with
-q = L' w, so approx_density takes all three as dot products with (w, q).
-The pair is built once per (H, T, n), and L is dropped once q is formed.
-drift_functionals keeps the full route through invert_KH and returns the
-transformed drifts themselves.
+Only two time integrals of the drifts enter omega, those of bar_h1 and
+bar_h2: hat_h1 = (bar_h1 - rho hat_h2) / rho_bar gives
+rho_bar int hat_h1 + rho int hat_h2 = int bar_h1, so the inverse kernel
+transform cancels out of omega, and approx_density needs no operator beyond
+the modal path.  drift_functionals keeps the full route through invert_KH
+and returns the transformed drifts themselves.
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ import numpy as np
 from .bridge import ModalPath, modal_path, terminal_cov
 from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift
 from .fraccalc import GridFunction, UnsupportedHurstError as _FraccalcUnsupported
-from .fraccalc import inverse_operator_matrix, invert_KH
-from .kernel import Hurst, TimeGrid
-from .opcache import OperatorCache
+from .fraccalc import _check_hurst_supported, invert_KH
+from .kernel import TimeGrid
 
 __all__ = [
     "DriftFunctionals",
@@ -85,7 +83,7 @@ class DriftFunctionals:
 
 
 def _trapz(values: np.ndarray, dt: float) -> float:
-    return float(np.trapezoid(values, dx=dt))
+    return dt * (float(values.sum()) - 0.5 * float(values[0] + values[-1]))
 
 
 def _drifts_along(model: ModelSpec, path: ModalPath):
@@ -136,33 +134,17 @@ def drift_functionals(model: ModelSpec, path: ModalPath) -> DriftFunctionals:
     )
 
 
-# Read-only (w, q) per (H, T, n): the trapezoid weights w and q = L' w, with L the
-# matrix of the integrand-mode inverse transform, so that int hat_h2 = q . bar_h2.
-_functional_cache = OperatorCache(16)
-
-
-def _trapezoid_functionals(grid: TimeGrid, hurst: Hurst):
-    def build():
-        w = np.full(grid.n + 1, grid.dt)
-        w[[0, -1]] *= 0.5
-        q = inverse_operator_matrix(grid, hurst).T @ w  # L itself is not kept
-        w.flags.writeable = q.flags.writeable = False
-        return w, q
-    return _functional_cache.get((hurst.H, grid.T, grid.n), build)
-
-
-def _linear_and_quadratic(int_hat_h1: float, int_hat_h2: float, int_bar_h2: float,
-                          model: ModelSpec, endpoint):
+def _linear_and_quadratic(int_bar_h1: float, int_bar_h2: float, model: ModelSpec, endpoint):
     """The two pieces of omega: 1' D Sigma^-1 Delta and (1/2) 1' D Sigma^-1 D' 1,
-    from the time integrals of hat_h1, hat_h2 and bar_h2."""
+    from the time integrals of bar_h1 and bar_h2."""
     T, H = model.T, model.H
-    rho, rho_bar, rho_h = model.rho, model.rho_bar, model.rho_H
+    rho_h = model.rho_H
     bar_sq = model.rho_bar_H_sq
     dx = endpoint[0] - model.x0
     dy = endpoint[1] - model.y0
     sqrt_t = math.sqrt(T)
-    # A = rho_bar <hat h1>/sqrt(T) + rho <hat h2>/sqrt(T) - rho_H <bar h2>/T^H
-    a = (rho_bar * int_hat_h1 + rho * int_hat_h2) / sqrt_t - rho_h * int_bar_h2 / T ** H
+    # A = <bar h1>/sqrt(T) - rho_H <bar h2>/T^H, where <bar h1> = rho_bar <hat h1> + rho <hat h2>
+    a = int_bar_h1 / sqrt_t - rho_h * int_bar_h2 / T ** H
     u2 = int_bar_h2 / T ** H
     linear = (a * (dx / sqrt_t) - rho_h * a * (dy / T ** H)) / bar_sq \
         + u2 * (dy / T ** H)
@@ -170,17 +152,20 @@ def _linear_and_quadratic(int_hat_h1: float, int_hat_h2: float, int_bar_h2: floa
     return linear, quadratic
 
 
+def _int_bar_h1(f: DriftFunctionals, model: ModelSpec) -> float:
+    return model.rho_bar * f.int_hat_h1 + model.rho * f.int_hat_h2
+
+
 def omega_full(f: DriftFunctionals, model: ModelSpec, endpoint) -> float:
     """Full log-correction, linear part minus the halved quadratic form."""
-    linear, quadratic = _linear_and_quadratic(f.int_hat_h1, f.int_hat_h2, f.int_bar_h2,
+    linear, quadratic = _linear_and_quadratic(_int_bar_h1(f, model), f.int_bar_h2,
                                               model, endpoint)
     return linear - quadratic
 
 
 def omega_1(f: DriftFunctionals, model: ModelSpec, endpoint) -> float:
     """Leading (linear-in-endpoint) part of the log-correction."""
-    linear, _ = _linear_and_quadratic(f.int_hat_h1, f.int_hat_h2, f.int_bar_h2,
-                                      model, endpoint)
+    linear, _ = _linear_and_quadratic(_int_bar_h1(f, model), f.int_bar_h2, model, endpoint)
     return linear
 
 
@@ -226,22 +211,20 @@ def approx_density(model: ModelSpec, endpoint, n: int = 512) -> DensityApprox:
     """Modal-path small-time approximation of the joint density at endpoint.
 
     Also reports the exp(omega_full) variant, which is exact when the drifts
-    depend on time only.  Only three integrals of the drifts enter omega, and
-    hat_h2 is linear in bar_h2, so they are taken as dot products with the
-    cached (w, q) instead of through drift_functionals.
+    depend on time only.  Omega needs only the time integrals of bar_h1 and
+    bar_h2, so no inverse transform is applied (see drift_functionals for the
+    transformed drifts).
     """
     alpha = alpha_exponent(model)  # raises for General with H >= 3/4
+    # omega needs no transformed drift, but it is only defined where they are
+    _check_hurst_supported(model.hurst)
     grid = TimeGrid(model.T, n)
     path = modal_path(model, grid, endpoint)
     bar1, bar2 = _drifts_along(model, path)
-    w, q = _trapezoid_functionals(grid, model.hurst)
-    int_bar_h2 = float(w @ bar2)
-    int_hat_h2 = float(q @ bar2)
-    int_hat_h1 = (float(w @ bar1) - model.rho * int_hat_h2) / model.rho_bar
     dx = endpoint[0] - model.x0
     dy = endpoint[1] - model.y0
     phi = gaussian_prefactor(dx, dy, model)
-    linear, quadratic = _linear_and_quadratic(int_hat_h1, int_hat_h2, int_bar_h2,
+    linear, quadratic = _linear_and_quadratic(_trapz(bar1, grid.dt), _trapz(bar2, grid.dt),
                                               model, endpoint)
     w1 = linear
     wf = linear - quadratic

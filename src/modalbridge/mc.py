@@ -14,24 +14,31 @@ summed over adjacent step pairs, also runs on the grid of half the step
 count; that coupled fine-minus-half-grid difference is the reported
 discretization-bias estimate.
 
-Both estimators run through one block runner.  The calling thread walks the
-chunks in order; chunk k of a run with seed s draws from the counter-based
-Philox stream keyed s XOR k, in row blocks of _BLOCK_ROWS paths (the last one
-takes the remainder) drawn in stream order: the forward draws every block's
-joint (B, B^H) normals before any block's W normals, as one whole-chunk draw
-would.  Each block then runs the row-local kernel on a thread pool, and a
-chunk's sums are taken over its concatenated block outputs.  So the output is bit-identical to one whole-chunk pass, at any
-worker count, for a fixed BLAS thread setting (OPENBLAS_NUM_THREADS can change
-the bits of the joint covariance's Cholesky factor).  The worker count is the
-``workers`` argument, else MODALBRIDGE_THREADS, else the number of usable cores;
-MODALBRIDGE_THREADS=1 runs every block on the calling thread.
+Both estimators run through one block runner.  Chunk k of a run with seed s
+is cut into row blocks of _BLOCK_ROWS paths (the last one takes the
+remainder), and block b draws its own numbers, inside its pool task, from
+the counter-based Philox stream keyed s XOR k jumped b times (Salmon et al.,
+SC 2011); the forward draws a block's joint (B, B^H) normals before its W
+normals.  Jump 0 is the chunk's own stream, so a chunk small enough to be
+one block draws exactly the numbers of one whole-chunk pass.  A chunk's sums
+are taken over its concatenated block outputs, so the output depends on the
+fixed block partition but is bit-identical at any worker count.  While the
+blocks run, and while the forward's joint Cholesky factor is built, OpenBLAS
+runs one thread, so its threads do not compete with the pool's and the
+output does not depend on OPENBLAS_NUM_THREADS.  The worker count is the
+``workers`` argument, else MODALBRIDGE_THREADS, else the number of usable
+cores; MODALBRIDGE_THREADS=1 runs every block on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import itertools
 import math
 import os
+import threading
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -61,7 +68,9 @@ __all__ = [
 ]
 
 _MAX_VALUES = 200_000_000  # n_steps * n_paths guard
-_BLOCK_ROWS = 2048  # paths per pool task; no result depends on it
+# paths per pool task; each block draws its own substream, so results depend on
+# this fixed partition (never on the worker count)
+_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,12 @@ Estimator = Union[BinEstimator, KdeEstimator]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo configuration; deterministic given (seed, chunk_size)."""
+    """Monte Carlo configuration; deterministic given (seed, chunk_size).
+
+    Chunk k draws from the Philox stream keyed seed XOR k, one jumped
+    substream per row block of the chunk, so the output is fixed by (seed,
+    chunk_size) and the block partition, at any worker count.
+    """
 
     n_paths: int
     n_steps: int
@@ -186,17 +200,17 @@ def _fingerprint(model: ModelSpec) -> str:
             f"h2={model.h2.to_source()}")
 
 
-def _chunk_rng(seed: int, k: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed ^ k) & (2 ** 64 - 1)))
+def _block_rng(seed: int, k: int, b: int) -> np.random.Generator:
+    """Block b of chunk k: the Philox stream keyed seed XOR k, jumped b times."""
+    return np.random.Generator(np.random.Philox(key=(seed ^ k) & (2 ** 64 - 1)).jumped(b))
 
 
 def _block_rows(m: int) -> list:
     """Row counts of the blocks that cover a chunk of m paths, in order.
 
     The last block also takes the remainder, so a block has at least
-    _BLOCK_ROWS rows unless it is the whole chunk: OpenBLAS rounds a product
-    of a few rows (its gemv and small-matrix kernels) differently from the
-    same rows of a taller product.
+    _BLOCK_ROWS rows unless it is the whole chunk, and a chunk of fewer than
+    2 * _BLOCK_ROWS paths is one block, which draws the chunk's own stream.
     """
     full, rem = divmod(m, _BLOCK_ROWS)
     if full == 0:
@@ -204,35 +218,89 @@ def _block_rows(m: int) -> list:
     return [_BLOCK_ROWS] * (full - 1) + [_BLOCK_ROWS + rem]
 
 
-def _run_blocks(config: SimConfig, draw_blocks, kernel, workers: Optional[int]) -> list:
-    """kernel(k, *args) over the row blocks of every chunk; per chunk, its block results.
+@functools.cache
+def _openblas_threads():
+    """(set, get) of the OpenBLAS thread count that numpy links, or None."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        try:
+            set_threads = getattr(lib, f"{prefix}set_num_threads{suffix}")
+            get_threads = getattr(lib, f"{prefix}get_num_threads{suffix}")
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return set_threads, get_threads
+    return None
 
-    The calling thread walks config.chunks() in order, and draw_blocks(rng,
-    rows) yields each block's arguments from chunk k's stream.  The kernels run
-    on a pool with at most 2 x workers blocks in flight.  A failing block
-    raises in block order, after the pool has shut down, so the error is the
-    same at any worker count.
+
+# process-wide, as the OpenBLAS thread count itself is
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = 0
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS with one thread inside the with-block, for the whole process.
+
+    The count is process-wide, so entries are counted: the first sets it to 1,
+    and the last restores the first one's count, also on an error.  Without a
+    known OpenBLAS setter this does nothing.
+    """
+    global _blas_users, _blas_saved
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get_threads()
+            set_threads(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                set_threads(_blas_saved)
+
+
+def _run_blocks(config: SimConfig, kernel, workers: Optional[int]) -> list:
+    """kernel(k, rng, rows) over the row blocks of every chunk; per chunk, its block results.
+
+    Each block gets its own generator (_block_rng) and draws its numbers in
+    the kernel.  The calling thread submits the blocks in chunk order to a
+    pool with at most 2 x workers blocks in flight, with OpenBLAS on one
+    thread.  A failing block raises in block order, after the pool has shut
+    down, so the error is the same at any worker count.
     """
     def jobs():
         for k, m in config.chunks():
-            for args in draw_blocks(_chunk_rng(config.seed, k), _block_rows(m)):
-                yield k, args
+            for b, rows in enumerate(_block_rows(m)):
+                yield k, _block_rng(config.seed, k, b), rows
 
     nw = _worker_count(workers)
-    if nw == 1:
-        done = [(k, kernel(k, *args)) for k, args in jobs()]
-    else:
-        done, pending = [], deque()
-        pool = ThreadPoolExecutor(max_workers=nw)
-        try:
-            for k, args in jobs():
-                pending.append((k, pool.submit(kernel, k, *args)))
-                if len(pending) == 2 * nw:
-                    k0, future = pending.popleft()
-                    done.append((k0, future.result()))
-            done.extend((k0, future.result()) for k0, future in pending)
-        finally:
-            pool.shutdown(cancel_futures=True)
+    with _one_blas_thread():
+        if nw == 1:
+            done = [(k, kernel(k, rng, rows)) for k, rng, rows in jobs()]
+        else:
+            done, pending = [], deque()
+            pool = ThreadPoolExecutor(max_workers=nw)
+            try:
+                for k, rng, rows in jobs():
+                    pending.append((k, pool.submit(kernel, k, rng, rows)))
+                    if len(pending) == 2 * nw:
+                        k0, future = pending.popleft()
+                        done.append((k0, future.result()))
+                done.extend((k0, future.result()) for k0, future in pending)
+            finally:
+                pool.shutdown(cancel_futures=True)
     return [[r for _, r in group] for _, group in itertools.groupby(done, lambda d: d[0])]
 
 
@@ -261,16 +329,12 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     dt = grid.dt
     n = config.n_steps
     rho, rho_bar = model.rho, model.rho_bar
-    chol = _joint_cholesky(grid, model.hurst)  # here, so worker threads never touch the cache
+    with _one_blas_thread():  # the factor's bits depend on the BLAS thread count
+        chol = _joint_cholesky(grid, model.hurst)  # here, so worker threads never touch the cache
 
-    def draw_blocks(rng, rows):
-        # every joint block before the first W block: the stream order of one chunk draw
-        joint = [draw_joint_paths(grid, model.hurst, rng, r, chol=chol) for r in rows]
-        for (b, bh), r in zip(joint, rows):
-            yield b, bh, rng.standard_normal((r, n))
-
-    def run_block(k, b, bh, dw):
-        m = len(dw)
+    def run_block(k, rng, m):
+        b, bh = draw_joint_paths(grid, model.hurst, rng, m, chol=chol)
+        dw = rng.standard_normal((m, n))
         # time-major: row i holds every path's value at node (or step) i
         b, bh = np.ascontiguousarray(b.T), np.ascontiguousarray(bh.T)
         dw = np.ascontiguousarray(dw.T)
@@ -298,7 +362,7 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
             return xs.T, ys.T
         return x, y
 
-    blocks = [r for chunk in _run_blocks(config, draw_blocks, run_block, workers) for r in chunk]
+    blocks = [r for chunk in _run_blocks(config, run_block, workers) for r in chunk]
     xs, ys = (np.concatenate([r[j] for r in blocks]) for j in (0, 1))
     if keep_paths:
         return PathEnsemble(terminal_x=xs[:, -1].copy(), terminal_y=ys[:, -1].copy(),
@@ -451,12 +515,8 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
     fine, coarse = _bridge_level(model, n), _bridge_level(model, nc)
     v = np.array([endpoint[0] - model.x0, endpoint[1] - model.y0])
 
-    def draw_blocks(rng, rows):
-        for r in rows:
-            yield (rng.standard_normal((r, 2 * n)),)
-
-    def run_block(k, incr):
-        m = len(incr)
+    def run_block(k, rng, m):
+        incr = rng.standard_normal((m, 2 * n))
         incr *= math.sqrt(fine.grid.dt)
         # pairs within the dB and the dW half; an odd n leaves each half's last unpaired
         pairs = incr.reshape(m, 2, n)[:, :, :2 * nc].reshape(m, 2, nc, 2)
@@ -465,7 +525,7 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
         return fine.weights(model, incr, v, k), coarse.weights(model, coarse_incr, v, k)
 
     results = []
-    for blocks in _run_blocks(config, draw_blocks, run_block, workers):
+    for blocks in _run_blocks(config, run_block, workers):
         w, wc = (np.concatenate([b[j] for b in blocks]) for j in (0, 1))
         results.append((float(w.sum()), float((w * w).sum()), float(wc.sum())))
     s, s2, sc = (sum(r[j] for r in results) for j in range(3))

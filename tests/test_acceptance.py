@@ -64,3 +64,17 @@ def test_criterion_10_figure_grid():
 
 def test_criterion_11_determinism():
     _run(11, "determinism", V.crit_determinism)
+
+
+def test_criterion_07_bin_check_gives_zero_hits_a_poisson_bound():
+    from modalbridge.mc import DensityEstimate
+
+    n, area = 20_000, 1e-4
+    empty = DensityEstimate(0.0, 1.0 / (n * area), n)
+    # expected hits lambda = n * area * phi: P(0 hits) = e^-3 passes, e^-10 fails
+    assert V._bin_agrees(empty, 3.0 / (n * area), area)[0]
+    assert not V._bin_agrees(empty, 10.0 / (n * area), area)[0]
+    # bins with hits keep 3 s.e. + 5% of phi
+    hit = DensityEstimate(0.25, 0.01, n)
+    assert V._bin_agrees(hit, 0.26, area)[0]
+    assert not V._bin_agrees(hit, 0.30, area)[0]

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -10,6 +12,7 @@ from modalbridge.bridge import GaussianConditioner, condition_gaussian
 from modalbridge.density import exact_timeonly_density, gaussian_prefactor
 from modalbridge.driftspec import ModelSpec, parse_drift
 from modalbridge.kernel import Hurst, NumericalConditioningError, TimeGrid
+from modalbridge import mc
 from modalbridge.mc import (BinEstimator, DensityEstimate, KdeEstimator, PathEnsemble,
                             SimConfig, _BridgeLevel, _run_blocks, _worker_count,
                             bridge_mc_density, estimate_density_at, simulate_forward,
@@ -21,6 +24,11 @@ ZERO = parse_drift("0")
 
 def zero_model(H, rho, T=1.0):
     return ModelSpec(Hurst(H), rho, 0.0, 0.0, T, ZERO, ZERO)
+
+
+def _state_model(H):
+    return ModelSpec(Hurst(H), 0.3, 0.1, -0.2, 0.25, parse_drift("0.5*sin(x) + y"),
+                     parse_drift("cos(y) - x"))
 
 
 def test_sim_config_validation():
@@ -61,28 +69,32 @@ def test_worker_count_defaults_to_usable_cores(monkeypatch):
     assert _worker_count(None) == 1
 
 
-def test_block_runner_keeps_order_and_bounds_blocks_in_flight():
+def test_block_runner_keeps_order_and_bounds_blocks_in_flight(monkeypatch):
     # 5 chunks of 8192 paths, each 4 blocks of 2048; slow kernels let the
     # calling thread run ahead as far as the bound allows
     cfg = SimConfig(n_paths=5 * 8192, n_steps=2, seed=0, chunk_size=8192)
+    block_rng = mc._block_rng
     for workers in (1, 2, 3):
-        drawn, finished, ahead = [0], [0], []
+        submitted, finished, ahead = [0], [0], []
 
-        def draw_blocks(rng, rows):
-            for r in rows:
-                drawn[0] += 1
-                ahead.append(drawn[0] - finished[0])
-                yield drawn[0], r
+        def counting_rng(seed, k, b):
+            submitted[0] += 1
+            ahead.append(submitted[0] - finished[0])
+            return block_rng(seed, k, b)
 
-        def kernel(k, index, rows):
+        def kernel(k, rng, rows):
             time.sleep(0.002)
             finished[0] += 1
-            return k, index, rows
+            return k, rng.standard_normal(), rows
 
-        out = _run_blocks(cfg, draw_blocks, kernel, workers)
+        monkeypatch.setattr(mc, "_block_rng", counting_rng)
+        out = _run_blocks(cfg, kernel, workers)
         assert [[(k, r) for k, _, r in chunk] for chunk in out] == [[(k, 2048)] * 4
                                                                     for k in range(5)]
-        assert [i for chunk in out for _, i, _ in chunk] == list(range(1, 21))
+        # block b of chunk k draws from the stream keyed seed XOR k, jumped b times
+        assert [[z for _, z, _ in chunk] for chunk in out] == [
+            [np.random.Generator(np.random.Philox(key=k).jumped(b)).standard_normal()
+             for b in range(4)] for k in range(5)]
         assert max(ahead) <= 2 * workers + 1
 
 
@@ -109,18 +121,16 @@ def test_forward_time_major_loop_matches_column_reference():
     # the Euler arithmetic is unchanged by the time-major layout: compare the
     # kept paths bit for bit with a column-wise loop over the same chunk's draws
     from modalbridge.driftspec import eval_drift
-    from modalbridge.kernel import cholesky_with_jitter, draw_joint_paths, joint_cov_matrix
-    from modalbridge.mc import _chunk_rng
+    from modalbridge.kernel import draw_joint_paths
 
     for H in (0.3, 0.5):
-        m = ModelSpec(Hurst(H), 0.3, 0.1, -0.2, 0.25, parse_drift("0.5*sin(x) + y"),
-                      parse_drift("cos(y) - x"))
+        m = _state_model(H)
         n, count = 16, 300
         grid = TimeGrid(m.T, n)
         ens = simulate_forward(m, SimConfig(n_paths=count, n_steps=n, seed=8),
                                keep_paths=True, warn_horizon=False)
-        chol = None if H == 0.5 else cholesky_with_jitter(joint_cov_matrix(grid, m.hurst))
-        rng = _chunk_rng(8, 0)
+        rng = mc._block_rng(8, 0, 0)
+        chol = mc._joint_cholesky(grid, m.hurst)
         b, bh = draw_joint_paths(grid, m.hurst, rng, count, chol=chol)
         dw = math.sqrt(grid.dt) * rng.standard_normal((count, n))
         x, y = np.full((count, n + 1), m.x0), np.full((count, n + 1), m.y0)
@@ -135,20 +145,35 @@ def test_forward_time_major_loop_matches_column_reference():
         assert np.array_equal(ens.terminal_x, x[:, -1])
 
 
-def _whole_chunk_forward(m, cfg):
-    """Kept paths of simulate_forward, one whole-chunk draw and a column loop per chunk."""
+def _substreams(seed, k, count):
+    """(generator, rows) per row block of chunk k: blocks of 2048 rows, the last
+    taking the remainder, and block b on the Philox stream keyed seed XOR k
+    jumped b times."""
+    full, rem = divmod(count, 2048)
+    rows = [count] if full == 0 else [2048] * (full - 1) + [2048 + rem]
+    return [(np.random.Generator(np.random.Philox(key=(seed ^ k) % 2 ** 64).jumped(b)), r)
+            for b, r in enumerate(rows)]
+
+
+def _single_stream(seed, k, count):
+    """The whole chunk drawn at once from the stream keyed seed XOR k."""
+    return [(np.random.Generator(np.random.Philox(key=(seed ^ k) % 2 ** 64)), count)]
+
+
+def _whole_chunk_forward(m, cfg, streams):
+    """Kept paths of simulate_forward: each chunk's draws stacked, then one column loop."""
     from modalbridge.driftspec import eval_drift
-    from modalbridge.kernel import cholesky_with_jitter, draw_joint_paths, joint_cov_matrix
-    from modalbridge.mc import _chunk_rng
+    from modalbridge.kernel import draw_joint_paths
 
     n = cfg.n_steps
     grid = TimeGrid(m.T, n)
-    chol = None if m.hurst.is_brownian else cholesky_with_jitter(joint_cov_matrix(grid, m.hurst))
+    chol = mc._joint_cholesky(grid, m.hurst)
     xs, ys = [], []
     for k, count in cfg.chunks():
-        rng = _chunk_rng(cfg.seed, k)
-        b, bh = draw_joint_paths(grid, m.hurst, rng, count, chol=chol)
-        dw = math.sqrt(grid.dt) * rng.standard_normal((count, n))
+        draws = [(draw_joint_paths(grid, m.hurst, rng, r, chol=chol), rng.standard_normal((r, n)))
+                 for rng, r in streams(cfg.seed, k, count)]
+        b, bh = (np.concatenate([d[0][j] for d in draws]) for j in (0, 1))
+        dw = math.sqrt(grid.dt) * np.concatenate([d[1] for d in draws])
         x, y = np.full((count, n + 1), m.x0), np.full((count, n + 1), m.y0)
         drift2 = np.zeros(count)
         for i in range(n):
@@ -162,16 +187,15 @@ def _whole_chunk_forward(m, cfg):
     return np.concatenate(xs), np.concatenate(ys)
 
 
-def _whole_chunk_bridge(m, endpoint, cfg):
-    """bridge_mc_density's (value, std_err, bias), one whole-chunk draw per chunk."""
-    from modalbridge.mc import _chunk_rng
-
+def _whole_chunk_bridge(m, endpoint, cfg, streams):
+    """bridge_mc_density's (value, std_err, bias): each chunk's draws stacked, one pass."""
     n, nc = cfg.n_steps, cfg.n_steps // 2
     fine, coarse = _BridgeLevel(m, n), _BridgeLevel(m, nc)
     v = np.array([endpoint[0] - m.x0, endpoint[1] - m.y0])
     s = s2 = sc = 0
     for k, count in cfg.chunks():
-        incr = _chunk_rng(cfg.seed, k).standard_normal((count, 2 * n))
+        incr = np.concatenate([rng.standard_normal((r, 2 * n))
+                               for rng, r in streams(cfg.seed, k, count)])
         incr *= math.sqrt(fine.grid.dt)
         pairs = incr.reshape(count, 2, n)[:, :, :2 * nc].reshape(count, 2, nc, 2)
         coarse_incr = (pairs[..., 0] + pairs[..., 1]).reshape(count, 2 * nc)
@@ -186,16 +210,10 @@ def _whole_chunk_bridge(m, endpoint, cfg):
     return phi * mean, phi * math.sqrt(var / count), phi * abs(mean - sc / count)
 
 
-@pytest.mark.parametrize("H", [0.3, 0.5])
-def test_blocked_estimators_equal_whole_chunk_reference(H):
-    # chunks of 5000 paths run as blocks of 2048 and 2952, the last chunk of
-    # 1000 as one block; the blocked run must reproduce one pass per chunk
-    m = ModelSpec(Hurst(H), 0.3, 0.1, -0.2, 0.25, parse_drift("0.5*sin(x) + y"),
-                  parse_drift("cos(y) - x"))
-    cfg = SimConfig(n_paths=11000, n_steps=8, seed=17, chunk_size=5000)
-    x, y = _whole_chunk_forward(m, cfg)
-    bridge = _whole_chunk_bridge(m, (0.1, 0.05), cfg)
-    for workers in (1, 2, 4):
+def _assert_estimators_match(m, cfg, streams, workers_list):
+    x, y = _whole_chunk_forward(m, cfg, streams)
+    bridge = _whole_chunk_bridge(m, (0.1, 0.05), cfg, streams)
+    for workers in workers_list:
         ens = simulate_forward(m, cfg, workers=workers, keep_paths=True, warn_horizon=False)
         assert np.array_equal(ens.full_paths[0], x) and np.array_equal(ens.full_paths[1], y)
         assert np.array_equal(ens.terminal_x, x[:, -1])
@@ -205,6 +223,22 @@ def test_blocked_estimators_equal_whole_chunk_reference(H):
         assert np.array_equal(plain.terminal_y, y[:, -1])
         est = bridge_mc_density(m, (0.1, 0.05), cfg, workers=workers)
         assert (est.value, est.std_err, est.discretization_bias) == bridge
+
+
+@pytest.mark.parametrize("H", [0.3, 0.5])
+def test_blocked_estimators_equal_whole_chunk_reference(H):
+    # chunks of 5000 paths run as blocks of 2048 and 2952, each on its own
+    # substream, the last chunk of 1000 as one block; the blocked run must
+    # reproduce one pass over each chunk's stacked block draws
+    cfg = SimConfig(n_paths=11000, n_steps=8, seed=17, chunk_size=5000)
+    _assert_estimators_match(_state_model(H), cfg, _substreams, (1, 2, 4))
+
+
+def test_single_block_chunks_draw_the_chunk_stream():
+    # a chunk of at most 4095 paths is one block, and jump 0 is the chunk's
+    # own stream: the output equals one whole-chunk draw from it
+    cfg = SimConfig(n_paths=7000, n_steps=8, seed=17, chunk_size=4095)
+    _assert_estimators_match(_state_model(0.3), cfg, _single_stream, (1, 2))
 
 
 def test_block_error_is_the_same_at_any_worker_count():
@@ -225,6 +259,99 @@ def test_block_error_is_the_same_at_any_worker_count():
             assert threading.active_count() == baseline
         assert messages[0] == messages[1]
         assert "in chunk 0" in messages[0]
+
+
+def _blas_threads():
+    blas = mc._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy links no OpenBLAS with a known thread-count setter")
+    return blas
+
+
+def test_blas_thread_count_is_one_inside_and_restored_after():
+    from modalbridge.driftspec import DriftDomainError
+
+    set_threads, get_threads = _blas_threads()
+    before = get_threads()
+    set_threads(2)
+    try:
+        with mc._one_blas_thread():
+            assert get_threads() == 1
+            with mc._one_blas_thread():
+                assert get_threads() == 1
+            assert get_threads() == 1
+        assert get_threads() == 2
+        m = _state_model(0.3)
+        cfg = SimConfig(n_paths=4 * 2048, n_steps=8, seed=4)
+        simulate_forward(m, cfg, workers=2, warn_horizon=False)
+        assert get_threads() == 2
+        bridge_mc_density(m, (0.1, 0.05), cfg, workers=1)
+        assert get_threads() == 2
+        bad = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 1.0, parse_drift("log(x + 0.2)"), ZERO)
+        with pytest.raises(DriftDomainError):
+            simulate_forward(bad, SimConfig(n_paths=4 * 2048, n_steps=32, seed=4),
+                             workers=2, warn_horizon=False)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_blas_thread_count_restored_after_concurrent_estimators():
+    # more estimator threads than cores, with frequent switches: a lost update
+    # of the entry count would leave OpenBLAS on one thread, or restore it early
+    set_threads, get_threads = _blas_threads()
+    before, interval = get_threads(), sys.getswitchinterval()
+    set_threads(2)
+    sys.setswitchinterval(1e-5)
+    try:
+        m = _state_model(0.3)
+        cfgs = [SimConfig(n_paths=3 * 2048, n_steps=16, seed=s) for s in (5, 6, 7)]
+        alone = [bridge_mc_density(m, (0.1, 0.05), cfg, workers=2) for cfg in cfgs]
+        together = [None] * len(cfgs)
+
+        def run(i):
+            for _ in range(3):
+                together[i] = bridge_mc_density(m, (0.1, 0.05), cfgs[i], workers=2)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert together == alone
+        assert get_threads() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_threads(before)
+
+
+def test_forward_output_does_not_depend_on_openblas_threads():
+    # the joint Cholesky factor is built with one BLAS thread, so its bits,
+    # and every forward path, are the same whatever OPENBLAS_NUM_THREADS says
+    _blas_threads()
+    script = (
+        "import hashlib\n"
+        "from modalbridge.driftspec import ModelSpec, parse_drift\n"
+        "from modalbridge.kernel import Hurst\n"
+        "from modalbridge.mc import SimConfig, simulate_forward\n"
+        "for H in (0.3, 0.7):\n"
+        "    m = ModelSpec(Hurst(H), 0.3, 0.0, 0.0, 0.25, parse_drift('0.5*sin(x)'),\n"
+        "                  parse_drift('0.5*cos(y)'), holder_gamma=0.3)\n"
+        "    e = simulate_forward(m, SimConfig(16384, 128, 3), warn_horizon=False)\n"
+        "    print(hashlib.sha256(e.terminal_x.tobytes() + e.terminal_y.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        digests.append(proc.stdout)
+    assert len(digests[0].split()) == 2
+    assert digests[0] == digests[1]
 
 
 def test_forward_brownian_covariance():
