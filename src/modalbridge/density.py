@@ -78,8 +78,6 @@ class DriftFunctionals:
     int_hat_h1: float
     int_hat_h2: float
     int_bar_h2: float
-    int_hat_h1_sq: float
-    int_hat_h2_sq: float
 
 
 def _trapz(values: np.ndarray, dt: float) -> float:
@@ -129,8 +127,6 @@ def drift_functionals(model: ModelSpec, path: ModalPath) -> DriftFunctionals:
         int_hat_h1=_trapz(hat1_vals, dt),
         int_hat_h2=_trapz(hat2_vals, dt),
         int_bar_h2=_trapz(bar2, dt),
-        int_hat_h1_sq=_trapz(hat1_vals ** 2, dt),
-        int_hat_h2_sq=_trapz(hat2_vals ** 2, dt),
     )
 
 

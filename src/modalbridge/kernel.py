@@ -349,8 +349,7 @@ def joint_cov_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
     return cov
 
 
-def draw_joint_paths(grid: TimeGrid, hurst: Hurst, rng: np.random.Generator,
-                     count: int, chol=None):
+def draw_joint_paths(grid: TimeGrid, hurst: Hurst, rng: np.random.Generator, count: int):
     """Joint (B, B^H) node draw from a generator; see sample_joint_paths.
 
     At H = 1/2 the joint covariance is exactly singular (B^H = B), so the
@@ -364,8 +363,7 @@ def draw_joint_paths(grid: TimeGrid, hurst: Hurst, rng: np.random.Generator,
         b[:, 1:] = np.cumsum(incr, axis=1)
         bh[:, 1:] = b[:, 1:]
         return b, bh
-    if chol is None:
-        chol = cholesky_with_jitter(joint_cov_matrix(grid, hurst))
+    chol = cholesky_with_jitter(joint_cov_matrix(grid, hurst))
     z = rng.standard_normal((count, 2 * n))
     paths = z @ chol.T
     b[:, 1:] = paths[:, :n]

@@ -1,9 +1,10 @@
 """Forward Monte Carlo, pointwise density estimation, and the bridge estimator.
 
-Forward simulation draws the exact joint Gaussian vector of (B, B^H) at the
-grid nodes (Cholesky of the joint covariance), adds an independent Brownian
-component, and discretizes only the drift integrals (Euler, left point, run
-time-major over contiguous per-step state vectors).
+Forward simulation reads the noise only through the pair (rho B + rho_bar W,
+B^H) at the grid nodes.  That pair is an exact 2n-dimensional Gaussian (its
+first half is a Brownian motion), drawn as one cached Cholesky factor of its
+covariance times 2n normals per path, time-major; only the drift integrals are
+discretized (Euler, left point, over the precomputed noise rows).
 
 The bridge estimator conditions iid N(0, dt) driving increments on the
 terminal point by a pathwise (Matheron) rank-2 correction, reconstructs paths
@@ -18,16 +19,18 @@ Both estimators run through one block runner.  Chunk k of a run with seed s
 is cut into row blocks of _BLOCK_ROWS paths (the last one takes the
 remainder), and block b draws its own numbers, inside its pool task, from
 the counter-based Philox stream keyed s XOR k jumped b times (Salmon et al.,
-SC 2011); the forward draws a block's joint (B, B^H) normals before its W
-normals.  Jump 0 is the chunk's own stream, so a chunk small enough to be
+SC 2011).  Jump 0 is the chunk's own stream, so a chunk small enough to be
 one block draws exactly the numbers of one whole-chunk pass.  A chunk's sums
 are taken over its concatenated block outputs, so the output depends on the
-fixed block partition but is bit-identical at any worker count.  While the
-blocks run, and while the forward's joint Cholesky factor is built, OpenBLAS
-runs one thread, so its threads do not compete with the pool's and the
-output does not depend on OPENBLAS_NUM_THREADS.  The worker count is the
-``workers`` argument, else MODALBRIDGE_THREADS, else the number of usable
-cores; MODALBRIDGE_THREADS=1 runs every block on the calling thread.
+fixed block partition but is bit-identical at any worker count.  While a pool
+of several workers runs the blocks, OpenBLAS runs one thread, so its threads
+do not compete with the pool's; one worker leaves OpenBLAS its own thread
+count: the bridge's path-major products give the same bits at any count.  The
+forward's Cholesky factor and its time-major noise product do not, so the
+forward runs OpenBLAS on one thread at any worker count, and no output
+depends on OPENBLAS_NUM_THREADS.  The worker count is the ``workers``
+argument, else MODALBRIDGE_THREADS, else the number of usable cores;
+MODALBRIDGE_THREADS=1 runs every block on the calling thread.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .density import gaussian_prefactor
 from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift, validate_assumptions
 from .fraccalc import inverse_operator_matrix
 from .kernel import (Hurst, NumericalConditioningError, TimeGrid, cholesky_with_jitter,
-                     draw_joint_paths, joint_cov_matrix, volterra_weight_matrix)
+                     joint_cov_matrix, volterra_weight_matrix)
 from .opcache import OperatorCache
 
 __all__ = [
@@ -275,10 +278,12 @@ def _run_blocks(config: SimConfig, kernel, workers: Optional[int]) -> list:
     """kernel(k, rng, rows) over the row blocks of every chunk; per chunk, its block results.
 
     Each block gets its own generator (_block_rng) and draws its numbers in
-    the kernel.  The calling thread submits the blocks in chunk order to a
-    pool with at most 2 x workers blocks in flight, with OpenBLAS on one
-    thread.  A failing block raises in block order, after the pool has shut
-    down, so the error is the same at any worker count.
+    the kernel.  One worker runs the blocks in order on the calling thread,
+    with OpenBLAS free to thread its matmuls.  Otherwise the calling thread
+    submits the blocks in chunk order to a pool with at most 2 x workers
+    blocks in flight, with OpenBLAS on one thread.  A failing block raises in
+    block order, after the pool has shut down, so the error is the same at
+    any worker count.
     """
     def jobs():
         for k, m in config.chunks():
@@ -286,11 +291,11 @@ def _run_blocks(config: SimConfig, kernel, workers: Optional[int]) -> list:
                 yield k, _block_rng(config.seed, k, b), rows
 
     nw = _worker_count(workers)
-    with _one_blas_thread():
-        if nw == 1:
-            done = [(k, kernel(k, rng, rows)) for k, rng, rows in jobs()]
-        else:
-            done, pending = [], deque()
+    if nw == 1:
+        done = [(k, kernel(k, rng, rows)) for k, rng, rows in jobs()]
+    else:
+        done, pending = [], deque()
+        with _one_blas_thread():
             pool = ThreadPoolExecutor(max_workers=nw)
             try:
                 for k, rng, rows in jobs():
@@ -312,9 +317,10 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
                      warn_horizon: bool = True) -> PathEnsemble:
     """Simulate (X_T, Y_T) under the drifted law.
 
-    The (B, B^H) pair is drawn exactly at the nodes; W is an independent
-    Brownian motion; the drift integrals are left-point Euler sums (the fBm
-    term itself carries no discretization error).
+    The noise pair (rho B + rho_bar W, B^H) is drawn exactly at the nodes, as
+    one factor of its 2n-dimensional covariance times 2n normals per path;
+    the drift integrals are left-point Euler sums added to it (the noise
+    itself carries no discretization error).
     """
     if warn_horizon and model.drift_class is DriftClass.GENERAL:
         report = validate_assumptions(model)
@@ -328,23 +334,17 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     t = grid.nodes
     dt = grid.dt
     n = config.n_steps
-    rho, rho_bar = model.rho, model.rho_bar
-    with _one_blas_thread():  # the factor's bits depend on the BLAS thread count
-        chol = _joint_cholesky(grid, model.hurst)  # here, so worker threads never touch the cache
+    x0, y0 = float(model.x0), float(model.y0)
 
     def run_block(k, rng, m):
-        b, bh = draw_joint_paths(grid, model.hurst, rng, m, chol=chol)
-        dw = rng.standard_normal((m, n))
-        # time-major: row i holds every path's value at node (or step) i
-        b, bh = np.ascontiguousarray(b.T), np.ascontiguousarray(bh.T)
-        dw = np.ascontiguousarray(dw.T)
-        dw *= math.sqrt(dt)
-        x = np.full(m, float(model.x0))
-        y = np.full(m, float(model.y0))
-        drift2 = np.zeros(m)
-        if keep_paths:
-            xs, ys = np.empty((n + 1, m)), np.empty((n + 1, m))
-            xs[0], ys[0] = x, y
+        z = rng.standard_normal((m, 2 * n))
+        # time-major: row i (n + i) holds every path's X (Y) noise at node i + 1
+        noise = factor @ z.T
+        del z
+        noise[:n] += x0
+        noise[n:] += y0
+        x, y = np.full(m, x0), np.full(m, y0)
+        drift1, drift2 = np.zeros(m), np.zeros(m)
         for i in range(n):
             try:
                 h1v = eval_drift(model.h1, t[i], x, y)
@@ -353,16 +353,20 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
                 raise DriftDomainError(
                     f"drift evaluation failed at step {i} (t={t[i]:g}) in chunk {k}: {exc}"
                 ) from exc
-            x = x + rho * (b[i + 1] - b[i]) + rho_bar * dw[i] + np.asarray(h1v) * dt
-            drift2 = drift2 + np.asarray(h2v) * dt
-            y = model.y0 + bh[i + 1] + drift2
-            if keep_paths:
-                xs[i + 1], ys[i + 1] = x, y
+            drift1 += np.asarray(h1v) * dt
+            drift2 += np.asarray(h2v) * dt
+            x = np.add(noise[i], drift1, out=noise[i])
+            y = np.add(noise[n + i], drift2, out=noise[n + i])
         if keep_paths:
-            return xs.T, ys.T
-        return x, y
+            return (np.vstack([np.full(m, x0), noise[:n]]).T,
+                    np.vstack([np.full(m, y0), noise[n:]]).T)
+        return x.copy(), y.copy()  # rows of noise: copies let it go
 
-    blocks = [r for chunk in _run_blocks(config, run_block, workers) for r in chunk]
+    # the bits of the factor, and of a time-major product, depend on the BLAS
+    # thread count, so the forward runs OpenBLAS on one thread at any worker count
+    with _one_blas_thread():
+        factor = _forward_factor(grid, model)  # here, so worker threads never touch the cache
+        blocks = [r for chunk in _run_blocks(config, run_block, workers) for r in chunk]
     xs, ys = (np.concatenate([r[j] for r in blocks]) for j in (0, 1))
     if keep_paths:
         return PathEnsemble(terminal_x=xs[:, -1].copy(), terminal_y=ys[:, -1].copy(),
@@ -372,15 +376,26 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
                         model_fingerprint=_fingerprint(model))
 
 
-_chol_cache = OperatorCache(4)
+_factor_cache = OperatorCache(4)
 
 
-def _joint_cholesky(grid: TimeGrid, hurst: Hurst) -> Optional[np.ndarray]:
-    """Cached Cholesky factor of the joint (B, B^H) node covariance; None at H = 1/2."""
-    if hurst.is_brownian:
-        return None
-    return _chol_cache.get((hurst.H, grid.T, grid.n),
-                           lambda: cholesky_with_jitter(joint_cov_matrix(grid, hurst)))
+def _forward_factor(grid: TimeGrid, model: ModelSpec) -> np.ndarray:
+    """Cached, read-only Cholesky factor of the node covariance of (rho B + rho_bar W, B^H).
+
+    rho B + rho_bar W is a Brownian motion (rho^2 + rho_bar^2 = 1) whose
+    covariance with B^H is rho times that of B, so this is the joint (B, B^H)
+    covariance with both cross blocks scaled by rho; for |rho| < 1 it is
+    positive definite at H = 1/2 as well.
+    """
+    def build():
+        n = grid.n
+        cov = joint_cov_matrix(grid, model.hurst)
+        cov[:n, n:] *= model.rho
+        cov[n:, :n] *= model.rho
+        factor = cholesky_with_jitter(cov)
+        factor.flags.writeable = False
+        return factor
+    return _factor_cache.get((model.H, model.rho, grid.T, grid.n), build)
 
 
 # -- pointwise density estimation ---------------------------------------------------

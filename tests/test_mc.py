@@ -117,12 +117,42 @@ def test_forward_determinism_and_worker_invariance():
     assert np.array_equal(a.terminal_y, c.terminal_y)
 
 
+def _node_noise(m, grid, normals):
+    """Node noise [X | Y] per path from each block's (rows, 2n) normals: one
+    time-major product per block with the Cholesky factor of the covariance of
+    (rho B + rho_bar W, B^H), the joint (B, B^H) covariance with both cross
+    blocks scaled by rho; on one OpenBLAS thread, as simulate_forward runs."""
+    from modalbridge.kernel import joint_cov_matrix
+
+    n = grid.n
+    cov = joint_cov_matrix(grid, m.hurst)
+    cov[:n, n:] *= m.rho
+    cov[n:, :n] *= m.rho
+    with mc._one_blas_thread():
+        factor = np.linalg.cholesky(cov)
+        return np.concatenate([(factor @ z.T).T for z in normals])
+
+
+def _column_euler(m, grid, noise):
+    """Kept (x, y) paths of a column-wise Euler loop over node noise rows
+    [X noise | Y noise], each path's row of shape (2n,)."""
+    from modalbridge.driftspec import eval_drift
+
+    n, count = grid.n, len(noise)
+    x, y = np.full((count, n + 1), m.x0), np.full((count, n + 1), m.y0)
+    drift1, drift2 = np.zeros(count), np.zeros(count)
+    for i in range(n):
+        t = grid.nodes[i]
+        drift1 = drift1 + eval_drift(m.h1, t, x[:, i], y[:, i]) * grid.dt
+        drift2 = drift2 + eval_drift(m.h2, t, x[:, i], y[:, i]) * grid.dt
+        x[:, i + 1] = (noise[:, i] + m.x0) + drift1
+        y[:, i + 1] = (noise[:, n + i] + m.y0) + drift2
+    return x, y
+
+
 def test_forward_time_major_loop_matches_column_reference():
     # the Euler arithmetic is unchanged by the time-major layout: compare the
     # kept paths bit for bit with a column-wise loop over the same chunk's draws
-    from modalbridge.driftspec import eval_drift
-    from modalbridge.kernel import draw_joint_paths
-
     for H in (0.3, 0.5):
         m = _state_model(H)
         n, count = 16, 300
@@ -130,19 +160,46 @@ def test_forward_time_major_loop_matches_column_reference():
         ens = simulate_forward(m, SimConfig(n_paths=count, n_steps=n, seed=8),
                                keep_paths=True, warn_horizon=False)
         rng = mc._block_rng(8, 0, 0)
-        chol = mc._joint_cholesky(grid, m.hurst)
-        b, bh = draw_joint_paths(grid, m.hurst, rng, count, chol=chol)
-        dw = math.sqrt(grid.dt) * rng.standard_normal((count, n))
-        x, y = np.full((count, n + 1), m.x0), np.full((count, n + 1), m.y0)
-        drift2 = np.zeros(count)
-        for i in range(n):
-            t = grid.nodes[i]
-            x[:, i + 1] = (x[:, i] + m.rho * (b[:, i + 1] - b[:, i]) + m.rho_bar * dw[:, i]
-                           + eval_drift(m.h1, t, x[:, i], y[:, i]) * grid.dt)
-            drift2 = drift2 + eval_drift(m.h2, t, x[:, i], y[:, i]) * grid.dt
-            y[:, i + 1] = m.y0 + bh[:, i + 1] + drift2
+        noise = _node_noise(m, grid, [rng.standard_normal((count, 2 * n))])
+        x, y = _column_euler(m, grid, noise)
         assert np.array_equal(ens.full_paths[0], x) and np.array_equal(ens.full_paths[1], y)
         assert np.array_equal(ens.terminal_x, x[:, -1])
+
+
+@pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+def test_forward_factor_reproduces_the_noise_covariance(H):
+    # F F^T is the covariance of (rho B + rho_bar W, B^H) at the nodes: Brownian
+    # min(s, t), rho times the (B, B^H) cross block, and the fBm block
+    from modalbridge.kernel import autocovariance, kernel_partial_integral
+
+    grid = TimeGrid(0.7, 48)
+    t = grid.nodes[1:]
+    cross = np.column_stack([kernel_partial_integral(np.minimum(t, u), u, Hurst(H)) for u in t])
+    for rho in (0.0, 0.4, -0.9):
+        m = ModelSpec(Hurst(H), rho, 0.0, 0.0, grid.T, ZERO, ZERO)
+        exact = np.block([[np.minimum(t[:, None], t[None, :]), rho * cross],
+                          [rho * cross.T, autocovariance(t[:, None], t[None, :], m.hurst)]])
+        f = mc._forward_factor(grid, m)
+        assert not f.flags.writeable and mc._forward_factor(grid, m) is f
+        assert np.max(np.abs(f @ f.T - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+def test_forward_zero_drift_terminal_law(H):
+    # without drift, (X_T, Y_T) - (x0, y0) is Gaussian with variances T and
+    # T^2H and covariance rho kappa_H T^(H+1/2); means and covariances of the
+    # sample lie within 4 standard errors of these
+    T, rho, count = 0.6, -0.45, 200_000
+    m = ModelSpec(Hurst(H), rho, 0.3, -0.2, T, ZERO, ZERO)
+    ens = simulate_forward(m, SimConfig(n_paths=count, n_steps=24, seed=31))
+    vx, vy = T, T ** (2 * H)
+    cxy = rho * m.hurst.kappa_H * T ** (H + 0.5)
+    assert abs(ens.terminal_x.mean() - 0.3) <= 4.0 * math.sqrt(vx / count)
+    assert abs(ens.terminal_y.mean() + 0.2) <= 4.0 * math.sqrt(vy / count)
+    cov = np.cov(ens.terminal_x, ens.terminal_y)
+    assert abs(cov[0, 0] - vx) <= 4.0 * vx * math.sqrt(2.0 / count)
+    assert abs(cov[1, 1] - vy) <= 4.0 * vy * math.sqrt(2.0 / count)
+    assert abs(cov[0, 1] - cxy) <= 4.0 * math.sqrt((vx * vy + cxy * cxy) / count)
 
 
 def _substreams(seed, k, count):
@@ -161,27 +218,14 @@ def _single_stream(seed, k, count):
 
 
 def _whole_chunk_forward(m, cfg, streams):
-    """Kept paths of simulate_forward: each chunk's draws stacked, then one column loop."""
-    from modalbridge.driftspec import eval_drift
-    from modalbridge.kernel import draw_joint_paths
-
+    """Kept paths of simulate_forward: each chunk's block noise stacked, then one column loop."""
     n = cfg.n_steps
     grid = TimeGrid(m.T, n)
-    chol = mc._joint_cholesky(grid, m.hurst)
     xs, ys = [], []
     for k, count in cfg.chunks():
-        draws = [(draw_joint_paths(grid, m.hurst, rng, r, chol=chol), rng.standard_normal((r, n)))
-                 for rng, r in streams(cfg.seed, k, count)]
-        b, bh = (np.concatenate([d[0][j] for d in draws]) for j in (0, 1))
-        dw = math.sqrt(grid.dt) * np.concatenate([d[1] for d in draws])
-        x, y = np.full((count, n + 1), m.x0), np.full((count, n + 1), m.y0)
-        drift2 = np.zeros(count)
-        for i in range(n):
-            t = grid.nodes[i]
-            x[:, i + 1] = (x[:, i] + m.rho * (b[:, i + 1] - b[:, i]) + m.rho_bar * dw[:, i]
-                           + eval_drift(m.h1, t, x[:, i], y[:, i]) * grid.dt)
-            drift2 = drift2 + eval_drift(m.h2, t, x[:, i], y[:, i]) * grid.dt
-            y[:, i + 1] = m.y0 + bh[:, i + 1] + drift2
+        noise = _node_noise(m, grid, [rng.standard_normal((r, 2 * n))
+                                      for rng, r in streams(cfg.seed, k, count)])
+        x, y = _column_euler(m, grid, noise)
         xs.append(x)
         ys.append(y)
     return np.concatenate(xs), np.concatenate(ys)
@@ -327,31 +371,59 @@ def test_blas_thread_count_restored_after_concurrent_estimators():
 
 
 def test_forward_output_does_not_depend_on_openblas_threads():
-    # the joint Cholesky factor is built with one BLAS thread, so its bits,
-    # and every forward path, are the same whatever OPENBLAS_NUM_THREADS says
+    # the forward's factor and noise product run on one BLAS thread; one
+    # worker leaves the bridge's path-major products to the BLAS thread count,
+    # whose bits do not depend on it: both outputs are the same whatever
+    # OPENBLAS_NUM_THREADS says, with one worker and with the default count
     _blas_threads()
     script = (
         "import hashlib\n"
         "from modalbridge.driftspec import ModelSpec, parse_drift\n"
         "from modalbridge.kernel import Hurst\n"
-        "from modalbridge.mc import SimConfig, simulate_forward\n"
+        "from modalbridge.mc import SimConfig, bridge_mc_density, simulate_forward\n"
         "for H in (0.3, 0.7):\n"
         "    m = ModelSpec(Hurst(H), 0.3, 0.0, 0.0, 0.25, parse_drift('0.5*sin(x)'),\n"
         "                  parse_drift('0.5*cos(y)'), holder_gamma=0.3)\n"
-        "    e = simulate_forward(m, SimConfig(16384, 128, 3), warn_horizon=False)\n"
-        "    print(hashlib.sha256(e.terminal_x.tobytes() + e.terminal_y.tobytes()).hexdigest())\n"
+        "    for workers in (1, None):\n"
+        "        e = simulate_forward(m, SimConfig(16384, 128, 3), workers=workers,\n"
+        "                             warn_horizon=False)\n"
+        "        print(hashlib.sha256(e.terminal_x.tobytes() + e.terminal_y.tobytes()).hexdigest())\n"
+        "        b = bridge_mc_density(m, (0.1, 0.05), SimConfig(16384, 256, 3), workers=workers)\n"
+        "        print(repr((b.value, b.std_err, b.discretization_bias)))\n"
     )
-    digests = []
+    outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env.pop("MODALBRIDGE_THREADS", None)
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.join(os.path.dirname(__file__), "..", "src"),
              env.get("PYTHONPATH", "")])
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, check=True)
-        digests.append(proc.stdout)
-    assert len(digests[0].split()) == 2
-    assert digests[0] == digests[1]
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 8
+    assert outputs[0] == outputs[1]
+
+
+def test_one_worker_leaves_the_blas_thread_count():
+    # a pool of workers runs its blocks on one BLAS thread; one worker runs
+    # the bridge's blocks with the caller's count, and the forward's with one
+    set_threads, get_threads = _blas_threads()
+    before = get_threads()
+    set_threads(2)
+    seen = []
+    try:
+        cfg = SimConfig(n_paths=2 * 2048, n_steps=2, seed=0)
+        for workers in (1, 2):
+            _run_blocks(cfg, lambda k, rng, rows: seen.append(get_threads()), workers)
+        assert seen == [2, 2, 1, 1]
+        m = _state_model(0.3)
+        forward = simulate_forward(m, cfg, workers=1, warn_horizon=False)
+        assert get_threads() == 2
+        assert np.array_equal(forward.terminal_x,
+                              simulate_forward(m, cfg, workers=2, warn_horizon=False).terminal_x)
+    finally:
+        set_threads(before)
 
 
 def test_forward_brownian_covariance():
