@@ -12,14 +12,14 @@ forward simulation and against the exactly solvable cases.
 
 from .bridge import (CovBlocks, GaussianConditioner, ModalPath, condition_gaussian,
                      cov_blocks, modal_coeffs, modal_path)
-from .density import (DensityApprox, DriftFunctionals, UnsupportedHurstError,
-                      alpha_exponent, approx_density, drift_functionals,
-                      exact_timeonly_density, gaussian_prefactor, omega_1, omega_full)
+from .density import (DensityApprox, DriftFunctionals, alpha_exponent, approx_density,
+                      drift_functionals, exact_timeonly_density, gaussian_prefactor,
+                      omega_1, omega_full)
 from .driftspec import (AssumptionReport, DriftClass, DriftDomainError, DriftExpr,
                         ExprSyntaxError, ModelSpec, classify_drift, eval_drift,
                         model_from_dict, parse_drift, validate_assumptions)
-from .fraccalc import (GridFunction, MAX_SUPPORTED_H, apply_KH, invert_KH,
-                       rl_integral, weyl_derivative)
+from .fraccalc import (GridFunction, MAX_SUPPORTED_H, UnsupportedHurstError, apply_KH,
+                       invert_KH, rl_integral, weyl_derivative)
 from .kernel import (Hurst, NumericalConditioningError, TimeGrid, autocovariance,
                      joint_cov_matrix, kernel_alt, kernel_hyp,
                      kernel_partial_integral, kernel_total_integral,

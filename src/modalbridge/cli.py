@@ -59,10 +59,6 @@ _ZERO_EXPR = parse_drift("0")
 _TOP_LEVEL_KEYS = ("model", "kernel", "modal_path", "density", "simulate", "bridge_mc")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_csv(path: str, header, columns) -> None:
     data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -113,6 +109,16 @@ def _model_from_config(cfg: dict) -> ModelSpec:
         return model_from_dict(cfg["model"])
     except (ValueError, ExprSyntaxError) as exc:
         raise ConfigError(f"invalid model: {exc}") from None
+
+
+def _point(value, where: str) -> tuple:
+    """A config point [x, y] as two floats."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        try:
+            return float(value[0]), float(value[1])
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{where} must be a pair of numbers [x, y], got {value!r}")
 
 
 def _estimator_from_config(block: dict):
@@ -223,8 +229,7 @@ def _rho_tag(rho: float) -> str:
     return f"{rho:g}"
 
 
-def _emit_modal_path(model: ModelSpec, n: int, endpoint, out_dir: str, stem: str,
-                     want_svg: bool):
+def _emit_modal_path(model: ModelSpec, n: int, endpoint, out_dir: str, stem: str):
     grid = TimeGrid(model.T, n)
     mp = modal_path(model, grid, endpoint)
     path = os.path.join(out_dir, f"{stem}.csv")
@@ -245,7 +250,7 @@ def cmd_modal_path(args) -> int:
                                   _ZERO_EXPR, _ZERO_EXPR)
                 stem = f"modal_path_rho{_rho_tag(rho)}_H{H:g}"
                 path, mp = _emit_modal_path(model, FIGURE_GRID_N, (1.0, 1.0),
-                                            out_dir, stem, False)
+                                            out_dir, stem)
                 emitted.append(path)
                 series.append((f"H={H:g}", mp.grid.nodes, mp.y_path))
             if args.format in ("svg", None):
@@ -263,10 +268,8 @@ def cmd_modal_path(args) -> int:
     _check_keys(block, ("n", "endpoint"), "modal_path block")
     _require(block, ("endpoint",), "modal_path block")
     n = int(block.get("n", 512))
-    endpoint = tuple(float(v) for v in block["endpoint"])
-    if len(endpoint) != 2:
-        raise ConfigError("endpoint must be [x, y]")
-    path, mp = _emit_modal_path(model, n, endpoint, out_dir, "modal_path", False)
+    endpoint = _point(block["endpoint"], "modal_path endpoint")
+    path, mp = _emit_modal_path(model, n, endpoint, out_dir, "modal_path")
     print(path)
     if args.format == "svg":
         svg = os.path.join(out_dir, "modal_path.svg")
@@ -285,9 +288,12 @@ def cmd_density(args) -> int:
     _check_keys(block, ("n", "endpoints"), "density block")
     _require(block, ("endpoints",), "density block")
     n = int(block.get("n", 512))
+    if not isinstance(block["endpoints"], list):
+        raise ConfigError(f"density endpoints must be a list of [x, y] pairs, "
+                          f"got {block['endpoints']!r}")
+    endpoints = [_point(ep, "density endpoint") for ep in block["endpoints"]]
     results = []
-    for ep in block["endpoints"]:
-        endpoint = (float(ep[0]), float(ep[1]))
+    for endpoint in endpoints:
         approx = approx_density(model, endpoint, n=n)
         results.append({
             "endpoint": list(endpoint),
@@ -323,7 +329,7 @@ def cmd_simulate(args) -> int:
         chunk_size=int(block.get("chunk_size", SimConfig.chunk_size)),
     )
     estimator = _estimator_from_config(block["estimator"])
-    point = tuple(float(v) for v in block["point"])
+    point = _point(block["point"], "simulate point")
     ensemble = simulate_forward(model, config)
     est = estimate_density_at(ensemble, point, estimator)
     payload = {
@@ -358,7 +364,7 @@ def cmd_bridge_mc(args) -> int:
         seed=seed,
         chunk_size=int(block.get("chunk_size", SimConfig.chunk_size)),
     )
-    endpoint = tuple(float(v) for v in block["endpoint"])
+    endpoint = _point(block["endpoint"], "bridge_mc endpoint")
     est = bridge_mc_density(model, endpoint, config)
     payload = {
         "estimate": est.value,
@@ -395,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def common(p):
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
         p.add_argument("--out", help="output directory")
@@ -424,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bridge_mc)
 
     p = sub.add_parser("validate", help="run the acceptance suite")
-    common(p, needs_config=False)
+    common(p)
     p.add_argument("--quick", action="store_true", help="reduced-scale subset")
     p.set_defaults(fn=cmd_validate)
 

@@ -17,8 +17,9 @@ Only two time integrals of the drifts enter omega, those of bar_h1 and
 bar_h2: hat_h1 = (bar_h1 - rho hat_h2) / rho_bar gives
 rho_bar int hat_h1 + rho int hat_h2 = int bar_h1, so the inverse kernel
 transform cancels out of omega, and approx_density needs no operator beyond
-the modal path.  drift_functionals keeps the full route through invert_KH
-and returns the transformed drifts themselves.
+the modal path.  drift_functionals returns the transformed drifts
+themselves: hat_h2 = L @ bar_h2 through invert_KH's integrand mode, with L
+the cached inverse-transform matrix of fraccalc.inverse_operator_matrix.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ import numpy as np
 
 from .bridge import ModalPath, modal_path, terminal_cov
 from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift
-from .fraccalc import GridFunction, UnsupportedHurstError as _FraccalcUnsupported
-from .fraccalc import _check_hurst_supported, invert_KH
+from .fraccalc import GridFunction, UnsupportedHurstError, _check_hurst_supported, invert_KH
 from .kernel import TimeGrid
 
 __all__ = [
@@ -48,10 +48,6 @@ __all__ = [
 ]
 
 ALPHA_EXACT = math.inf  # sentinel: the TimeOnly representation is exact
-
-
-class UnsupportedHurstError(_FraccalcUnsupported):
-    """General drifts with H >= 3/4 are outside the proven expansion range."""
 
 
 def gaussian_prefactor(dx: float, dy: float, model: ModelSpec) -> float:
@@ -111,12 +107,8 @@ def drift_functionals(model: ModelSpec, path: ModalPath) -> DriftFunctionals:
     bar1, bar2 = _drifts_along(model, path)
     bar_h1 = GridFunction(grid, bar1)
     bar_h2 = GridFunction(grid, bar2)
-    if model.hurst.is_brownian:
-        hat2_vals = bar2.copy()
-    else:
-        running = np.concatenate([[0.0], np.cumsum((bar2[1:] + bar2[:-1]) * 0.5) * grid.dt])
-        hat2_vals = invert_KH(GridFunction(grid, running), model.hurst,
-                              integrand=bar2).values
+    running = np.concatenate([[0.0], np.cumsum((bar2[1:] + bar2[:-1]) * 0.5) * grid.dt])
+    hat2_vals = invert_KH(GridFunction(grid, running), model.hurst, integrand=bar2).values
     hat1_vals = (bar1 - model.rho * hat2_vals) / model.rho_bar
     dt = grid.dt
     return DriftFunctionals(

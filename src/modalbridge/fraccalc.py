@@ -13,20 +13,17 @@ c_H convention; without it the inverse of the transform of a constant comes
 out as Gamma(H + 1/2) instead of the constant.  The factor is included here
 and pinned by the operator round-trip tests.
 
-Endpoint convention: for H != 1/2 the inverse carries t^(+-(H-1/2)) prefactors
-that are singular at t = 0, so the first grid node of every inverse is filled
-by linear extrapolation from the next two nodes, and when the derivative of
-the input must be recovered by differencing, the first few nodes of the
-reduced derivative t^(1/2-H) h'(t) are repaired by a local quadratic fit
+The inverse is one linear operator: invert_KH returns L @ h', with L the
+(n+1) x (n+1) matrix of inverse_operator_matrix, built once per (H, T, n)
+from the same weights (Toeplitz forms of the RL and Marchaud segment weights,
+t-power diagonals and the cached psi product-integration matrix) and cached.
+h' is either passed in (integrand mode) or recovered by central differencing.
+For H != 1/2 the inverse carries t^(+-(H-1/2)) prefactors that are singular at
+t = 0, so row 0 of L extrapolates linearly from rows 1 and 2.  When h' is
+differenced at H < 1/2, the first few nodes of the reduced derivative
+t^(1/2-H) h'(t) are repaired by a local quadratic fit before L is applied
 (differencing across the t^(H+1/2) leading behaviour of h is the dominant
 error source otherwise).
-
-Integrand-mode inversion is linear in the integrand, so
-inverse_operator_matrix builds its whole (n+1) x (n+1) matrix directly from
-the same weights (Toeplitz forms of the RL and Marchaud segment weights, the
-t-power diagonals, the node-0 fit and extrapolation as fixed row
-combinations, and the cached psi product-integration matrix), in row blocks
-and without a loop over columns.
 """
 
 from __future__ import annotations
@@ -235,12 +232,21 @@ def _derivative_by_differencing(h: np.ndarray, dt: float) -> np.ndarray:
     return g
 
 
-def _repair_reduced(u: np.ndarray, t: np.ndarray, n: int) -> None:
-    """Quadratic-fit repair of the first few nodes of the reduced derivative."""
+_MIN_DIFFERENCED_N = 7  # the repair fit of a quadratic needs a window of 3 nodes, from node 4
+
+
+def _repair_reduced(g: np.ndarray, t: np.ndarray, H: float) -> None:
+    """Quadratic-fit repair of the reduced derivative u = t^(1/2-H) g at its first
+    few nodes, written back into g[1:] (H < 1/2, differenced mode)."""
+    n = len(t) - 1
+    if n < _MIN_DIFFERENCED_N:
+        raise ValueError(f"differenced invert_KH at H < 1/2 needs n >= {_MIN_DIFFERENCED_N} "
+                         f"steps for its repair fit, got n={n}")
     j0 = max(4, n // 200)
     window = np.arange(j0, min(j0 + 16, n))
-    coef = np.polyfit(t[window], u[window], 2)
-    u[:j0] = np.polyval(coef, t[:j0])
+    s = t ** (0.5 - H)
+    coef = np.polyfit(t[window], s[window] * g[window], 2)
+    g[1:j0] = np.polyval(coef, t[1:j0]) / s[1:j0]
 
 
 def invert_KH(h: GridFunction, hurst: Hurst, integrand=None) -> GridFunction:
@@ -254,61 +260,28 @@ def invert_KH(h: GridFunction, hurst: Hurst, integrand=None) -> GridFunction:
         Hurst exponent; H <= 0.95.
     integrand : array_like, optional
         h' on the grid, when the caller holds it directly (the drift case).
-        Otherwise h' is recovered by central differencing, with endpoint
-        repair of the reduced derivative.
+        Otherwise h' is recovered by central differencing; at H < 1/2 the
+        reduced derivative t^(1/2-H) h' is then repaired at its first few
+        nodes by a quadratic fit, which needs n >= 7.
 
-    Notes
-    -----
-    H < 1/2 uses [c_H Gamma(H+1/2)]^(-1) t^(H-1/2) I^(1/2-H) [s^(1/2-H) h'];
-    H > 1/2 uses the a(t) + b(t) split of the weighted Weyl derivative of h'.
+    Returns L @ h', with L = inverse_operator_matrix(h.grid, hurst); at
+    H = 1/2 the inverse is the identity and h' is returned as it is.
     """
     _check_hurst_supported(hurst)
     if abs(h.values[0]) > 1e-12 * (1.0 + np.max(np.abs(h.values))):
         raise ValueError(f"invert_KH requires h(0) = 0, got {h.values[0]}")
     grid = h.grid
-    t = grid.nodes
-    dt = grid.dt
-    n = grid.n
-    differenced = integrand is None
-    if differenced:
-        g = _derivative_by_differencing(h.values, dt)
+    if integrand is None:
+        g = _derivative_by_differencing(h.values, grid.dt)
+        if hurst.H < 0.5:
+            _repair_reduced(g, grid.nodes, hurst.H)
     else:
-        g = np.asarray(integrand, dtype=float).copy()
-        if g.shape != (n + 1,):
+        g = np.array(integrand, dtype=float)
+        if g.shape != (grid.n + 1,):
             raise ValueError("integrand must match the grid")
-    H = hurst.H
     if hurst.is_brownian:
         return GridFunction(grid, g)
-    norm = hurst.c_H * gamma_fn(H + 0.5)
-
-    if H < 0.5:
-        u = np.empty(n + 1)
-        u[1:] = t[1:] ** (0.5 - H) * g[1:]
-        if differenced:
-            _repair_reduced(u, t, n)
-        else:
-            # t^(1/2-H) g may have a finite nonzero limit even when g blows up
-            coef = np.polyfit(t[1:4], u[1:4], 2)
-            u[0] = np.polyval(coef, 0.0)
-        inner = _rl_apply(0.5 - H, dt, u)
-        out = np.empty(n + 1)
-        out[1:] = t[1:] ** (H - 0.5) * inner[1:] / norm
-        out[0] = 2.0 * out[1] - out[2]
-        return GridFunction(grid, out)
-
-    # H > 1/2
-    beta = H - 0.5
-    J = _marchaud_tail(beta, dt, g)
-    a_part = np.empty(n + 1)
-    a_part[1:] = t[1:] ** (-beta) * g[1:] + beta * J[1:]
-    psi = _psi_profile(hurst)
-    b_inner = product_integrate(psi, t, g, key=("psi", H))
-    b_part = np.zeros(n + 1)
-    b_part[1:] = beta * t[1:] ** (-beta) * b_inner[1:]
-    out = np.empty(n + 1)
-    out[1:] = (a_part[1:] + b_part[1:]) / (norm * gamma_fn(1.5 - H))
-    out[0] = 2.0 * out[1] - out[2]
-    return GridFunction(grid, out)
+    return GridFunction(grid, inverse_operator_matrix(grid, hurst) @ g)
 
 
 # -- the inverse transform as a matrix ---------------------------------------------
@@ -329,20 +302,38 @@ def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
 _NODE0_FIT = {2: np.array([47.0, -16.0]) / 35.0, 3: np.array([3.0, -3.0, 1.0])}
 
 
-def inverse_operator_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
-    """The (n+1) x (n+1) matrix L of the integrand-mode inverse transform.
+_inverse_cache = OperatorCache(4)
 
-    L @ g equals invert_KH(h, hurst, integrand=g).values (up to rounding) for
-    every g on the grid.  Each step of that route is linear in g and becomes a
-    matrix factor here: the RL integral (H < 1/2) and the Marchaud tail
-    (H > 1/2) are lower-triangular Toeplitz matrices of their segment weights,
-    with one column fixed where the convolution skips node 0; the t-power
-    prefactors are diagonals; the quadratic node-0 fit of t^(1/2-H) g is a
-    fixed row combination (3 u_1 - 3 u_2 + u_3 for n >= 3); the psi term is
-    the cached product-integration matrix; and row 0 is 2 row_1 - row_2.
-    Rows are built in blocks of ``_BLOCK``; at H = 1/2, L is the identity.
+
+def inverse_operator_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
+    """The read-only (n+1) x (n+1) matrix L of the inverse kernel transform.
+
+    invert_KH(h, hurst, integrand=g) is L @ g.  L is cached per (H, T, n), so
+    the bridge estimator and invert_KH share one matrix per grid.
     """
     _check_hurst_supported(hurst)
+
+    def build():
+        op = _build_inverse_operator(grid, hurst)
+        op.flags.writeable = False
+        return op
+    return _inverse_cache.get((hurst.H, grid.T, grid.n), build)
+
+
+def _build_inverse_operator(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
+    """Build L from the product-integration weights, in row blocks of ``_BLOCK``.
+
+    H < 1/2 uses [c_H Gamma(H+1/2)]^(-1) t^(H-1/2) I^(1/2-H) [s^(1/2-H) g]; H > 1/2
+    uses the a(t) + b(t) split of the weighted Weyl derivative of g.  Each step
+    is linear in g and becomes a matrix factor: the RL integral (H < 1/2) and
+    the Marchaud tail (H > 1/2) are lower-triangular Toeplitz matrices of their
+    segment weights, with one column fixed where the convolution skips node 0;
+    the t-power prefactors are diagonals; the node-0 value of t^(1/2-H) g is a
+    quadratic fit through nodes 1..3, a fixed row combination (3 u_1 - 3 u_2 +
+    u_3 for n >= 3), so column 0 is zero; the psi term is the cached
+    product-integration matrix; and row 0 is the linear extrapolation
+    2 row_1 - row_2.  At H = 1/2, L is the identity.
+    """
     n, dt, H = grid.n, grid.dt, hurst.H
     if hurst.is_brownian:
         return np.eye(n + 1)

@@ -125,7 +125,10 @@ def kernel_hyp(t: float, s, hurst: Hurst):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def kernel_alt(t: float, s, hurst: Hurst, order: int = 80):
+_JACOBI_ORDER = 80  # Gauss-Jacobi nodes of kernel_alt's inner integral
+
+
+def kernel_alt(t: float, s, hurst: Hurst):
     """K_H(t, s) via the integral form.
 
     The inner integral int_s^t u^(H-3/2) (u-s)^(H-1/2) du is computed with a
@@ -138,7 +141,7 @@ def kernel_alt(t: float, s, hurst: Hurst, order: int = 80):
         out = np.ones_like(np.asarray(s, dtype=float))
         return float(out) if scalar else out
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    x, w = roots_jacobi(order, 0.0, H - 0.5)
+    x, w = roots_jacobi(_JACOBI_ORDER, 0.0, H - 0.5)
     # u = s + (t - s) * y, y in (0, 1); integral = (t-s)^(H+1/2) int y^(H-1/2) u^(H-3/2) dy
     y = 0.5 * (x + 1.0)
     u = s[:, None] + (t - s)[:, None] * y[None, :]
@@ -282,11 +285,14 @@ def kernel_partial_integral_quad(tau: float, t: float, hurst: Hurst,
 
 # -- joint covariance and exact sampling --------------------------------------
 
-def cholesky_with_jitter(cov: np.ndarray, max_jitter_frac: float = 1e-10):
+_MAX_JITTER_FRAC = 1e-10  # largest jitter of cholesky_with_jitter, as a fraction of the trace
+
+
+def cholesky_with_jitter(cov: np.ndarray):
     """Cholesky factor of a symmetric PSD matrix, with escalating jitter.
 
     Jitter eps * I is added with eps doubling from 1e-14 * trace up to
-    max_jitter_frac * trace before giving up.  A matrix whose trace is not
+    1e-10 * trace before giving up.  A matrix whose trace is not
     positive has no jitter scale and fails at once, and so does a matrix with
     a non-finite entry (the factorization itself would return NaN or inf).
     """
@@ -304,14 +310,14 @@ def cholesky_with_jitter(cov: np.ndarray, max_jitter_frac: float = 1e-10):
             f"Cholesky failed for {cov.shape[0]}x{cov.shape[0]} matrix with trace "
             f"{trace:g}, which gives no jitter scale")
     eps = 1e-14 * trace
-    while eps <= max_jitter_frac * trace:
+    while eps <= _MAX_JITTER_FRAC * trace:
         try:
             return np.linalg.cholesky(cov + eps * np.eye(cov.shape[0]))
         except np.linalg.LinAlgError:
             eps *= 2.0
     raise NumericalConditioningError(
         f"Cholesky failed for {cov.shape[0]}x{cov.shape[0]} matrix even with "
-        f"jitter up to {max_jitter_frac:g} * trace"
+        f"jitter up to {_MAX_JITTER_FRAC:g} * trace"
     )
 
 

@@ -53,7 +53,7 @@ import numpy as np
 from .density import gaussian_prefactor
 from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift, validate_assumptions
 from .fraccalc import inverse_operator_matrix
-from .kernel import (Hurst, NumericalConditioningError, TimeGrid, cholesky_with_jitter,
+from .kernel import (NumericalConditioningError, TimeGrid, cholesky_with_jitter,
                      joint_cov_matrix, volterra_weight_matrix)
 from .opcache import OperatorCache
 
@@ -115,7 +115,6 @@ class SimConfig:
     n_paths: int
     n_steps: int
     seed: int
-    estimator: Optional[Estimator] = None
     chunk_size: int = 32768
 
     def __post_init__(self) -> None:
@@ -435,18 +434,6 @@ def estimate_density_at(ensemble: PathEnsemble, point, estimator: Estimator) -> 
 
 # -- bridge-measure estimator ---------------------------------------------------------
 
-_invop_cache = OperatorCache(4)
-
-
-def _inverse_operator_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
-    """Read-only matrix of the integrand-mode inverse kernel transform on the grid."""
-    def build():
-        op = inverse_operator_matrix(grid, hurst)
-        op.flags.writeable = False
-        return op
-    return _invop_cache.get((hurst.H, grid.T, grid.n), build)
-
-
 class _BridgeLevel:
     """The bridge estimator's operators on one grid of n steps, read-only.
 
@@ -466,7 +453,7 @@ class _BridgeLevel:
         self.a[1, :n] = self.w_full[-1]
         self.g_inv = np.linalg.inv(self.a @ self.a.T)
         self.inv_op_t = np.ascontiguousarray(
-            _inverse_operator_matrix(self.grid, model.hurst)[:n].T)
+            inverse_operator_matrix(self.grid, model.hurst)[:n].T)
         for op in (self.w_full, self.a, self.g_inv, self.inv_op_t):
             op.flags.writeable = False
 

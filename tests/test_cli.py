@@ -133,6 +133,26 @@ def test_malformed_drift_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+_KDE = {"type": "kde", "bandwidth_x": 0.05, "bandwidth_y": 0.05}
+
+
+@pytest.mark.parametrize("command,block", [
+    ("density", {"density": {"endpoints": [[0.1]]}}),
+    ("density", {"density": {"endpoints": 5}}),
+    ("simulate", {"simulate": {"n_paths": 100, "n_steps": 8, "point": [0.1],
+                               "estimator": _KDE}}),
+    ("bridge-mc", {"bridge_mc": {"n_paths": 100, "n_steps": 8, "endpoint": [0.1]}}),
+    ("bridge-mc", {"bridge_mc": {"n_paths": 100, "n_steps": 8,
+                                 "endpoint": [0.1, 0.2, 0.3]}}),
+    ("modal-path", {"modal_path": {"endpoint": 0.1}}),
+])
+def test_point_that_is_not_a_pair_exits_2(tmp_path, command, block):
+    cfg = write_config(tmp_path, {"model": MODEL, **block})
+    proc = run_cli([command, "--config", cfg])
+    assert proc.returncode == 2
+    assert "[x, y]" in proc.stderr and "Traceback" not in proc.stderr
+
+
 # -- simulate / bridge-mc ------------------------------------------------------------
 
 def simulate_config(tmp_path, n_paths=2000, chunk=512):

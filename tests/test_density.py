@@ -231,6 +231,17 @@ def test_general_rejected_above_three_quarters():
         approx_density(m, (0.1, 0.1), 64)
 
 
+def test_exported_unsupported_hurst_error_catches_both_rejections():
+    # general drifts at H >= 3/4 and any drift above the transform's H cap
+    import modalbridge
+
+    for model in (make_model("sin(x)", "cos(y)", H=0.8, holder_gamma=0.4),
+                  make_model("sin(t)", "1", H=0.96)):
+        with pytest.raises(modalbridge.UnsupportedHurstError):
+            approx_density(model, (0.1, 0.1), 64)
+    assert UnsupportedHurstError is modalbridge.UnsupportedHurstError
+
+
 @pytest.mark.parametrize("H", [0.3, 0.7])
 def test_warm_density_equals_cold_bit_for_bit(H):
     m = make_model("0.5*sin(x) + 0.2*y", "0.3*cos(y) - 0.1*x", H=H, rho=0.4,

@@ -201,14 +201,40 @@ def test_round_trip_converges(H, name, fn):
 @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
 @pytest.mark.parametrize("n", [2, 3, 5, 64, 130])  # 130 is not a multiple of the row block
 @pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.7, 0.9])
-def test_inverse_operator_matrix_matches_column_loop(H, n):
+def test_inverse_operator_matrix_matches_column_loop(H, n, reference_invert_KH):
     grid, hurst = TimeGrid(0.7, n), Hurst(H)
     h0 = GridFunction(grid, np.zeros(n + 1))
-    columns = np.column_stack([invert_KH(h0, hurst, integrand=e).values
+    columns = np.column_stack([reference_invert_KH(h0, hurst, integrand=e)
                                for e in np.eye(n + 1)])
     L = inverse_operator_matrix(grid, hurst)
     assert L.shape == (n + 1, n + 1)
     assert np.max(np.abs(L - columns)) <= 1e-13 * np.max(np.abs(columns))
+    assert not L.flags.writeable and inverse_operator_matrix(grid, hurst) is L
+
+
+@pytest.mark.parametrize("n", [7, 64, 130, 500])
+@pytest.mark.parametrize("H", [0.1, 0.25, 0.7, 0.9])
+def test_differenced_invert_KH_matches_pointwise_route(H, n, reference_invert_KH):
+    # at H < 1/2 the repaired reduced derivative is written back into h', and
+    # the node-0 row of L reproduces the repair's quadratic at t = 0
+    grid, hurst = TimeGrid(0.8, n), Hurst(H)
+    t = grid.nodes
+    for f in (np.sin(3.0 * t), np.exp(t), np.ones_like(t)):
+        image = apply_KH(GridFunction(grid, f), hurst)
+        ref = reference_invert_KH(image, hurst)
+        out = invert_KH(image, hurst).values
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 6])
+def test_differenced_invert_KH_rejects_grids_too_short_for_the_repair(n):
+    grid = TimeGrid(1.0, n)
+    h = GridFunction(grid, grid.nodes)
+    with pytest.raises(ValueError, match="n >= 7"):
+        invert_KH(h, Hurst(0.3))
+    # the integrand mode and H > 1/2 need no repair fit
+    assert np.all(np.isfinite(invert_KH(h, Hurst(0.3), integrand=np.ones(n + 1)).values))
+    assert np.all(np.isfinite(invert_KH(h, Hurst(0.7)).values))
 
 
 def test_inverse_operator_matrix_rejects_unsupported_hurst():

@@ -617,8 +617,8 @@ def test_bridge_general_rough_drifts_vs_forward():
 def test_bridge_transformed_drift_solves_defining_system():
     # along reconstructed bridge paths, the transformed integrand must map
     # back through the kernel transform to the running integral of the drift
-    from modalbridge.fraccalc import GridFunction, apply_KH
-    from modalbridge.mc import _BridgeLevel, _inverse_operator_matrix
+    from modalbridge.fraccalc import GridFunction, apply_KH, inverse_operator_matrix
+    from modalbridge.mc import _BridgeLevel
     import numpy.random as npr
 
     m = ModelSpec(Hurst(0.3), 0.4, 0.0, 0.0, 0.5,
@@ -628,7 +628,7 @@ def test_bridge_transformed_drift_solves_defining_system():
     grid = level.grid
     t = grid.nodes
     w = level.w_full
-    inv_op = _inverse_operator_matrix(grid, m.hurst)
+    inv_op = inverse_operator_matrix(grid, m.hurst)
     rng = np.random.Generator(npr.Philox(key=42))
     incr = math.sqrt(grid.dt) * rng.standard_normal((4, 2 * n))
     level.condition(incr, np.array([0.3, -0.2]))
@@ -739,15 +739,16 @@ def test_bridge_odd_steps_worker_invariance():
 
 @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
 @pytest.mark.parametrize("n_steps", [4, 5])
-def test_bridge_with_two_step_half_grid_matches_column_loop_operator(n_steps, monkeypatch):
+def test_bridge_with_two_step_half_grid_matches_column_loop_operator(n_steps, monkeypatch,
+                                                                    reference_invert_KH):
     # the half grid has n = 2 steps, the smallest the H < 1/2 operator takes;
-    # the reference operator is built column by column through invert_KH
+    # the reference operator is built column by column through the pointwise route
     from modalbridge import mc
-    from modalbridge.fraccalc import GridFunction, invert_KH
+    from modalbridge.fraccalc import GridFunction
 
     def column_loop(grid, hurst):
         h0 = GridFunction(grid, np.zeros(grid.n + 1))
-        return np.column_stack([invert_KH(h0, hurst, integrand=e).values
+        return np.column_stack([reference_invert_KH(h0, hurst, integrand=e)
                                 for e in np.eye(grid.n + 1)])
 
     m = ModelSpec(Hurst(0.3), 0.4, 0.0, 0.0, 0.5,
@@ -755,7 +756,7 @@ def test_bridge_with_two_step_half_grid_matches_column_loop_operator(n_steps, mo
     cfg = SimConfig(n_paths=2000, n_steps=n_steps, seed=8)
     a = bridge_mc_density(m, (0.1, 0.2), cfg)
     assert a.value > 0 and math.isfinite(a.discretization_bias)
-    monkeypatch.setattr(mc, "_inverse_operator_matrix", column_loop)
+    monkeypatch.setattr(mc, "inverse_operator_matrix", column_loop)
     monkeypatch.setattr(mc, "_level_cache", OperatorCache(8))  # build the levels anew
     b = bridge_mc_density(m, (0.1, 0.2), cfg)
     assert b.value == pytest.approx(a.value, rel=1e-12)
