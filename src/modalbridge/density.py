@@ -81,18 +81,22 @@ def _trapz(values: np.ndarray, dt: float) -> float:
 
 
 def _drifts_along(model: ModelSpec, path: ModalPath):
-    """bar_h1 and bar_h2: the drifts on the modal path, required to be finite."""
-    t = path.grid.nodes
+    """bar_h1 and bar_h2: the drifts on the modal path, required to be finite.
+
+    A sum is finite only when every value is, so the values are scanned one by
+    one only when a sum is not (a sum of finite values may also overflow).
+    """
+    t, x, y = path.grid.nodes, path.x_path, path.y_path
     bars = []
-    for name, expr in (("h1", model.h1), ("h2", model.h2)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(eval_drift(expr, t, path.x_path, path.y_path), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.argmin(np.isfinite(vals)))
-            raise DriftDomainError(
-                f"drift {name} = {expr.to_source()} is not finite along the modal path "
-                f"(t={t[bad]:g}, x={path.x_path[bad]:g}, y={path.y_path[bad]:g})")
-        bars.append(vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, expr in (("h1", model.h1), ("h2", model.h2)):
+            vals = eval_drift(expr, t, x, y)  # an array: x and y are arrays of the nodes' shape
+            if not math.isfinite(vals.sum()) and not np.isfinite(vals).all():
+                bad = int(np.argmin(np.isfinite(vals)))
+                raise DriftDomainError(
+                    f"drift {name} = {expr.to_source()} is not finite along the modal path "
+                    f"(t={t[bad]:g}, x={x[bad]:g}, y={y[bad]:g})")
+            bars.append(vals)
     return bars
 
 

@@ -14,6 +14,11 @@ itself be signed ("2^-3").  Evaluation is IEEE double and vectorizes over
 numpy arrays; domain violations (log of a nonpositive value, sqrt of a
 negative one, a negative base under a non-integer power, division by zero)
 raise :class:`DriftDomainError` instead of propagating NaNs.
+
+Each expression is compiled once, when it is parsed, into a plan: a tree of
+closures, one per node, that calls the node's ufunc and domain check
+directly.  :func:`eval_drift` runs the plan, so an evaluation pays no tree
+walk or node dispatch, only its ufuncs.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -118,10 +123,21 @@ def _free_vars(node: Node, acc: set) -> set:
 
 @dataclass(frozen=True)
 class DriftExpr:
-    """A parsed drift expression over (t, x, y)."""
+    """A parsed drift expression over (t, x, y), with its compiled evaluation plan.
+
+    The plan is built once, when the expression is made, and only read
+    afterwards, so threads can share an expression.
+    """
 
     ast: Node
     source: str = ""
+    plan: Callable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "plan", _compile(self.ast))
+
+    def __reduce__(self):
+        return DriftExpr, (self.ast, self.source)
 
     def free_vars(self) -> frozenset:
         return frozenset(_free_vars(self.ast, set()))
@@ -305,58 +321,96 @@ def _bad_example(mask, *vals):
                      for v in vals)
 
 
-def _eval(node: Node, env: dict):
+def _compile(node: Node):
+    """The plan of node: a closure f(t, x, y) that runs the node's ufuncs.
+
+    Operands are evaluated left to right, each with its domain check before
+    the ufunc that needs it.  A variable's plan returns the input itself and
+    a constant's the Python float.
+    """
     if isinstance(node, Num):
-        return node.value
+        value = node.value
+        return lambda t, x, y: value
     if isinstance(node, Var):
-        return env[node.name]
+        return _VAR_PLANS[node.name]
     if isinstance(node, Neg):
-        return -_eval(node.operand, env)
+        operand = _compile(node.operand)
+        return lambda t, x, y: -operand(t, x, y)
     if isinstance(node, Call):
-        arg = _eval(node.arg, env)
-        if node.fn == "log":
-            bad = np.asarray(arg) <= 0.0
-            if np.any(bad):
-                raise DriftDomainError(f"log of nonpositive value {_bad_example(bad, arg)}")
-            return np.log(arg)
-        if node.fn == "sqrt":
-            bad = np.asarray(arg) < 0.0
-            if np.any(bad):
-                raise DriftDomainError(f"sqrt of negative value {_bad_example(bad, arg)}")
-            return np.sqrt(arg)
-        return getattr(np, node.fn if node.fn != "abs" else "abs")(arg)
-    left = _eval(node.left, env)
-    right = _eval(node.right, env)
+        return _compile_call(node.fn, _compile(node.arg))
+    left, right = _compile(node.left), _compile(node.right)
     if node.op == "+":
-        return left + right
+        return lambda t, x, y: left(t, x, y) + right(t, x, y)
     if node.op == "-":
-        return left - right
+        return lambda t, x, y: left(t, x, y) - right(t, x, y)
     if node.op == "*":
-        return left * right
+        return lambda t, x, y: left(t, x, y) * right(t, x, y)
     if node.op == "/":
-        bad = np.asarray(right) == 0.0
-        if np.any(bad):
-            raise DriftDomainError(f"division by zero (denominator {_bad_example(bad, right)})")
-        return left / right
-    # node.op == "^"
-    lneg = np.asarray(left) < 0.0
-    if np.any(lneg):
-        r = np.asarray(right, dtype=float)
-        frac = r != np.floor(r)
-        if np.any(lneg & (frac if frac.ndim else np.full(np.shape(lneg), frac))):
-            raise DriftDomainError(
-                f"negative base under non-integer power ({_bad_example(lneg, left, right)})"
-            )
-    with np.errstate(over="raise", divide="raise"):
-        try:
-            return np.power(np.asarray(left, dtype=float), right)
-        except FloatingPointError as exc:
-            raise DriftDomainError(f"power overflow: {exc}") from None
+        def divide(t, x, y):
+            num, den = left(t, x, y), right(t, x, y)
+            bad = np.asarray(den) == 0.0
+            if bad.any():
+                raise DriftDomainError(f"division by zero (denominator {_bad_example(bad, den)})")
+            return num / den
+        return divide
+
+    def power(t, x, y):  # node.op == "^"
+        base, expo = left(t, x, y), right(t, x, y)
+        lneg = np.asarray(base) < 0.0
+        if lneg.any():
+            r = np.asarray(expo, dtype=float)
+            frac = r != np.floor(r)
+            if np.any(lneg & (frac if frac.ndim else np.full(np.shape(lneg), frac))):
+                raise DriftDomainError(
+                    f"negative base under non-integer power ({_bad_example(lneg, base, expo)})"
+                )
+        with np.errstate(over="raise", divide="raise"):
+            try:
+                return np.power(np.asarray(base, dtype=float), expo)
+            except FloatingPointError as exc:
+                raise DriftDomainError(f"power overflow: {exc}") from None
+    return power
+
+
+_VAR_PLANS = {"t": lambda t, x, y: t, "x": lambda t, x, y: x, "y": lambda t, x, y: y}
+
+
+# functions with a domain: the comparison with 0 that marks a bad argument, and the error text
+_DOMAINS = {"log": (np.less_equal, "log of nonpositive value"),
+            "sqrt": (np.less, "sqrt of negative value")}
+
+
+def _compile_call(fn: str, arg):
+    ufunc = getattr(np, fn)
+    if fn not in _DOMAINS:
+        return lambda t, x, y: ufunc(arg(t, x, y))
+    outside, message = _DOMAINS[fn]
+
+    def checked(t, x, y):
+        a = arg(t, x, y)
+        bad = outside(np.asarray(a), 0.0)
+        if bad.any():
+            raise DriftDomainError(f"{message} {_bad_example(bad, a)}")
+        return ufunc(a)
+    return checked
+
+
+def _spans(v, shape) -> bool:
+    """True when v broadcasts to shape without widening it: a numpy scalar or an array of shape."""
+    return getattr(v, "shape", None) in (shape, ())
 
 
 def eval_drift(expr: DriftExpr, t, x, y):
-    """Evaluate a drift at (t, x, y); broadcasts over numpy arrays."""
-    out = _eval(expr.ast, {"t": t, "x": x, "y": y})
+    """Evaluate a drift at (t, x, y); broadcasts over numpy arrays.
+
+    Runs the plan compiled at parse time.  A scalar result is a Python float.
+    An array result may be one of the inputs itself (the drift ``x``) or a
+    read-only view, so callers never write into it.
+    """
+    out = expr.plan(t, x, y)
+    if (type(out) is np.ndarray and out.dtype == np.float64 and out.ndim
+            and _spans(t, out.shape) and _spans(x, out.shape) and _spans(y, out.shape)):
+        return out
     shape = np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(y))
     if shape == ():
         return float(out)

@@ -16,7 +16,7 @@ and pinned by the operator round-trip tests.
 The inverse is one linear operator: invert_KH returns L @ h', with L the
 (n+1) x (n+1) matrix of inverse_operator_matrix, built once per (H, T, n)
 from the same weights (Toeplitz forms of the RL and Marchaud segment weights,
-t-power diagonals and the cached psi product-integration matrix) and cached.
+t-power diagonals and the psi product-integration matrix) and cached.
 h' is either passed in (integrand mode) or recovered by central differencing.
 For H != 1/2 the inverse carries t^(+-(H-1/2)) prefactors that are singular at
 t = 0, so row 0 of L extrapolates linearly from rows 1 and 2.  When h' is
@@ -35,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernel import Hurst, TimeGrid, kernel_profile
 from .opcache import OperatorCache
-from .profiles import SingularProfile, product_integrate, product_matrix
+from .profiles import SingularProfile, _product_rows, product_integrate
 from .special import gamma_fn
 
 __all__ = [
@@ -330,8 +330,9 @@ def _build_inverse_operator(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
     segment weights, with one column fixed where the convolution skips node 0;
     the t-power prefactors are diagonals; the node-0 value of t^(1/2-H) g is a
     quadratic fit through nodes 1..3, a fixed row combination (3 u_1 - 3 u_2 +
-    u_3 for n >= 3), so column 0 is zero; the psi term is the cached
-    product-integration matrix; and row 0 is the linear extrapolation
+    u_3 for n >= 3), so column 0 is zero; the psi term adds the psi profile's
+    product-integration rows, built block by block and never stored whole
+    (L is their only consumer); and row 0 is the linear extrapolation
     2 row_1 - row_2.  At H = 1/2, L is the identity.
     """
     n, dt, H = grid.n, grid.dt, hurst.H
@@ -360,7 +361,7 @@ def _build_inverse_operator(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
         A, B = _marchaud_weights(beta, n)
         toeplitz = _lower_toeplitz(B[: n + 1] - A[: n + 1] - B[1: n + 2])
         diag = np.cumsum(A[: n + 1]) + 1.0 / (1.0 - beta)
-        psi = product_matrix(_psi_profile(hurst), n, key=("psi", H))
+        psi = _psi_profile(hurst)
         t_pow = t[1:] ** (-beta)
         j_scale = beta * dt ** (-beta)
         row_scale = 1.0 / (norm * gamma_fn(1.5 - H))
@@ -375,7 +376,7 @@ def _build_inverse_operator(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
             block[rows, i - 1] -= 1.0 / (1.0 - beta)
             block *= j_scale
             block[rows, i] += t_pow[i - 1]
-            block += (beta * t_pow[i - 1])[:, None] * psi[lo - 1: hi - 1]
+            block[:, :hi] += (beta * t_pow[i - 1])[:, None] * _product_rows(psi, lo, hi)
             block *= row_scale
     out[0] = 2.0 * out[1] - out[2]
     return out

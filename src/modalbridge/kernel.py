@@ -101,7 +101,17 @@ class TimeGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n + 1)
+        """The read-only nodes t_0..t_n, one cached array per (T, n)."""
+        return _nodes_cache.get((self.T, self.n), lambda: _build_nodes(self.T, self.n))
+
+
+_nodes_cache = OperatorCache(32)
+
+
+def _build_nodes(T: float, n: int) -> np.ndarray:
+    t = np.linspace(0.0, T, n + 1)
+    t.flags.writeable = False
+    return t
 
 
 # -- kernel evaluation -------------------------------------------------------

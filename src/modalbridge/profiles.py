@@ -31,8 +31,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .opcache import OperatorCache
 
-__all__ = ["SingularProfile", "moment_increments", "pair_fractions", "product_integrate",
-           "product_matrix"]
+__all__ = ["SingularProfile", "moment_increments", "pair_fractions", "product_integrate"]
 
 _GL_NODES, _GL_WEIGHTS = roots_legendre(12)
 _DEG = 12          # Chebyshev degree of the per-panel antiderivative
@@ -263,14 +262,23 @@ def _product_matrix(profile: SingularProfile, n: int) -> np.ndarray:
     p = np.zeros((n, n + 1))
     for lo in range(1, n + 1, _BLOCK):
         hi = min(lo + _BLOCK, n + 1)
-        d0 = moment_increments(profile.moment0, lo, hi)
-        d1 = moment_increments(profile.moment1, lo, hi)
-        i = np.arange(lo, hi, dtype=float)[:, None]
-        j = np.arange(hi, dtype=float)
-        p[lo - 1:hi - 1, :hi] = ((j + 1.0) * d0[:, 1:] - i * d1[:, 1:]
-                                 + i * d1[:, :-1] - (j - 1.0) * d0[:, :-1])
+        p[lo - 1:hi - 1, :hi] = _product_rows(profile, lo, hi)
     p.flags.writeable = False
     return p
+
+
+def _product_rows(profile: SingularProfile, lo: int, hi: int) -> np.ndarray:
+    """Rows i = lo..hi-1 of the product-integration matrix, at columns 0..hi-1.
+
+    Row i is row i-1 of _product_matrix on any grid of at least i steps; its
+    columns past i are zero.  A caller that needs the matrix only once can
+    consume it one block of rows at a time, without building all of it.
+    """
+    d0 = moment_increments(profile.moment0, lo, hi)
+    d1 = moment_increments(profile.moment1, lo, hi)
+    i = np.arange(lo, hi, dtype=float)[:, None]
+    j = np.arange(hi, dtype=float)
+    return (j + 1.0) * d0[:, 1:] - i * d1[:, 1:] + i * d1[:, :-1] - (j - 1.0) * d0[:, :-1]
 
 
 def moment_increments(moment, lo: int, hi: int) -> np.ndarray:
@@ -287,7 +295,8 @@ def moment_increments(moment, lo: int, hi: int) -> np.ndarray:
 
 
 _BLOCK = 64  # rows of a product-integration matrix built per pass
-_table_cache = OperatorCache(3)
+# the kernel transform's matrices (apply_KH): two slots keep a round trip's two grid sizes
+_table_cache = OperatorCache(2)
 
 
 def product_integrate(profile: SingularProfile, t: np.ndarray, f: np.ndarray,
@@ -301,10 +310,5 @@ def product_integrate(profile: SingularProfile, t: np.ndarray, f: np.ndarray,
     """
     n = len(t) - 1
     out = np.zeros(n + 1)
-    out[1:] = product_matrix(profile, n, key) @ f
+    out[1:] = _table_cache.get((key, n), lambda: _product_matrix(profile, n)) @ f
     return out
-
-
-def product_matrix(profile: SingularProfile, n: int, key) -> np.ndarray:
-    """The read-only product-integration matrix of one profile on n steps, cached per (key, n)."""
-    return _table_cache.get((key, n), lambda: _product_matrix(profile, n))

@@ -3,11 +3,16 @@
 ``reference_invert_KH`` is the pointwise route of the inverse kernel
 transform that fraccalc.invert_KH followed before it became one matrix
 product, kept here as the reference the operator tests compare against.
+
+``reference_eval_drift`` is the tree walk that driftspec.eval_drift ran on
+every call before expressions were compiled into plans at parse time, kept
+here as the reference the compiled evaluator is compared against.
 """
 
 import numpy as np
 import pytest
 
+from modalbridge.driftspec import BinOp, Call, DriftDomainError, Neg, Num, Var, _bad_example
 from modalbridge.fraccalc import (_derivative_by_differencing, _marchaud_tail, _psi_profile,
                                   _rl_apply)
 from modalbridge.profiles import product_integrate
@@ -72,3 +77,70 @@ def _reference_invert_KH(h, hurst, integrand=None):
 @pytest.fixture
 def reference_invert_KH():
     return _reference_invert_KH
+
+
+def _eval(node, env: dict):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -_eval(node.operand, env)
+    if isinstance(node, Call):
+        arg = _eval(node.arg, env)
+        if node.fn == "log":
+            bad = np.asarray(arg) <= 0.0
+            if np.any(bad):
+                raise DriftDomainError(f"log of nonpositive value {_bad_example(bad, arg)}")
+            return np.log(arg)
+        if node.fn == "sqrt":
+            bad = np.asarray(arg) < 0.0
+            if np.any(bad):
+                raise DriftDomainError(f"sqrt of negative value {_bad_example(bad, arg)}")
+            return np.sqrt(arg)
+        return getattr(np, node.fn if node.fn != "abs" else "abs")(arg)
+    assert isinstance(node, BinOp)
+    left = _eval(node.left, env)
+    right = _eval(node.right, env)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if node.op == "/":
+        bad = np.asarray(right) == 0.0
+        if np.any(bad):
+            raise DriftDomainError(f"division by zero (denominator {_bad_example(bad, right)})")
+        return left / right
+    # node.op == "^"
+    lneg = np.asarray(left) < 0.0
+    if np.any(lneg):
+        r = np.asarray(right, dtype=float)
+        frac = r != np.floor(r)
+        if np.any(lneg & (frac if frac.ndim else np.full(np.shape(lneg), frac))):
+            raise DriftDomainError(
+                f"negative base under non-integer power ({_bad_example(lneg, left, right)})"
+            )
+    with np.errstate(over="raise", divide="raise"):
+        try:
+            return np.power(np.asarray(left, dtype=float), right)
+        except FloatingPointError as exc:
+            raise DriftDomainError(f"power overflow: {exc}") from None
+
+
+def _reference_eval_drift(expr, t, x, y):
+    """A drift at (t, x, y) by walking its expression tree."""
+    out = _eval(expr.ast, {"t": t, "x": x, "y": y})
+    shape = np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(y))
+    if shape == ():
+        return float(out)
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape).copy()
+    return out
+
+
+@pytest.fixture
+def reference_eval_drift():
+    return _reference_eval_drift

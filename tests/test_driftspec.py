@@ -1,4 +1,7 @@
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -159,6 +162,160 @@ def test_domain_errors_not_nan():
     # array path: one bad entry anywhere raises
     with pytest.raises(DriftDomainError):
         eval_drift(parse_drift("log(x)"), 0.0, np.array([1.0, -0.5, 2.0]), 0.0)
+
+
+# -- the compiled evaluator against the tree-walk reference ----------------------
+
+# every node type, all 7 functions, and "^" with scalar and array exponents
+COMPILED_CASES = [
+    "1.5", "t", "x", "y", "-x", "--y", "x + y", "x - t", "x * y", "x / (2 + t)",
+    "sin(x)", "cos(y)", "exp(x / 4)", "log(2 + t)", "sqrt(abs(y))", "abs(x)", "tanh(y)",
+    "x ^ 2", "(t - 2) ^ 3", "abs(x) ^ 0.5", "abs(x) ^ y", "2 ^ y", "(1 + t) ^ -x",
+    "0.5*sin(x) - cos(y)*t + log(1 + x^2) / (3 + tanh(y))",
+]
+
+
+def _inputs(rng):
+    """(t, x, y) triples: Python floats, a numpy scalar time with state arrays (the
+    forward Euler step), equal-shape arrays (the density and bridge grids), and
+    shapes that broadcast."""
+    m = 5
+    t = np.linspace(0.0, 1.0, m)
+    x, y = rng.uniform(-2.0, 2.0, (2, m))
+    return [
+        (0.3, -1.25, 0.75),
+        (t[2], x, y),
+        (t, x, y),
+        (t, x[:, None] + 0.0 * t, y[:, None] + 0.0 * t),
+        (t, x[:, None], 0.5),
+        (np.float64(0.5), np.float64(-0.4), np.float64(1.1)),
+    ]
+
+
+def _same_result(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("src", COMPILED_CASES)
+def test_compiled_evaluator_matches_tree_walk_bit_for_bit(src, reference_eval_drift):
+    expr = parse_drift(src)
+    for t, x, y in _inputs(np.random.default_rng(7)):
+        _same_result(eval_drift(expr, t, x, y), reference_eval_drift(expr, t, x, y))
+
+
+DOMAIN_ERRORS = [
+    ("log(x)", 0.0, -1.0, 0.0, "log of nonpositive value -1"),
+    ("log(x)", 0.0, np.array([1.0, -0.5, 2.0]), 0.0, "log of nonpositive value -0.5"),
+    ("log(x - y)", 0.0, 1.0, 1.0, "log of nonpositive value 0"),
+    ("sqrt(y)", 0.0, 0.0, -2.0, "sqrt of negative value -2"),
+    ("sqrt(y)", 0.0, 0.0, np.array([4.0, 0.0, -0.25]), "sqrt of negative value -0.25"),
+    ("1/x", 0.0, 0.0, 1.0, "division by zero (denominator 0)"),
+    ("x/(y - 1)", 0.0, np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 2.0]),
+     "division by zero (denominator 0)"),
+    ("x/0", 0.0, 3.0, 0.0, "division by zero (denominator 0)"),
+    ("x^0.5", 0.0, -4.0, 0.0, "negative base under non-integer power (-4, 0.5)"),
+    ("10^x", 0.0, 400.0, 0.0, "power overflow: overflow encountered in power"),
+    ("x^(-1)", 0.0, 0.0, 0.0, "power overflow: divide by zero encountered in power"),
+    ("x^y", 0.0, np.array([2.0, 0.0]), np.array([1.0, -2.0]),
+     "power overflow: divide by zero encountered in power"),
+]
+
+
+@pytest.mark.parametrize("src, t, x, y, message", DOMAIN_ERRORS)
+def test_domain_error_messages_word_for_word(src, t, x, y, message, reference_eval_drift):
+    expr = parse_drift(src)
+    for evaluate in (eval_drift, reference_eval_drift):
+        with pytest.raises(DriftDomainError) as err:
+            evaluate(expr, t, x, y)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("src, x, y", [
+    ("x^y", np.array([1.0, -2.0, -3.0]), np.array([0.5, 2.0, 0.5])),
+    ("(-2)^y", 0.0, np.array([2.0, 1.5])),
+])
+def test_negative_base_under_an_array_exponent_raises(src, x, y, reference_eval_drift):
+    # only the prefix is pinned: the example point after it is not yet the bad one
+    expr = parse_drift(src)
+    for evaluate in (eval_drift, reference_eval_drift):
+        with pytest.raises(DriftDomainError, match=r"^negative base under non-integer power \("):
+            evaluate(expr, 0.0, x, y)
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])
+def test_domain_error_of_the_first_failing_operand_wins(op, reference_eval_drift):
+    # operands run left to right, so the log fails before the sqrt is reached
+    expr = parse_drift(f"log(x) {op} sqrt(y)")
+    for evaluate in (eval_drift, reference_eval_drift):
+        with pytest.raises(DriftDomainError, match="^log of nonpositive value -1$"):
+            evaluate(expr, 0.0, -1.0, -4.0)
+
+
+def test_result_types_broadcasting_and_aliasing():
+    # a scalar input gives a Python float, also for a constant drift
+    assert type(eval_drift(parse_drift("x + 1"), 0.0, 2.0, 0.0)) is float
+    assert type(eval_drift(parse_drift("2.5"), 0.0, 0.0, 0.0)) is float
+    assert type(eval_drift(parse_drift("x"), 0.0, np.array(1.5), 0.0)) is float
+    assert type(eval_drift(parse_drift("x"), np.float64(0.0), np.array(1.5), np.zeros(()))) is float
+    x = np.linspace(-1.0, 1.0, 6)
+    y = np.zeros(6)
+    # a constant or t-only drift broadcasts to the state's shape, as a fresh array
+    const = eval_drift(parse_drift("2.5"), 0.1, x, y)
+    assert const.shape == (6,) and const.flags.writeable and np.all(const == 2.5)
+    t = np.linspace(0.0, 1.0, 4)
+    timed = eval_drift(parse_drift("sin(t)"), t, np.zeros((3, 1)), 0.0)
+    assert timed.shape == (3, 4)
+    np.testing.assert_array_equal(timed, np.broadcast_to(np.sin(t), (3, 4)))
+    # the drift x returns its input, as the tree walk did: callers must not write into it
+    assert eval_drift(parse_drift("x"), 0.1, x, y) is x
+    # a narrower input is broadcast into a new array
+    wide = eval_drift(parse_drift("x"), np.zeros((2, 6)), x, y)
+    assert wide.shape == (2, 6) and not np.shares_memory(wide, x)
+
+
+def test_plan_is_not_part_of_equality_and_survives_pickling():
+    a, b = parse_drift("0.5*x + sin(t)"), parse_drift("0.5*x + sin(t)")
+    assert callable(a.plan)
+    assert a == b and hash(a) == hash(b) and a.plan is not b.plan
+    assert "plan" not in repr(a)
+    again = pickle.loads(pickle.dumps(a))
+    assert again == a and eval_drift(again, 1.0, 2.0, 0.0) == eval_drift(a, 1.0, 2.0, 0.0)
+
+
+def test_threads_share_one_plan_bit_for_bit():
+    expr = parse_drift("0.5*sin(x) - cos(y)*t + log(1 + x^2) / (3 + tanh(y)) + abs(y)^0.5")
+    rng = np.random.default_rng(11)
+    inputs = [(rng.uniform(0.0, 1.0), rng.uniform(-3.0, 3.0, 257), rng.uniform(-3.0, 3.0, 257))
+              for _ in range(16)]
+    want = [eval_drift(expr, *args).tobytes() for args in inputs]
+    errors, wrong = [], []
+
+    def worker(w):
+        try:
+            for rep in range(200):
+                i = (w + rep) % len(inputs)
+                if eval_drift(expr, *inputs[i]).tobytes() != want[i]:
+                    wrong.append(i)
+        except Exception as exc:  # recorded; the assertion below reports it
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == [] and wrong == []
 
 
 # -- classification ---------------------------------------------------------------

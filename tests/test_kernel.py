@@ -38,6 +38,16 @@ def test_time_grid():
         TimeGrid(1.0, 1)
 
 
+def test_time_grid_nodes_are_one_cached_read_only_array():
+    a, b = TimeGrid(0.75, 96), TimeGrid(0.75, 96)
+    assert a.nodes is b.nodes and a.nodes is a.nodes
+    assert a.nodes.tobytes() == np.linspace(0.0, 0.75, 97).tobytes()
+    assert not a.nodes.flags.writeable
+    with pytest.raises(ValueError):
+        a.nodes[1] = 0.0
+    assert TimeGrid(0.75, 95).nodes is not a.nodes and TimeGrid(0.5, 96).nodes is not a.nodes
+
+
 def test_kernel_brownian_case():
     h = Hurst(0.5)
     assert kernel_hyp(1.0, 0.5, h) == 1.0
