@@ -27,8 +27,6 @@ from .opcache import OperatorCache
 __all__ = [
     "GaussianConditioner",
     "condition_gaussian",
-    "CovBlocks",
-    "cov_blocks",
     "modal_coeffs",
     "modal_path",
     "ModalPath",
@@ -85,41 +83,13 @@ def condition_gaussian(g: GaussianConditioner):
     return cond_mean, cond_cov
 
 
-# -- covariance blocks of (X_t, Y_t; X_T, Y_T) under the driftless law -----------
-
-@dataclass(frozen=True)
-class CovBlocks:
-    """Sigma(T) (terminal 2x2) and Sigma(t; T) (per-node 2x2 cross blocks)."""
-
-    sigma_T: np.ndarray
-    sigma_tT: np.ndarray  # shape (n+1, 2, 2)
-
+# -- terminal covariance of (X_T, Y_T) under the driftless law -------------------
 
 def terminal_cov(model: ModelSpec) -> np.ndarray:
     """Sigma(T) = [[T, rho_H T^(H+1/2)], [rho_H T^(H+1/2), T^(2H)]]."""
     T, H = model.T, model.H
     off = model.rho_H * T ** (H + 0.5)
     return np.array([[T, off], [off, T ** (2.0 * H)]])
-
-
-def cov_blocks(model: ModelSpec, grid: TimeGrid) -> CovBlocks:
-    """Covariance blocks on the grid.
-
-    Sigma(t;T) rows: [[t, rho int_0^t K_H(T,u) du],
-                      [rho_H t^(H+1/2), R_H(t, T)]].
-    """
-    if abs(grid.T - model.T) > 1e-12 * model.T:
-        raise ValueError("grid horizon must match the model horizon")
-    t = grid.nodes
-    T, H = model.T, model.H
-    hurst = model.hurst
-    part = kernel_partial_integral(t, T, hurst)
-    blocks = np.empty((grid.n + 1, 2, 2))
-    blocks[:, 0, 0] = t
-    blocks[:, 0, 1] = model.rho * part
-    blocks[:, 1, 0] = model.rho_H * t ** (H + 0.5)
-    blocks[:, 1, 1] = autocovariance(t, T, hurst)
-    return CovBlocks(sigma_T=terminal_cov(model), sigma_tT=blocks)
 
 
 # -- modal path -------------------------------------------------------------------

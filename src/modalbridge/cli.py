@@ -4,19 +4,24 @@ Subcommands::
 
     modalbridge kernel      --config cfg.json --out DIR     kernel values as CSV
     modalbridge modal-path  --config cfg.json --out DIR     modal path as CSV (+SVG)
+                            [--format csv|svg]
     modalbridge modal-path  --figure-grid --out DIR         the 16-curve preset
     modalbridge density     --config cfg.json [--out DIR]   approximation as JSON
     modalbridge simulate    --config cfg.json [--out DIR]   forward MC as JSON (+CSV)
+                            [--seed N]
     modalbridge bridge-mc   --config cfg.json [--out DIR]   bridge MC as JSON
+                            [--seed N]
     modalbridge validate    [--quick] [--out DIR]           acceptance suite
 
-Exit codes: 0 ok, 1 validation failure, 2 config error, 3 numerical error,
-4 unsupported parameter.  CSV output is deterministic byte-for-byte for a
-given (config, seed): floats are printed with 17 significant digits, LF line
-endings, UTF-8, header row always present.  The Monte Carlo estimators run
-their row blocks on as many worker threads as there are usable cores, or on
-MODALBRIDGE_THREADS of them (1 runs serially); the worker count never changes
-results, which are byte-identical for a fixed BLAS thread setting.
+Each subcommand accepts only the flags it reads; any other flag is a usage
+error.  Exit codes: 0 ok, 1 validation failure, 2 config or usage error,
+3 numerical error, 4 unsupported parameter.  CSV output is deterministic
+byte-for-byte for a given (config, seed): floats are printed with 17
+significant digits, LF line endings, UTF-8, header row always present.  The
+Monte Carlo estimators run their row blocks on as many worker threads as there
+are usable cores, or on MODALBRIDGE_THREADS of them (1 runs serially); the
+worker count never changes results, which are byte-identical for a fixed BLAS
+thread setting.
 """
 
 from __future__ import annotations
@@ -400,39 +405,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "Brownian motion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--config": dict(help="JSON configuration file"),
+        "--seed": dict(type=int, default=None, help="RNG seed override"),
+        "--out": dict(help="output directory"),
+    }
 
-    def common(p):
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json", "svg"), default=None)
+    def command(name, fn, help, *names):
+        """A subcommand with only the shared flags it reads."""
+        p = sub.add_parser(name, help=help)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("kernel", help="evaluate both kernel forms on a grid")
-    common(p)
-    p.set_defaults(fn=cmd_kernel)
-
-    p = sub.add_parser("modal-path", help="modal path and bridge coefficients")
-    common(p)
+    command("kernel", cmd_kernel, "evaluate both kernel forms on a grid", "--config", "--out")
+    p = command("modal-path", cmd_modal_path, "modal path and bridge coefficients",
+                "--config", "--out")
+    p.add_argument("--format", choices=("csv", "svg"), default=None,
+                   help="svg adds SVG charts; default: CSV only, or CSV and SVG "
+                        "with --figure-grid")
     p.add_argument("--figure-grid", action="store_true",
                    help="emit the 16-curve preset (rho x H grid)")
-    p.set_defaults(fn=cmd_modal_path)
-
-    p = sub.add_parser("density", help="modal-path density approximation")
-    common(p)
-    p.set_defaults(fn=cmd_density)
-
-    p = sub.add_parser("simulate", help="forward Monte Carlo density estimate")
-    common(p)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("bridge-mc", help="bridge-measure Monte Carlo density")
-    common(p)
-    p.set_defaults(fn=cmd_bridge_mc)
-
-    p = sub.add_parser("validate", help="run the acceptance suite")
-    common(p)
+    command("density", cmd_density, "modal-path density approximation", "--config", "--out")
+    command("simulate", cmd_simulate, "forward Monte Carlo density estimate",
+            "--config", "--seed", "--out")
+    command("bridge-mc", cmd_bridge_mc, "bridge-measure Monte Carlo density",
+            "--config", "--seed", "--out")
+    p = command("validate", cmd_validate, "run the acceptance suite", "--out")
     p.add_argument("--quick", action="store_true", help="reduced-scale subset")
-    p.set_defaults(fn=cmd_validate)
 
     return parser
 

@@ -316,9 +316,9 @@ def parse_drift(source: str) -> DriftExpr:
 # -- evaluation -----------------------------------------------------------------
 
 def _bad_example(mask, *vals):
+    """Each of vals, broadcast to the shape of mask, read at mask's first true entry."""
     idx = np.argmax(mask)
-    return ", ".join(f"{np.atleast_1d(v).ravel()[idx if np.ndim(v) else 0]:g}"
-                     for v in vals)
+    return ", ".join(f"{np.broadcast_to(v, np.shape(mask)).flat[idx]:g}" for v in vals)
 
 
 def _compile(node: Node):
@@ -359,10 +359,10 @@ def _compile(node: Node):
         lneg = np.asarray(base) < 0.0
         if lneg.any():
             r = np.asarray(expo, dtype=float)
-            frac = r != np.floor(r)
-            if np.any(lneg & (frac if frac.ndim else np.full(np.shape(lneg), frac))):
+            bad = lneg & (r != np.floor(r))
+            if np.any(bad):
                 raise DriftDomainError(
-                    f"negative base under non-integer power ({_bad_example(lneg, base, expo)})"
+                    f"negative base under non-integer power ({_bad_example(bad, base, expo)})"
                 )
         with np.errstate(over="raise", divide="raise"):
             try:

@@ -1,4 +1,4 @@
-"""The fBm Volterra kernel, its integrals, joint covariances, and exact sampling.
+"""The fBm Volterra kernel, its integrals, and the joint covariance of (B, B^H).
 
 The kernel K_H(t, s) is evaluated in two equivalent closed forms:
 
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from .opcache import OperatorCache
@@ -39,10 +38,8 @@ __all__ = [
     "autocovariance",
     "kernel_total_integral",
     "kernel_partial_integral",
-    "kernel_partial_integral_quad",
     "volterra_weight_matrix",
     "joint_cov_matrix",
-    "sample_joint_paths",
     "cholesky_with_jitter",
     "NumericalConditioningError",
 ]
@@ -260,40 +257,7 @@ def kernel_partial_integral(tau: float, t: float, hurst: Hurst):
     return float(out) if np.ndim(tau) == 0 else out
 
 
-def kernel_partial_integral_quad(tau: float, t: float, hurst: Hurst,
-                                 epsrel: float = 1e-11) -> float:
-    """Adaptive (QUADPACK QAWS) evaluation of int_0^tau K_H(t, u) du.
-
-    Independent of the profile route; used as a cross-check oracle in tests.
-    QAWS integrates u^b (tau-u)^a f(u), so f carries the smooth remainder of
-    the kernel after the endpoint factors are peeled off.
-    """
-    if not 0.0 <= tau <= t:
-        raise ValueError(f"tau must lie in [0, t], got tau={tau}, t={t}")
-    if tau == 0.0:
-        return 0.0
-    if hurst.is_brownian:
-        return tau
-    H = hurst.H
-    b0 = -abs(H - 0.5)
-    at_top = tau == t
-    a = H - 0.5 if at_top else 0.0
-
-    def f(u):
-        if u < 1e-250 * t:
-            lead = _leading_coef(hurst) * t ** (-b0)
-            return lead if at_top else lead * t ** (H - 0.5)
-        fac = float(hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / u))
-        if at_top:
-            return hurst.c_H * fac * u ** (-b0)
-        return hurst.c_H * fac * (t - u) ** (H - 0.5) * u ** (-b0)
-
-    val, _ = quad(f, 0.0, tau, weight="alg", wvar=(b0, a), limit=200,
-                  epsabs=1e-14, epsrel=epsrel)
-    return val
-
-
-# -- joint covariance and exact sampling --------------------------------------
+# -- joint covariance ----------------------------------------------------------
 
 _MAX_JITTER_FRAC = 1e-10  # largest jitter of cholesky_with_jitter, as a fraction of the trace
 
@@ -366,7 +330,11 @@ def joint_cov_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
 
 
 def draw_joint_paths(grid: TimeGrid, hurst: Hurst, rng: np.random.Generator, count: int):
-    """Joint (B, B^H) node draw from a generator; see sample_joint_paths.
+    """Joint (B, B^H) node paths, each (count, n + 1) with a zero first column.
+
+    No library code calls this: the forward simulation draws its noise from
+    mc._forward_factor.  It stays only while the benchmark's tracer names it
+    as a span target; the tests use it as an exact joint sampler.
 
     At H = 1/2 the joint covariance is exactly singular (B^H = B), so the
     Brownian path is drawn directly and duplicated instead of jittering.
@@ -385,15 +353,3 @@ def draw_joint_paths(grid: TimeGrid, hurst: Hurst, rng: np.random.Generator, cou
     b[:, 1:] = paths[:, :n]
     bh[:, 1:] = paths[:, n:]
     return b, bh
-
-
-def sample_joint_paths(grid: TimeGrid, hurst: Hurst, seed: int, count: int):
-    """Exact joint (B, B^H) paths via Cholesky of the joint covariance.
-
-    Returns (b_paths, bh_paths), each of shape (count, n + 1) with zero first
-    column.  Deterministic for a fixed seed (counter-based Philox stream).
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return draw_joint_paths(grid, hurst, rng, count)

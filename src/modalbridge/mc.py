@@ -141,13 +141,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Terminal samples of (X_T, Y_T), reproducible from (seed, model, config)."""
+    """Terminal samples of (X_T, Y_T), one entry per path in chunk order."""
 
     terminal_x: np.ndarray
     terminal_y: np.ndarray
-    seed: int
-    model_fingerprint: str
-    full_paths: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if len(self.terminal_x) != len(self.terminal_y):
@@ -194,12 +191,6 @@ def _worker_count(workers: Optional[int]) -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _fingerprint(model: ModelSpec) -> str:
-    return (f"H={model.H:.17g};rho={model.rho:.17g};x0={model.x0:.17g};"
-            f"y0={model.y0:.17g};T={model.T:.17g};h1={model.h1.to_source()};"
-            f"h2={model.h2.to_source()}")
 
 
 def _block_rng(seed: int, k: int, b: int) -> np.random.Generator:
@@ -312,7 +303,6 @@ def _run_blocks(config: SimConfig, kernel, workers: Optional[int]) -> list:
 
 def simulate_forward(model: ModelSpec, config: SimConfig,
                      workers: Optional[int] = None,
-                     keep_paths: bool = False,
                      warn_horizon: bool = True) -> PathEnsemble:
     """Simulate (X_T, Y_T) under the drifted law.
 
@@ -356,9 +346,6 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
             drift2 += np.asarray(h2v) * dt
             x = np.add(noise[i], drift1, out=noise[i])
             y = np.add(noise[n + i], drift2, out=noise[n + i])
-        if keep_paths:
-            return (np.vstack([np.full(m, x0), noise[:n]]).T,
-                    np.vstack([np.full(m, y0), noise[n:]]).T)
         return x.copy(), y.copy()  # rows of noise: copies let it go
 
     # the bits of the factor, and of a time-major product, depend on the BLAS
@@ -367,12 +354,7 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
         factor = _forward_factor(grid, model)  # here, so worker threads never touch the cache
         blocks = [r for chunk in _run_blocks(config, run_block, workers) for r in chunk]
     xs, ys = (np.concatenate([r[j] for r in blocks]) for j in (0, 1))
-    if keep_paths:
-        return PathEnsemble(terminal_x=xs[:, -1].copy(), terminal_y=ys[:, -1].copy(),
-                            seed=config.seed, model_fingerprint=_fingerprint(model),
-                            full_paths=(xs, ys))
-    return PathEnsemble(terminal_x=xs, terminal_y=ys, seed=config.seed,
-                        model_fingerprint=_fingerprint(model))
+    return PathEnsemble(terminal_x=xs, terminal_y=ys)
 
 
 _factor_cache = OperatorCache(4)

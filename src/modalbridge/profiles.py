@@ -31,7 +31,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .opcache import OperatorCache
 
-__all__ = ["SingularProfile", "moment_increments", "pair_fractions", "product_integrate"]
+__all__ = ["SingularProfile", "moment_increments", "product_integrate"]
 
 _GL_NODES, _GL_WEIGHTS = roots_legendre(12)
 _DEG = 12          # Chebyshev degree of the per-panel antiderivative
@@ -231,19 +231,6 @@ class SingularProfile:
 
 
 # -- grid product integration ---------------------------------------------
-
-def pair_fractions(n: int):
-    """All fractions j/i for i = 1..n, j = 0..i, flattened row-major.
-
-    Returns (xs, row_starts) where row i occupies xs[row_starts[i-1] :
-    row_starts[i-1] + i + 1].
-    """
-    ii = np.repeat(np.arange(1, n + 1), np.arange(2, n + 2))
-    jj = np.concatenate([np.arange(i + 1) for i in range(1, n + 1)])
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(np.arange(2, n + 1), out=starts[1:])
-    return jj / ii, starts
-
 
 def _product_matrix(profile: SingularProfile, n: int) -> np.ndarray:
     """Product-integration matrix P of one profile on the n-step unit grid.

@@ -3,48 +3,18 @@
 All three are thin, domain-checked fronts over ``scipy.special``.  The kernel
 formulas only ever evaluate 2F1 at arguments z <= 0 (z = 1 - t/s for
 0 < s <= t), so positive z is rejected outright rather than half-supported.
-
-A plain Pfaff-transformed series (:func:`hyp2f1_series`) is kept as a slow
-reference implementation; the test suite uses it to cross-check the scipy
-route on moderately negative arguments.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
 
 __all__ = [
-    "PrecisionPolicy",
     "gamma_fn",
     "beta_fn",
     "hyp2f1",
-    "hyp2f1_series",
 ]
-
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Truncation policy for series evaluation.
-
-    Attributes
-    ----------
-    abs_tol : float
-        Absolute term size at which a series is considered converged.
-    max_terms : int
-        Hard cap on the number of series terms.
-    """
-
-    abs_tol: float = 1e-12
-    max_terms: int = 10000
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
 def gamma_fn(x):
@@ -99,33 +69,3 @@ def hyp2f1(a, b, c, z):
     out = sp.hyp2f1(a, b, c, z)
     out = np.where(z == 0.0, 1.0, out)
     return float(out) if out.ndim == 0 else out
-
-
-def hyp2f1_series(a: float, b: float, c: float, z: float,
-                  policy: PrecisionPolicy = PrecisionPolicy()) -> float:
-    """Reference 2F1 via the Pfaff transformation plus direct series.
-
-    F(a, b, c; z) = (1 - z)^(-a) F(a, c - b, c; z / (z - 1)) maps z <= 0 into
-    w in [0, 1), where the series converges.  Convergence degrades as w -> 1
-    (i.e. z -> -inf); this is a test oracle, not the production route.
-    """
-    _check_c(c)
-    if z > 0.0:
-        raise ValueError(f"hyp2f1_series is only supported for z <= 0, got {z}")
-    if a == 0.0 or b == 0.0 or z == 0.0:
-        return 1.0
-    w = z / (z - 1.0)
-    b2 = c - b
-    term = 1.0
-    total = 1.0
-    for k in range(policy.max_terms):
-        term *= (a + k) * (b2 + k) / ((c + k) * (k + 1.0)) * w
-        total += term
-        if abs(term) <= policy.abs_tol * max(1.0, abs(total)):
-            break
-    else:
-        raise RuntimeError(
-            f"hyp2f1_series did not converge within {policy.max_terms} terms "
-            f"(a={a}, b={b}, c={c}, z={z})"
-        )
-    return (1.0 - z) ** (-a) * total

@@ -5,11 +5,6 @@ executes them in order and aggregates a machine-readable report.  The quick
 mode shrinks the Monte Carlo scales (and skips the long asymptotic-trend run)
 so a smoke pass finishes in well under a minute; the full mode runs every
 check at its shipped tolerance.
-
-Test hook: the environment variable MODALBRIDGE_TEST_KAPPA_SCALE multiplies
-the closed-form side of the kernel-integral identity in criterion 1, so a
-deliberately corrupted constant makes the suite fail (used by the CLI tests
-to exercise the failure path).
 """
 
 from __future__ import annotations
@@ -24,11 +19,12 @@ import numpy as np
 from .bridge import GaussianConditioner, condition_gaussian, modal_coeffs, modal_path
 from .density import approx_density, exact_timeonly_density, gaussian_prefactor
 from .driftspec import ModelSpec, parse_drift
-from .fraccalc import GridFunction, apply_KH, invert_KH
+from .fraccalc import GridFunction, _inverse_cache, apply_KH, invert_KH
 from .kernel import (Hurst, TimeGrid, kernel_alt, kernel_hyp,
                      kernel_partial_integral, kernel_total_integral)
 from .mc import (BinEstimator, DensityEstimate, KdeEstimator, SimConfig, bridge_mc_density,
                  estimate_density_at, simulate_forward)
+from .profiles import _table_cache
 
 __all__ = ["CriterionResult", "ValidationReport", "run_validation", "CRITERIA"]
 
@@ -80,13 +76,12 @@ def _zero_model(H: float, rho: float, T: float = 1.0) -> ModelSpec:
 
 def crit_kernel_integral_identity(quick: bool) -> tuple:
     """1: quadrature of int_0^t K_H(t,u) du vs kappa_H t^(H+1/2), rel 1e-6."""
-    scale = float(os.environ.get("MODALBRIDGE_TEST_KAPPA_SCALE", "1.0"))
     worst = 0.0
     for H in _H_SET:
         hurst = Hurst(H)
         for t in (0.1, 1.0, 2.0):
             quad_val = kernel_partial_integral(t, t, hurst)
-            closed = kernel_total_integral(t, hurst) * scale
+            closed = kernel_total_integral(t, hurst)
             worst = max(worst, abs(quad_val - closed) / abs(closed))
     return worst <= 1e-6, f"max relative deviation {worst:.3e} (tolerance 1e-6)"
 
@@ -118,22 +113,28 @@ def crit_operator_round_trip(quick: bool) -> tuple:
     }
     lines = []
     ok = True
-    for H in (0.25, 0.5, 0.75):
-        hurst = Hurst(H)
-        for name, fn in fns.items():
-            errs = {}
-            for n in (n_lo, n_hi):
-                grid = TimeGrid(1.0, n)
-                f = fn(grid.nodes)
-                image = apply_KH(GridFunction(grid, f), hurst)
-                back = invert_KH(image, hurst).values
-                lo = int(0.02 * n)
-                errs[n] = float(np.max(np.abs(back[lo:] - f[lo:])))
-            ratio = errs[n_lo] / max(errs[n_hi], 1e-300)
-            good = errs[n_lo] <= tol and (ratio >= 1.5 or errs[n_hi] <= 1e-9)
-            ok = ok and good
-            lines.append(f"H={H} f={name}: err({n_lo})={errs[n_lo]:.2e} "
-                         f"ratio={ratio:.2f}{'' if good else ' FAIL'}")
+    try:
+        for H in (0.25, 0.5, 0.75):
+            hurst = Hurst(H)
+            for name, fn in fns.items():
+                errs = {}
+                for n in (n_lo, n_hi):
+                    grid = TimeGrid(1.0, n)
+                    f = fn(grid.nodes)
+                    image = apply_KH(GridFunction(grid, f), hurst)
+                    back = invert_KH(image, hurst).values
+                    lo = int(0.02 * n)
+                    errs[n] = float(np.max(np.abs(back[lo:] - f[lo:])))
+                ratio = errs[n_lo] / max(errs[n_hi], 1e-300)
+                good = errs[n_lo] <= tol and (ratio >= 1.5 or errs[n_hi] <= 1e-9)
+                ok = ok and good
+                lines.append(f"H={H} f={name}: err({n_lo})={errs[n_lo]:.2e} "
+                             f"ratio={ratio:.2f}{'' if good else ' FAIL'}")
+    finally:
+        # no later criterion uses these grids (at full scale, L and the product
+        # matrices hold several hundred MB)
+        _inverse_cache.clear()
+        _table_cache.clear()
     return ok, "; ".join(lines)
 
 

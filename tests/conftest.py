@@ -7,16 +7,123 @@ product, kept here as the reference the operator tests compare against.
 ``reference_eval_drift`` is the tree walk that driftspec.eval_drift ran on
 every call before expressions were compiled into plans at parse time, kept
 here as the reference the compiled evaluator is compared against.
+
+``kernel_partial_integral_quad`` (QUADPACK QAWS), ``hyp2f1_series`` with its
+``PrecisionPolicy``, and ``pair_fractions`` are independent oracles for the
+kernel integrals, the 2F1 route and the product-integration tables; the
+tests import them from here.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from modalbridge.driftspec import BinOp, Call, DriftDomainError, Neg, Num, Var, _bad_example
 from modalbridge.fraccalc import (_derivative_by_differencing, _marchaud_tail, _psi_profile,
                                   _rl_apply)
+from modalbridge.kernel import Hurst, _leading_coef
 from modalbridge.profiles import product_integrate
-from modalbridge.special import gamma_fn
+from modalbridge.special import _check_c, gamma_fn, hyp2f1
+
+
+def kernel_partial_integral_quad(tau: float, t: float, hurst: Hurst,
+                                 epsrel: float = 1e-11) -> float:
+    """Adaptive (QUADPACK QAWS) evaluation of int_0^tau K_H(t, u) du.
+
+    Independent of the profile route; used as a cross-check oracle in tests.
+    QAWS integrates u^b (tau-u)^a f(u), so f carries the smooth remainder of
+    the kernel after the endpoint factors are peeled off.
+    """
+    if not 0.0 <= tau <= t:
+        raise ValueError(f"tau must lie in [0, t], got tau={tau}, t={t}")
+    if tau == 0.0:
+        return 0.0
+    if hurst.is_brownian:
+        return tau
+    H = hurst.H
+    b0 = -abs(H - 0.5)
+    at_top = tau == t
+    a = H - 0.5 if at_top else 0.0
+
+    def f(u):
+        if u < 1e-250 * t:
+            lead = _leading_coef(hurst) * t ** (-b0)
+            return lead if at_top else lead * t ** (H - 0.5)
+        fac = float(hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / u))
+        if at_top:
+            return hurst.c_H * fac * u ** (-b0)
+        return hurst.c_H * fac * (t - u) ** (H - 0.5) * u ** (-b0)
+
+    val, _ = quad(f, 0.0, tau, weight="alg", wvar=(b0, a), limit=200,
+                  epsabs=1e-14, epsrel=epsrel)
+    return val
+
+
+@dataclass(frozen=True)
+class PrecisionPolicy:
+    """Truncation policy for series evaluation.
+
+    Attributes
+    ----------
+    abs_tol : float
+        Absolute term size at which a series is considered converged.
+    max_terms : int
+        Hard cap on the number of series terms.
+    """
+
+    abs_tol: float = 1e-12
+    max_terms: int = 10000
+
+    def __post_init__(self) -> None:
+        if not self.abs_tol > 0:
+            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        if self.max_terms < 1:
+            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
+
+
+def hyp2f1_series(a: float, b: float, c: float, z: float,
+                  policy: PrecisionPolicy = PrecisionPolicy()) -> float:
+    """Reference 2F1 via the Pfaff transformation plus direct series.
+
+    F(a, b, c; z) = (1 - z)^(-a) F(a, c - b, c; z / (z - 1)) maps z <= 0 into
+    w in [0, 1), where the series converges.  Convergence degrades as w -> 1
+    (i.e. z -> -inf); this is a test oracle, not the production route.
+    """
+    _check_c(c)
+    if z > 0.0:
+        raise ValueError(f"hyp2f1_series is only supported for z <= 0, got {z}")
+    if a == 0.0 or b == 0.0 or z == 0.0:
+        return 1.0
+    w = z / (z - 1.0)
+    b2 = c - b
+    term = 1.0
+    total = 1.0
+    for k in range(policy.max_terms):
+        term *= (a + k) * (b2 + k) / ((c + k) * (k + 1.0)) * w
+        total += term
+        if abs(term) <= policy.abs_tol * max(1.0, abs(total)):
+            break
+    else:
+        raise RuntimeError(
+            f"hyp2f1_series did not converge within {policy.max_terms} terms "
+            f"(a={a}, b={b}, c={c}, z={z})"
+        )
+    return (1.0 - z) ** (-a) * total
+
+
+def pair_fractions(n: int):
+    """All fractions j/i for i = 1..n, j = 0..i, flattened row-major.
+
+    Returns (xs, row_starts) where row i occupies xs[row_starts[i-1] :
+    row_starts[i-1] + i + 1].
+    """
+    ii = np.repeat(np.arange(1, n + 1), np.arange(2, n + 2))
+    jj = np.concatenate([np.arange(i + 1) for i in range(1, n + 1)])
+    starts = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(2, n + 1), out=starts[1:])
+    return jj / ii, starts
 
 
 def _repair_reduced(u, t, n):
@@ -117,10 +224,10 @@ def _eval(node, env: dict):
     lneg = np.asarray(left) < 0.0
     if np.any(lneg):
         r = np.asarray(right, dtype=float)
-        frac = r != np.floor(r)
-        if np.any(lneg & (frac if frac.ndim else np.full(np.shape(lneg), frac))):
+        bad = lneg & (r != np.floor(r))
+        if np.any(bad):
             raise DriftDomainError(
-                f"negative base under non-integer power ({_bad_example(lneg, left, right)})"
+                f"negative base under non-integer power ({_bad_example(bad, left, right)})"
             )
     with np.errstate(over="raise", divide="raise"):
         try:

@@ -78,3 +78,13 @@ def test_criterion_07_bin_check_gives_zero_hits_a_poisson_bound():
     hit = DensityEstimate(0.25, 0.01, n)
     assert V._bin_agrees(hit, 0.26, area)[0]
     assert not V._bin_agrees(hit, 0.30, area)[0]
+
+
+def test_criterion_03_releases_its_grids():
+    # at full scale the inverse-transform and product matrices of its grids
+    # take several hundred MB, and no later criterion uses them
+    from modalbridge import fraccalc, profiles
+
+    V.crit_operator_round_trip(True)
+    assert not [key for key in fraccalc._inverse_cache._items if key[2] in (500, 1000)]
+    assert not [key for key in profiles._table_cache._items if key[1] in (500, 1000)]

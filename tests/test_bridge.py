@@ -4,8 +4,8 @@ import threading
 import numpy as np
 import pytest
 
-from modalbridge.bridge import (CovBlocks, GaussianConditioner, condition_gaussian,
-                                cov_blocks, modal_coeffs, modal_path, terminal_cov)
+from modalbridge.bridge import (GaussianConditioner, condition_gaussian, modal_coeffs,
+                                modal_path, terminal_cov)
 from modalbridge.driftspec import ModelSpec, parse_drift
 from modalbridge.kernel import (Hurst, NumericalConditioningError, TimeGrid, autocovariance,
                                 cholesky_with_jitter, kernel_partial_integral,
@@ -150,28 +150,13 @@ def test_terminal_cov_structure():
     assert cov[0, 1] == pytest.approx(0.7 * Hurst(0.75).kappa_H * 0.8 ** 1.25)
     det = np.linalg.det(cov)
     assert det == pytest.approx(0.8 ** (2 * 0.75 + 1) * m.rho_bar_H_sq, rel=1e-12)
-
-
-def test_cov_blocks_brownian():
-    m = zero_model(0.5, 0.3)
-    grid = TimeGrid(1.0, 4)
-    blocks = cov_blocks(m, grid)
-    for i, t in enumerate(grid.nodes):
-        np.testing.assert_allclose(blocks.sigma_tT[i],
-                                   [[t, 0.3 * t], [0.3 * t, t]], atol=1e-12)
-
-
-def test_cov_blocks_terminal_consistency():
+    # Sigma(t; T) at t = T, from the partial kernel integral and the fBm
+    # autocovariance, is Sigma(T)
     m = zero_model(0.75, 0.7)
-    grid = TimeGrid(1.0, 8)
-    blocks = cov_blocks(m, grid)
-    np.testing.assert_allclose(blocks.sigma_tT[-1], blocks.sigma_T, rtol=1e-9)
-
-
-def test_cov_blocks_grid_mismatch():
-    m = zero_model(0.3, 0.0, T=1.0)
-    with pytest.raises(ValueError):
-        cov_blocks(m, TimeGrid(2.0, 8))
+    h = m.hurst
+    at_T = [[1.0, 0.7 * kernel_partial_integral(1.0, 1.0, h)],
+            [m.rho_H, autocovariance(1.0, 1.0, h)]]
+    np.testing.assert_allclose(at_T, terminal_cov(m), rtol=1e-9)
 
 
 # -- modal path ------------------------------------------------------------------------

@@ -235,16 +235,22 @@ def test_domain_error_messages_word_for_word(src, t, x, y, message, reference_ev
         assert str(err.value) == message
 
 
-@pytest.mark.parametrize("src, x, y", [
-    ("x^y", np.array([1.0, -2.0, -3.0]), np.array([0.5, 2.0, 0.5])),
-    ("(-2)^y", 0.0, np.array([2.0, 1.5])),
+@pytest.mark.parametrize("src, x, y, point", [
+    pytest.param("x^y", np.array([1.0, -2.0, -3.0]), np.array([0.5, 2.0, 0.5]), "-3, 0.5",
+                 id="x^y-x0-y0"),
+    pytest.param("(-2)^y", 0.0, np.array([2.0, 1.5]), "-2, 1.5", id="(-2)^y-0.0-y1"),
+    # base and exponent of different shapes: the point is read off their broadcast
+    pytest.param("x^y", np.array([[1.0], [-3.0]]), np.array([2.0, 0.5]), "-3, 0.5",
+                 id="x^y-broadcast"),
 ])
-def test_negative_base_under_an_array_exponent_raises(src, x, y, reference_eval_drift):
-    # only the prefix is pinned: the example point after it is not yet the bad one
+def test_negative_base_under_an_array_exponent_raises(src, x, y, point, reference_eval_drift):
+    # the message names the first entry whose base is negative under a
+    # non-integer power, not the first negative base
     expr = parse_drift(src)
     for evaluate in (eval_drift, reference_eval_drift):
-        with pytest.raises(DriftDomainError, match=r"^negative base under non-integer power \("):
+        with pytest.raises(DriftDomainError) as err:
             evaluate(expr, 0.0, x, y)
+        assert str(err.value) == f"negative base under non-integer power ({point})"
 
 
 @pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from modalbridge.kernel import (Hurst, TimeGrid, autocovariance, joint_cov_matrix,
-                                kernel_alt, kernel_hyp, kernel_partial_integral,
-                                kernel_partial_integral_quad, kernel_profile,
-                                kernel_total_integral, sample_joint_paths,
-                                volterra_weight_matrix)
-from modalbridge.profiles import pair_fractions
+from conftest import kernel_partial_integral_quad, pair_fractions
+from modalbridge.kernel import (Hurst, TimeGrid, autocovariance, draw_joint_paths,
+                                joint_cov_matrix, kernel_alt, kernel_hyp,
+                                kernel_partial_integral, kernel_profile,
+                                kernel_total_integral, volterra_weight_matrix)
 
 H_SET = (0.1, 0.25, 0.4, 0.6, 0.75, 0.9)
 
@@ -214,22 +213,25 @@ def test_joint_cov_cholesky_large_grid():
         assert np.all(np.isfinite(L))
 
 
+def joint_paths(grid, hurst, seed, count):
+    """Joint (B, B^H) node paths drawn from the Philox stream keyed seed."""
+    return draw_joint_paths(grid, hurst, np.random.Generator(np.random.Philox(key=seed)), count)
+
+
 def test_sample_joint_paths_determinism_and_brownian_identity():
     grid = TimeGrid(1.0, 8)
-    b1, bh1 = sample_joint_paths(grid, Hurst(0.3), seed=42, count=16)
-    b2, bh2 = sample_joint_paths(grid, Hurst(0.3), seed=42, count=16)
+    b1, bh1 = joint_paths(grid, Hurst(0.3), seed=42, count=16)
+    b2, bh2 = joint_paths(grid, Hurst(0.3), seed=42, count=16)
     assert np.array_equal(b1, b2) and np.array_equal(bh1, bh2)
-    b, bh = sample_joint_paths(grid, Hurst(0.5), seed=7, count=8)
+    b, bh = joint_paths(grid, Hurst(0.5), seed=7, count=8)
     np.testing.assert_allclose(b, bh, atol=1e-10)
-    with pytest.raises(ValueError):
-        sample_joint_paths(grid, Hurst(0.5), seed=7, count=0)
 
 
 def test_sample_joint_paths_terminal_variance():
     # Monte Carlo check of Var(B^H_T) = T^(2H) within 3 standard errors
     H, T, n_paths = 0.3, 0.7, 100_000
     grid = TimeGrid(T, 16)
-    _, bh = sample_joint_paths(grid, Hurst(H), seed=123, count=n_paths)
+    _, bh = joint_paths(grid, Hurst(H), seed=123, count=n_paths)
     terminal = bh[:, -1]
     var = terminal.var()
     target = T ** (2 * H)
@@ -242,7 +244,7 @@ def test_sample_joint_paths_cross_covariance():
     H, T, n_paths = 0.7, 1.0, 100_000
     grid = TimeGrid(T, 8)
     hurst = Hurst(H)
-    b, bh = sample_joint_paths(grid, hurst, seed=321, count=n_paths)
+    b, bh = joint_paths(grid, hurst, seed=321, count=n_paths)
     t_mid = grid.nodes[4]
     prod = b[:, 4] * bh[:, -1]
     est = prod.mean()

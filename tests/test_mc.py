@@ -152,18 +152,18 @@ def _column_euler(m, grid, noise):
 
 def test_forward_time_major_loop_matches_column_reference():
     # the Euler arithmetic is unchanged by the time-major layout: compare the
-    # kept paths bit for bit with a column-wise loop over the same chunk's draws
+    # terminal points bit for bit with a column-wise loop over the same chunk's draws
     for H in (0.3, 0.5):
         m = _state_model(H)
         n, count = 16, 300
         grid = TimeGrid(m.T, n)
         ens = simulate_forward(m, SimConfig(n_paths=count, n_steps=n, seed=8),
-                               keep_paths=True, warn_horizon=False)
+                               warn_horizon=False)
         rng = mc._block_rng(8, 0, 0)
         noise = _node_noise(m, grid, [rng.standard_normal((count, 2 * n))])
         x, y = _column_euler(m, grid, noise)
-        assert np.array_equal(ens.full_paths[0], x) and np.array_equal(ens.full_paths[1], y)
         assert np.array_equal(ens.terminal_x, x[:, -1])
+        assert np.array_equal(ens.terminal_y, y[:, -1])
 
 
 @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
@@ -218,7 +218,7 @@ def _single_stream(seed, k, count):
 
 
 def _whole_chunk_forward(m, cfg, streams):
-    """Kept paths of simulate_forward: each chunk's block noise stacked, then one column loop."""
+    """simulate_forward's (x, y) paths: each chunk's block noise stacked, then one column loop."""
     n = cfg.n_steps
     grid = TimeGrid(m.T, n)
     xs, ys = [], []
@@ -258,13 +258,9 @@ def _assert_estimators_match(m, cfg, streams, workers_list):
     x, y = _whole_chunk_forward(m, cfg, streams)
     bridge = _whole_chunk_bridge(m, (0.1, 0.05), cfg, streams)
     for workers in workers_list:
-        ens = simulate_forward(m, cfg, workers=workers, keep_paths=True, warn_horizon=False)
-        assert np.array_equal(ens.full_paths[0], x) and np.array_equal(ens.full_paths[1], y)
+        ens = simulate_forward(m, cfg, workers=workers, warn_horizon=False)
         assert np.array_equal(ens.terminal_x, x[:, -1])
         assert np.array_equal(ens.terminal_y, y[:, -1])
-        plain = simulate_forward(m, cfg, workers=workers, warn_horizon=False)
-        assert np.array_equal(plain.terminal_x, x[:, -1])
-        assert np.array_equal(plain.terminal_y, y[:, -1])
         est = bridge_mc_density(m, (0.1, 0.05), cfg, workers=workers)
         assert (est.value, est.std_err, est.discretization_bias) == bridge
 
@@ -463,28 +459,17 @@ def test_forward_constant_drift_means():
     assert abs(ens.terminal_y.mean() - (-1.0 + nu * T)) <= 3.0 * se_y
 
 
-def test_forward_keep_paths_shapes():
-    m = zero_model(0.5, 0.0, T=0.25)
-    ens = simulate_forward(m, SimConfig(n_paths=50, n_steps=8, seed=1),
-                           keep_paths=True)
-    xs, ys = ens.full_paths
-    assert xs.shape == (50, 9) and ys.shape == (50, 9)
-    np.testing.assert_allclose(xs[:, -1], ens.terminal_x)
-
-
 # -- density estimators --------------------------------------------------------------
 
 def test_bin_estimator_point_mass():
-    ens = PathEnsemble(terminal_x=np.zeros(100), terminal_y=np.zeros(100),
-                       seed=0, model_fingerprint="")
+    ens = PathEnsemble(terminal_x=np.zeros(100), terminal_y=np.zeros(100))
     est = estimate_density_at(ens, (0.0, 0.0), BinEstimator(0.2, 0.5))
     assert est.value == pytest.approx(1.0 / 0.1)
     assert est.std_err == 0.0
 
 
 def test_bin_estimator_zero_hits_upper_bound():
-    ens = PathEnsemble(terminal_x=np.zeros(100), terminal_y=np.zeros(100),
-                       seed=0, model_fingerprint="")
+    ens = PathEnsemble(terminal_x=np.zeros(100), terminal_y=np.zeros(100))
     est = estimate_density_at(ens, (10.0, 10.0), BinEstimator(0.2, 0.5))
     assert est.value == 0.0
     assert est.std_err == pytest.approx(1.0 / (100 * 0.1))
@@ -493,8 +478,7 @@ def test_bin_estimator_zero_hits_upper_bound():
 def test_bin_std_err_decreases_with_width():
     rng = np.random.default_rng(0)
     ens = PathEnsemble(terminal_x=rng.standard_normal(20000),
-                       terminal_y=rng.standard_normal(20000),
-                       seed=0, model_fingerprint="")
+                       terminal_y=rng.standard_normal(20000))
     widths = (0.1, 0.2, 0.4, 0.8)
     errs = [estimate_density_at(ens, (0.0, 0.0), BinEstimator(w, w)).std_err
             for w in widths]
@@ -523,8 +507,7 @@ def test_drift_free_forward_agreement_endpoint_grid():
 
 
 def test_estimate_density_validation():
-    ens = PathEnsemble(terminal_x=np.zeros(1), terminal_y=np.zeros(1),
-                       seed=0, model_fingerprint="")
+    ens = PathEnsemble(terminal_x=np.zeros(1), terminal_y=np.zeros(1))
     with pytest.raises(TypeError):
         estimate_density_at(ens, (0, 0), object())
 

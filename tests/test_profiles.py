@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import pair_fractions
 from modalbridge.fraccalc import _psi_profile
 from modalbridge.kernel import Hurst, kernel_profile, kernel_total_integral
-from modalbridge.profiles import SingularProfile, pair_fractions, product_integrate
+from modalbridge.profiles import SingularProfile, product_integrate
 
 
 def flat_profile():
