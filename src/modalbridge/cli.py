@@ -244,6 +244,8 @@ def _emit_modal_path(model: ModelSpec, n: int, endpoint, out_dir: str, stem: str
 
 
 def cmd_modal_path(args) -> int:
+    if args.figure_grid and args.config is not None:
+        raise ConfigError("--figure-grid reads no config: its presets are fixed")
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     if args.figure_grid:

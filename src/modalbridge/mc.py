@@ -22,15 +22,20 @@ the counter-based Philox stream keyed s XOR k jumped b times (Salmon et al.,
 SC 2011).  Jump 0 is the chunk's own stream, so a chunk small enough to be
 one block draws exactly the numbers of one whole-chunk pass.  A chunk's sums
 are taken over its concatenated block outputs, so the output depends on the
-fixed block partition but is bit-identical at any worker count.  While a pool
-of several workers runs the blocks, OpenBLAS runs one thread, so its threads
-do not compete with the pool's; one worker leaves OpenBLAS its own thread
-count: the bridge's path-major products give the same bits at any count.  The
-forward's Cholesky factor and its time-major noise product do not, so the
-forward runs OpenBLAS on one thread at any worker count, and no output
-depends on OPENBLAS_NUM_THREADS.  The worker count is the ``workers``
-argument, else MODALBRIDGE_THREADS, else the number of usable cores;
-MODALBRIDGE_THREADS=1 runs every block on the calling thread.
+fixed block partition but is bit-identical at any worker count.  The bridge
+runs each block as tiles of _TILE_ROWS rows, cut as blocks are cut; the
+tiles draw in row order, so together they draw the block's numbers, and
+only one tile's arrays exist at a time.  Its conditioning is row-local, so
+a path's weight depends on its own normals only, not on how its block is
+stacked or tiled.  While a pool of several workers runs the blocks, OpenBLAS
+runs one thread, so its threads do not compete with the pool's; one worker
+leaves OpenBLAS its own thread count: the bridge's path-major products give
+the same bits at any count.  The forward's Cholesky factor and its
+time-major noise product do not, so the forward runs OpenBLAS on one thread
+at any worker count, and no output depends on OPENBLAS_NUM_THREADS.  The
+worker count is the ``workers`` argument, else MODALBRIDGE_THREADS, else the
+number of usable cores; MODALBRIDGE_THREADS=1 runs every block on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -74,6 +79,8 @@ _MAX_VALUES = 200_000_000  # n_steps * n_paths guard
 # paths per pool task; each block draws its own substream, so results depend on
 # this fixed partition (never on the worker count)
 _BLOCK_ROWS = 2048
+# bridge paths per tile of a block: the block's arrays exist one tile at a time
+_TILE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -198,17 +205,18 @@ def _block_rng(seed: int, k: int, b: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed ^ k) & (2 ** 64 - 1)).jumped(b))
 
 
-def _block_rows(m: int) -> list:
-    """Row counts of the blocks that cover a chunk of m paths, in order.
+def _row_counts(m: int, size: int) -> list:
+    """Row counts of the parts of size rows that cover m rows, in order.
 
-    The last block also takes the remainder, so a block has at least
-    _BLOCK_ROWS rows unless it is the whole chunk, and a chunk of fewer than
-    2 * _BLOCK_ROWS paths is one block, which draws the chunk's own stream.
+    The last part also takes the remainder, so a part has at least size rows
+    unless it is the whole, and fewer than 2 * size rows are one part.  This
+    cuts chunks into blocks (size _BLOCK_ROWS; a one-block chunk draws the
+    chunk's own stream) and bridge blocks into tiles (size _TILE_ROWS).
     """
-    full, rem = divmod(m, _BLOCK_ROWS)
+    full, rem = divmod(m, size)
     if full == 0:
         return [m]
-    return [_BLOCK_ROWS] * (full - 1) + [_BLOCK_ROWS + rem]
+    return [size] * (full - 1) + [size + rem]
 
 
 @functools.cache
@@ -277,7 +285,7 @@ def _run_blocks(config: SimConfig, kernel, workers: Optional[int]) -> list:
     """
     def jobs():
         for k, m in config.chunks():
-            for b, rows in enumerate(_block_rows(m)):
+            for b, rows in enumerate(_row_counts(m, _BLOCK_ROWS)):
                 yield k, _block_rng(config.seed, k, b), rows
 
     nw = _worker_count(workers)
@@ -441,8 +449,24 @@ class _BridgeLevel:
 
     def condition(self, incr: np.ndarray, v: np.ndarray) -> None:
         """Pathwise (Matheron) conditioning in place: a row s ~ N(0, dt I) maps to
-        s + a^T (a a^T)^-1 (v - a s), which has the exact conditional law."""
-        incr += ((v - incr @ self.a.T) @ self.g_inv) @ self.a
+        s + a^T (a a^T)^-1 (v - a s), which has the exact conditional law.
+
+        Row-local: a s comes from each row's own sums, rho sum(dB) + rho_bar
+        sum(dW) and dB . w_last, and the 2 x 2 g_inv and the rank-2 update are
+        applied by broadcasting.  So a row's result depends on its own values
+        only, never on how many rows are conditioned together, as the rounding
+        of an (m, 2n) x (2n, 2) matrix product can.
+        """
+        n = self.n
+        db, dw = incr[:, :n], incr[:, n:]
+        w_last = self.a[1, :n]
+        r0 = v[0] - (self.rho * db.sum(axis=1) + self.rho_bar * dw.sum(axis=1))
+        r1 = v[1] - np.einsum("ij,j->i", db, w_last)
+        (g00, g01), (g10, g11) = self.g_inv
+        c0 = (r0 * g00 + r1 * g10)[:, None]
+        c1 = (r0 * g01 + r1 * g11)[:, None]
+        db += c0 * self.rho + c1 * w_last
+        dw += c0 * self.rho_bar
 
     def weights(self, model: ModelSpec, incr: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
         """Girsanov weights of the rows of incr, conditioned here in place."""
@@ -489,7 +513,11 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
     Estimates phi * E[exp(Girsanov exponent)] under the terminal-pinned
     driftless law.  Each block also runs its noise, summed in adjacent pairs,
     on the grid of half the step count; the difference of the two estimates
-    is the discretization-bias estimate.  Non-finite weight sums raise
+    is the discretization-bias estimate.  A block runs as tiles of _TILE_ROWS
+    rows, each drawn, conditioned and weighed on both levels before the next,
+    so a block in flight holds one tile's arrays (about 4 MB at n = 256).
+    Every step is row-local, so the weights equal those of one pass over the
+    whole chunk, bit for bit.  Non-finite weight sums raise
     NumericalConditioningError.
     """
     n = config.n_steps
@@ -500,13 +528,20 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
     v = np.array([endpoint[0] - model.x0, endpoint[1] - model.y0])
 
     def run_block(k, rng, m):
-        incr = rng.standard_normal((m, 2 * n))
-        incr *= math.sqrt(fine.grid.dt)
-        # pairs within the dB and the dW half; an odd n leaves each half's last unpaired
-        pairs = incr.reshape(m, 2, n)[:, :, :2 * nc].reshape(m, 2, nc, 2)
-        coarse_incr = (pairs[..., 0] + pairs[..., 1]).reshape(m, 2 * nc)
-        coarse_incr *= math.sqrt(coarse.grid.dt / (2.0 * fine.grid.dt))
-        return fine.weights(model, incr, v, k), coarse.weights(model, coarse_incr, v, k)
+        w, wc = np.empty(m), np.empty(m)
+        lo = 0
+        # tiles draw in row order, so together they draw the block's numbers
+        for rows in _row_counts(m, _TILE_ROWS):
+            incr = rng.standard_normal((rows, 2 * n))
+            incr *= math.sqrt(fine.grid.dt)
+            # pairs within the dB and the dW half; an odd n leaves each half's last unpaired
+            pairs = incr.reshape(rows, 2, n)[:, :, :2 * nc].reshape(rows, 2, nc, 2)
+            coarse_incr = (pairs[..., 0] + pairs[..., 1]).reshape(rows, 2 * nc)
+            coarse_incr *= math.sqrt(coarse.grid.dt / (2.0 * fine.grid.dt))
+            w[lo:lo + rows] = fine.weights(model, incr, v, k)
+            wc[lo:lo + rows] = coarse.weights(model, coarse_incr, v, k)
+            lo += rows
+        return w, wc
 
     results = []
     for blocks in _run_blocks(config, run_block, workers):

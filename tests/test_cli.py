@@ -83,6 +83,15 @@ def test_figure_grid_emits_everything(tmp_path):
     assert np.max(np.abs(data[:, 1] - data[:, 0])) <= 0.05
 
 
+def test_figure_grid_with_config_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "fig"
+    code = main(["modal-path", "--figure-grid", "--config", str(tmp_path / "missing.json"),
+                 "--out", str(out)])
+    assert code == 2
+    assert "--figure-grid reads no config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- density -----------------------------------------------------------------------
 
 def test_density_zero_drift(tmp_path):

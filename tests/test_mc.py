@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,39 @@ def test_single_block_chunks_draw_the_chunk_stream():
     # own stream: the output equals one whole-chunk draw from it
     cfg = SimConfig(n_paths=7000, n_steps=8, seed=17, chunk_size=4095)
     _assert_estimators_match(_state_model(0.3), cfg, _single_stream, (1, 2))
+
+
+@pytest.mark.parametrize("H", [0.3, 0.5])
+@pytest.mark.parametrize("n_steps", [64, 256])
+def test_bridge_tiles_are_invisible(n_steps, H):
+    # blocks of 2048 and 2952 rows run as tiles of 256 rows, the last taking
+    # the remainder; a path's weight depends on its own normals only, so the
+    # tiled run must reproduce one pass over each chunk's stacked block draws
+    m = _state_model(H)
+    cfg = SimConfig(n_paths=11000, n_steps=n_steps, seed=17, chunk_size=5000)
+    reference = _whole_chunk_bridge(m, (0.1, 0.05), cfg, _substreams)
+    for workers in (1, 2):
+        est = bridge_mc_density(m, (0.1, 0.05), cfg, workers=workers)
+        assert (est.value, est.std_err, est.discretization_bias) == reference
+
+
+def test_bridge_block_working_set_is_bounded():
+    # numpy reports its buffers to tracemalloc.  At n = 256 one 256-row tile
+    # holds its increments (1.05 MB), the half-grid increments (0.52 MB) and
+    # one level's paths x, y and drifts g1, g2 (0.53 MB each): 3.9 MB traced at
+    # the peak.  A 2048-row block materialised at once peaks at 29.6 MB, and a
+    # tile of 1024 rows would pass 8 MB too; the bound leaves twice the tile's
+    # room for the block results and the temporaries.  The levels (cached
+    # operators, not per-block work) are built before tracing starts.
+    m = _state_model(0.3)
+    bridge_mc_density(m, (0.1, 0.05), SimConfig(16, 256, 3), workers=1)
+    tracemalloc.start()
+    try:
+        bridge_mc_density(m, (0.1, 0.05), SimConfig(8192, 256, 3), workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_block_error_is_the_same_at_any_worker_count():
