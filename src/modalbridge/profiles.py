@@ -6,10 +6,15 @@ Everything Volterra-shaped in this package reduces to integrals of the form
 
 where w behaves like v^b0 near 0 and (1 - v)^a1 near 1 (b0, a1 > -1).  A
 :class:`SingularProfile` precomputes both antiderivatives once: the unit
-interval is cut into geometrically graded panels, panel integrals are done
-with Gauss-Legendre / Gauss-Jacobi rules, and the in-panel antiderivative is
-stored as a Chebyshev interpolant of its smooth reduced form (the algebraic
-endpoint factor is divided out before interpolating).  Evaluation is then
+interval is cut into geometrically graded panels, and the in-panel
+antiderivative is stored as a Chebyshev interpolant of its smooth reduced
+form (the algebraic endpoint factor is divided out before interpolating) at
+the panel's 13 Chebyshev-Lobatto nodes.  Between consecutive nodes the
+integrals use 12-point Gauss-Legendre rules, and a 12-point Gauss-Jacobi rule
+absorbs the endpoint factor on the node interval that touches 0 or 1.  All
+interior panels are evaluated in one call of the weight, and each end panel
+in one call of its residual, so a build costs a few vectorised weight calls
+plus one least-squares fit per panel and moment.  Evaluation is then
 vectorized and cheap, which is what makes exact piecewise-linear product
 integration against w affordable on large grids.
 
@@ -40,23 +45,15 @@ _VMIN = 1e-10      # first breakpoint away from each endpoint
 _TINY = 1e-250     # evaluation guard for residuals at v = 0
 
 
-def _gauss(f: Callable, a: float, b: float) -> float:
-    v = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
-    return 0.5 * (b - a) * float(np.sum(_GL_WEIGHTS * f(v)))
+def _legendre_points(a: np.ndarray, b: np.ndarray):
+    """Gauss-Legendre nodes of each interval [a, b] (last axis) and the half-widths."""
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b))[..., None] + half[..., None] * _GL_NODES, half
 
 
-def _gauss_jacobi_left(g: Callable, b: float, b0: float) -> float:
-    # int_0^b s^b0 g(s) ds, g smooth
-    x, w = roots_jacobi(12, 0.0, b0)
-    v = 0.5 * (x + 1.0) * b
-    return (0.5 * b) ** (1.0 + b0) * float(np.sum(w * g(v)))
-
-
-def _gauss_jacobi_right(q: Callable, a: float, a1: float) -> float:
-    # int_a^1 (1 - s)^a1 q(s) ds, q smooth
-    x, w = roots_jacobi(12, a1, 0.0)
-    v = 0.5 * (x + 1.0) * (1.0 - a) + a
-    return (0.5 * (1.0 - a)) ** (1.0 + a1) * float(np.sum(w * q(v)))
+def _legendre_sums(half: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre integrals of each interval from values f at its nodes."""
+    return half * np.sum(_GL_WEIGHTS * f, axis=-1)
 
 
 class SingularProfile:
@@ -72,6 +69,9 @@ class SingularProfile:
         The weight itself, evaluated on interior panels.
     b0, a1 : float
         Algebraic exponents at v = 0 and v = 1; both > -1.
+
+    Each callable is called once per build with one flat array of all the
+    points of its panels, so it must act elementwise.
     """
 
     def __init__(self, resid0: Callable, resid1: Callable, w: Callable,
@@ -94,101 +94,68 @@ class SingularProfile:
         # Chebyshev-Lobatto nodes of the local coordinate, ascending in [-1, 1]
         u = np.cos(np.pi * np.arange(_DEG + 1) / _DEG)[::-1]
         self._u = u
-        self._coef0 = np.zeros((self.n_panels, _DEG + 1))
-        self._coef1 = np.zeros((self.n_panels, _DEG + 1))
-        cum0 = np.zeros(self.n_panels + 1)
-        cum1 = np.zeros(self.n_panels + 1)
+        nodes = self.breaks[:-1, None] + 0.5 * (u + 1.0) * np.diff(self.breaks)[:, None]
+        # reduced antiderivatives at the nodes, one row per panel
+        red0 = np.zeros_like(nodes)
+        red1 = np.zeros_like(nodes)
 
-        for p in range(self.n_panels):
-            lo, hi = self.breaks[p], self.breaks[p + 1]
-            h = hi - lo
-            nodes = lo + 0.5 * (u + 1.0) * h
-            if p == 0:
-                c0, c1, tot0, tot1 = self._build_left(resid0, nodes, h)
-            elif p == self.n_panels - 1:
-                c0, c1, tot0, tot1 = self._build_right(resid1, nodes, lo, h)
-            else:
-                c0, c1, tot0, tot1 = self._build_interior(w, nodes, lo)
-            self._coef0[p], self._coef1[p] = c0, c1
-            cum0[p + 1] = cum0[p] + tot0
-            cum1[p + 1] = cum1[p] + tot1
-        self._cum0, self._cum1 = cum0, cum1
+        # interior panels: Phi(v) = int_lo^v w, interpolated as is
+        v, half = _legendre_points(nodes[1:-1, :-1], nodes[1:-1, 1:])
+        wv = w(v.ravel()).reshape(v.shape)
+        red0[1:-1, 1:] = np.cumsum(_legendre_sums(half, wv), axis=1)
+        red1[1:-1, 1:] = np.cumsum(_legendre_sums(half, v * wv), axis=1)
+        tot0, tot1 = red0[:, -1].copy(), red1[:, -1].copy()
 
-    # -- panel construction ------------------------------------------------
+        # left panel: Phi(v) = int_0^v s^b0 g ds = v^(1+b0) chi(v); interpolate chi.
+        # Gauss-Jacobi on [0, x_1], Gauss-Legendre on the later node intervals.
+        b0, x = self.b0, nodes[0]
+        xj, wj = roots_jacobi(12, 0.0, b0)
+        vj = 0.5 * (xj + 1.0) * x[1]
+        v, half = _legendre_points(x[1:-1], x[2:])
+        r = resid0(np.concatenate([vj, v.ravel(), [_TINY]]))
+        rj, rv, g0 = r[:12], r[12:-1].reshape(v.shape), r[-1]
+        scale = (0.5 * x[1]) ** (1.0 + b0)
+        phi0 = np.cumsum(np.concatenate([[scale * np.sum(wj * rj)],
+                                         _legendre_sums(half, v ** b0 * rv)]))
+        phi1 = np.cumsum(np.concatenate([[scale * np.sum(wj * (vj * rj))],
+                                         _legendre_sums(half, v ** (1.0 + b0) * rv)]))
+        tot0[0], tot1[0] = phi0[-1], phi1[-1]
+        safe = np.maximum(x[1:], _TINY)
+        red0[0, 1:] = phi0 / safe ** (1.0 + b0)
+        red1[0, 1:] = phi1 / safe ** (2.0 + b0)
+        red0[0, 0] = g0 / (1.0 + b0)
+        red1[0, 0] = g0 / (2.0 + b0)
 
-    def _build_left(self, resid0, nodes, h):
-        """Phi(v) = int_0^v s^b0 g ds = v^(1+b0) chi(v); interpolate chi."""
-        b0 = self.b0
-        phi0 = np.zeros_like(nodes)
-        phi1 = np.zeros_like(nodes)
-        acc0 = acc1 = 0.0
-        prev = 0.0
-        for k, vk in enumerate(nodes):
-            if vk > prev:
-                if prev == 0.0:
-                    acc0 += _gauss_jacobi_left(resid0, vk, b0)
-                    acc1 += _gauss_jacobi_left(lambda s: s * resid0(s), vk, b0)
-                else:
-                    acc0 += _gauss(lambda s: s ** b0 * resid0(s), prev, vk)
-                    acc1 += _gauss(lambda s: s ** (1.0 + b0) * resid0(s), prev, vk)
-            phi0[k], phi1[k] = acc0, acc1
-            prev = vk
-        safe = np.maximum(nodes, _TINY)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            chi0 = phi0 / safe ** (1.0 + b0)
-            chi1 = phi1 / safe ** (2.0 + b0)
-        g0 = float(np.asarray(resid0(np.array([_TINY])))[0])
-        if nodes[0] == 0.0:
-            chi0[0] = g0 / (1.0 + b0)
-            chi1[0] = g0 / (2.0 + b0)
-        return (_cheb.chebfit(self._u, chi0, _DEG),
-                _cheb.chebfit(self._u, chi1, _DEG),
-                phi0[-1], phi1[-1])
+        # right panel: tail T(v) = int_v^1 (1-s)^a1 q ds = (1-v)^(1+a1) chi(v).
+        # Gauss-Jacobi on [x_11, 1], Gauss-Legendre on the earlier node intervals,
+        # accumulated from the right.
+        a1, x = self.a1, nodes[-1]
+        xj, wj = roots_jacobi(12, a1, 0.0)
+        vj = 0.5 * (xj + 1.0) * (1.0 - x[-2]) + x[-2]
+        v, half = _legendre_points(x[:-2], x[1:-1])
+        r = resid1(np.concatenate([vj, v.ravel(), [1.0]]))
+        rj, rv, q1 = r[:12], r[12:-1].reshape(v.shape), r[-1]
+        scale = (0.5 * (1.0 - x[-2])) ** (1.0 + a1)
+        om_a1 = (1.0 - v) ** a1
+        t0 = np.cumsum(np.concatenate([[scale * np.sum(wj * rj)],
+                                       _legendre_sums(half, om_a1 * rv)[::-1]]))[::-1]
+        t1 = np.cumsum(np.concatenate([[scale * np.sum(wj * (vj * rj))],
+                                       _legendre_sums(half, v * om_a1 * rv)[::-1]]))[::-1]
+        tot0[-1], tot1[-1] = t0[0], t1[0]
+        om = np.maximum(1.0 - x[:-1], _TINY) ** (1.0 + a1)
+        red0[-1, :-1] = t0 / om
+        red1[-1, :-1] = t1 / om
+        red0[-1, -1] = red1[-1, -1] = q1 / (1.0 + a1)
 
-    def _build_right(self, resid1, nodes, lo, h):
-        """Tail T(v) = int_v^1 (1-s)^a1 q ds = (1-v)^(1+a1) chi(v)."""
-        a1 = self.a1
-        t0 = np.zeros_like(nodes)
-        t1 = np.zeros_like(nodes)
-        acc0 = acc1 = 0.0
-        prev = 1.0
-        for k in range(len(nodes) - 1, -1, -1):
-            vk = nodes[k]
-            if prev > vk:
-                if prev == 1.0:
-                    acc0 += _gauss_jacobi_right(resid1, vk, a1)
-                    acc1 += _gauss_jacobi_right(lambda s: s * resid1(s), vk, a1)
-                else:
-                    acc0 += _gauss(lambda s: (1.0 - s) ** a1 * resid1(s), vk, prev)
-                    acc1 += _gauss(lambda s: s * (1.0 - s) ** a1 * resid1(s), vk, prev)
-            t0[k], t1[k] = acc0, acc1
-            prev = vk
-        om = np.maximum(1.0 - nodes, _TINY)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            chi0 = t0 / om ** (1.0 + a1)
-            chi1 = t1 / om ** (1.0 + a1)
-        q1 = float(np.asarray(resid1(np.array([1.0])))[0])
-        if nodes[-1] == 1.0:
-            chi0[-1] = q1 / (1.0 + a1)
-            chi1[-1] = q1 / (1.0 + a1)
-        return (_cheb.chebfit(self._u, chi0, _DEG),
-                _cheb.chebfit(self._u, chi1, _DEG),
-                t0[0], t1[0])
-
-    def _build_interior(self, w, nodes, lo):
-        phi0 = np.zeros_like(nodes)
-        phi1 = np.zeros_like(nodes)
-        acc0 = acc1 = 0.0
-        prev = lo
-        for k, vk in enumerate(nodes):
-            if vk > prev:
-                acc0 += _gauss(w, prev, vk)
-                acc1 += _gauss(lambda s: s * w(s), prev, vk)
-            phi0[k], phi1[k] = acc0, acc1
-            prev = vk
-        return (_cheb.chebfit(self._u, phi0, _DEG),
-                _cheb.chebfit(self._u, phi1, _DEG),
-                phi0[-1], phi1[-1])
+        # chebfit's scaled least squares, solved per panel and moment: one solve
+        # over all panels at once rounds the coefficients differently
+        van = _cheb.chebvander(u, _DEG)
+        scl = np.sqrt(np.square(van.T).sum(1))
+        lhs, rcond = van / scl, len(u) * np.finfo(float).eps
+        self._coef0 = np.array([np.linalg.lstsq(lhs, y, rcond)[0] / scl for y in red0])
+        self._coef1 = np.array([np.linalg.lstsq(lhs, y, rcond)[0] / scl for y in red1])
+        self._cum0 = np.concatenate([[0.0], np.cumsum(tot0)])
+        self._cum1 = np.concatenate([[0.0], np.cumsum(tot1)])
 
     # -- evaluation ----------------------------------------------------------
 

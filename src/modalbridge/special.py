@@ -30,7 +30,7 @@ def gamma_fn(x):
     float or ndarray
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if not np.all(x > 0.0):
         raise ValueError(f"gamma_fn requires x > 0, got {x}")
     out = sp.gamma(x)
     return float(out) if out.ndim == 0 else out
@@ -40,7 +40,7 @@ def beta_fn(a, b):
     """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), a, b > 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.any(a <= 0.0) or np.any(b <= 0.0):
+    if not (np.all(a > 0.0) and np.all(b > 0.0)):
         raise ValueError(f"beta_fn requires positive arguments, got a={a}, b={b}")
     out = sp.beta(a, b)
     return float(out) if out.ndim == 0 else out
@@ -48,8 +48,7 @@ def beta_fn(a, b):
 
 def _check_c(c) -> None:
     c = np.asarray(c, dtype=float)
-    bad = (c <= 0.0) & (c == np.floor(c))
-    if np.any(bad) or np.any(c <= 0.0):
+    if not np.all(c > 0.0):
         # the kernel only needs c = H + 1/2 in (1/2, 3/2); keep the contract tight
         raise ValueError(f"hyp2f1 requires c > 0, got c={c}")
 
@@ -61,7 +60,7 @@ def hyp2f1(a, b, c, z):
     """
     _check_c(c)
     z = np.asarray(z, dtype=float)
-    if np.any(z > 0.0):
+    if not np.all(z <= 0.0):
         raise ValueError(f"hyp2f1 is only supported for z <= 0, got max z = {z.max()}")
     if a == 0.0 or b == 0.0:
         out = np.ones_like(z)

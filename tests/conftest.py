@@ -8,6 +8,11 @@ product, kept here as the reference the operator tests compare against.
 every call before expressions were compiled into plans at parse time, kept
 here as the reference the compiled evaluator is compared against.
 
+``ReferenceProfile`` is the node-by-node build of profiles.SingularProfile,
+with one twelve-point weight call per node interval, that ran before each
+kind of panel was built from one weight call; the profile tests compare the
+tables of the two bit for bit.
+
 ``kernel_partial_integral_quad`` (QUADPACK QAWS), ``hyp2f1_series`` with its
 ``PrecisionPolicy``, and ``pair_fractions`` are independent oracles for the
 kernel integrals, the 2F1 route and the product-integration tables; the
@@ -15,16 +20,19 @@ tests import them from here.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as _cheb
 from scipy.integrate import quad
+from scipy.special import roots_jacobi, roots_legendre
 
 from modalbridge.driftspec import BinOp, Call, DriftDomainError, Neg, Num, Var, _bad_example
 from modalbridge.fraccalc import (_derivative_by_differencing, _marchaud_tail, _psi_profile,
                                   _rl_apply)
 from modalbridge.kernel import Hurst, _leading_coef
-from modalbridge.profiles import product_integrate
+from modalbridge.profiles import _DEG, _RATIO, _TINY, _VMIN, SingularProfile, product_integrate
 from modalbridge.special import _check_c, gamma_fn, hyp2f1
 
 
@@ -251,3 +259,140 @@ def _reference_eval_drift(expr, t, x, y):
 @pytest.fixture
 def reference_eval_drift():
     return _reference_eval_drift
+
+
+_GL_NODES, _GL_WEIGHTS = roots_legendre(12)
+
+
+def _gauss(f: Callable, a: float, b: float) -> float:
+    v = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
+    return 0.5 * (b - a) * float(np.sum(_GL_WEIGHTS * f(v)))
+
+
+def _gauss_jacobi_left(g: Callable, b: float, b0: float) -> float:
+    # int_0^b s^b0 g(s) ds, g smooth
+    x, w = roots_jacobi(12, 0.0, b0)
+    v = 0.5 * (x + 1.0) * b
+    return (0.5 * b) ** (1.0 + b0) * float(np.sum(w * g(v)))
+
+
+def _gauss_jacobi_right(q: Callable, a: float, a1: float) -> float:
+    # int_a^1 (1 - s)^a1 q(s) ds, q smooth
+    x, w = roots_jacobi(12, a1, 0.0)
+    v = 0.5 * (x + 1.0) * (1.0 - a) + a
+    return (0.5 * (1.0 - a)) ** (1.0 + a1) * float(np.sum(w * q(v)))
+
+
+class ReferenceProfile(SingularProfile):
+    """A SingularProfile whose tables are built node interval by node interval."""
+
+    def __init__(self, resid0: Callable, resid1: Callable, w: Callable,
+                 b0: float, a1: float) -> None:
+        self.b0 = float(b0)
+        self.a1 = float(a1)
+
+        left = [0.0]
+        x = _VMIN
+        while x < 0.45:
+            left.append(x)
+            x /= _RATIO
+        left.append(0.5)
+        right = [1.0 - b for b in left][::-1]
+        self.breaks = np.array(left + right[1:])
+        self.n_panels = len(self.breaks) - 1
+
+        u = np.cos(np.pi * np.arange(_DEG + 1) / _DEG)[::-1]
+        self._u = u
+        self._coef0 = np.zeros((self.n_panels, _DEG + 1))
+        self._coef1 = np.zeros((self.n_panels, _DEG + 1))
+        cum0 = np.zeros(self.n_panels + 1)
+        cum1 = np.zeros(self.n_panels + 1)
+
+        for p in range(self.n_panels):
+            lo, hi = self.breaks[p], self.breaks[p + 1]
+            h = hi - lo
+            nodes = lo + 0.5 * (u + 1.0) * h
+            if p == 0:
+                c0, c1, tot0, tot1 = self._build_left(resid0, nodes, h)
+            elif p == self.n_panels - 1:
+                c0, c1, tot0, tot1 = self._build_right(resid1, nodes, lo, h)
+            else:
+                c0, c1, tot0, tot1 = self._build_interior(w, nodes, lo)
+            self._coef0[p], self._coef1[p] = c0, c1
+            cum0[p + 1] = cum0[p] + tot0
+            cum1[p + 1] = cum1[p] + tot1
+        self._cum0, self._cum1 = cum0, cum1
+
+    def _build_left(self, resid0, nodes, h):
+        """Phi(v) = int_0^v s^b0 g ds = v^(1+b0) chi(v); interpolate chi."""
+        b0 = self.b0
+        phi0 = np.zeros_like(nodes)
+        phi1 = np.zeros_like(nodes)
+        acc0 = acc1 = 0.0
+        prev = 0.0
+        for k, vk in enumerate(nodes):
+            if vk > prev:
+                if prev == 0.0:
+                    acc0 += _gauss_jacobi_left(resid0, vk, b0)
+                    acc1 += _gauss_jacobi_left(lambda s: s * resid0(s), vk, b0)
+                else:
+                    acc0 += _gauss(lambda s: s ** b0 * resid0(s), prev, vk)
+                    acc1 += _gauss(lambda s: s ** (1.0 + b0) * resid0(s), prev, vk)
+            phi0[k], phi1[k] = acc0, acc1
+            prev = vk
+        safe = np.maximum(nodes, _TINY)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            chi0 = phi0 / safe ** (1.0 + b0)
+            chi1 = phi1 / safe ** (2.0 + b0)
+        g0 = float(np.asarray(resid0(np.array([_TINY])))[0])
+        if nodes[0] == 0.0:
+            chi0[0] = g0 / (1.0 + b0)
+            chi1[0] = g0 / (2.0 + b0)
+        return (_cheb.chebfit(self._u, chi0, _DEG),
+                _cheb.chebfit(self._u, chi1, _DEG),
+                phi0[-1], phi1[-1])
+
+    def _build_right(self, resid1, nodes, lo, h):
+        """Tail T(v) = int_v^1 (1-s)^a1 q ds = (1-v)^(1+a1) chi(v)."""
+        a1 = self.a1
+        t0 = np.zeros_like(nodes)
+        t1 = np.zeros_like(nodes)
+        acc0 = acc1 = 0.0
+        prev = 1.0
+        for k in range(len(nodes) - 1, -1, -1):
+            vk = nodes[k]
+            if prev > vk:
+                if prev == 1.0:
+                    acc0 += _gauss_jacobi_right(resid1, vk, a1)
+                    acc1 += _gauss_jacobi_right(lambda s: s * resid1(s), vk, a1)
+                else:
+                    acc0 += _gauss(lambda s: (1.0 - s) ** a1 * resid1(s), vk, prev)
+                    acc1 += _gauss(lambda s: s * (1.0 - s) ** a1 * resid1(s), vk, prev)
+            t0[k], t1[k] = acc0, acc1
+            prev = vk
+        om = np.maximum(1.0 - nodes, _TINY)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            chi0 = t0 / om ** (1.0 + a1)
+            chi1 = t1 / om ** (1.0 + a1)
+        q1 = float(np.asarray(resid1(np.array([1.0])))[0])
+        if nodes[-1] == 1.0:
+            chi0[-1] = q1 / (1.0 + a1)
+            chi1[-1] = q1 / (1.0 + a1)
+        return (_cheb.chebfit(self._u, chi0, _DEG),
+                _cheb.chebfit(self._u, chi1, _DEG),
+                t0[0], t1[0])
+
+    def _build_interior(self, w, nodes, lo):
+        phi0 = np.zeros_like(nodes)
+        phi1 = np.zeros_like(nodes)
+        acc0 = acc1 = 0.0
+        prev = lo
+        for k, vk in enumerate(nodes):
+            if vk > prev:
+                acc0 += _gauss(w, prev, vk)
+                acc1 += _gauss(lambda s: s * w(s), prev, vk)
+            phi0[k], phi1[k] = acc0, acc1
+            prev = vk
+        return (_cheb.chebfit(self._u, phi0, _DEG),
+                _cheb.chebfit(self._u, phi1, _DEG),
+                phi0[-1], phi1[-1])

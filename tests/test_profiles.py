@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import pair_fractions
+from conftest import ReferenceProfile, pair_fractions
+from modalbridge import fraccalc, kernel
 from modalbridge.fraccalc import _psi_profile
 from modalbridge.kernel import Hurst, kernel_profile, kernel_total_integral
 from modalbridge.profiles import SingularProfile, product_integrate
@@ -67,6 +68,65 @@ def test_kernel_profile_partial_vs_adaptive():
 
     for x in (1e-4, 0.05, 0.5, 0.97):
         assert prof.moment0(x) == pytest.approx(direct(x), rel=1e-9)
+
+
+BUILD_HS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.55, 0.6, 0.7, 0.8, 0.9, 0.95)
+
+
+def build_counted(monkeypatch, name, H):
+    """A fresh kernel or psi profile, its weight callables, and their call counts."""
+    module = kernel if name == "kernel" else fraccalc
+    real = module.SingularProfile
+    seen = {}
+
+    def counted(key, f):
+        seen[key] = 0
+
+        def g(v):
+            seen[key] += 1
+            return f(v)
+        return g
+
+    def spy(resid0, resid1, w, b0, a1):
+        seen["args"] = (resid0, resid1, w, b0, a1)
+        return real(counted("resid0", resid0), counted("resid1", resid1), counted("w", w),
+                    b0, a1)
+
+    monkeypatch.setattr(module, "SingularProfile", spy)
+    if name == "kernel":
+        return kernel._build_kernel_profile(Hurst(H)), seen
+    return fraccalc._build_psi_profile(H), seen
+
+
+@pytest.mark.parametrize("name,H", [("kernel", H) for H in BUILD_HS]
+                         + [("psi", H) for H in BUILD_HS if H > 0.5])
+def test_profile_tables_match_node_by_node_build(monkeypatch, name, H):
+    prof, seen = build_counted(monkeypatch, name, H)
+    ref = ReferenceProfile(*seen["args"])
+    for table in ("breaks", "_coef0", "_coef1", "_cum0", "_cum1"):
+        assert np.array_equal(getattr(prof, table), getattr(ref, table)), table
+    tail = np.geomspace(1e-13, 0.5, 200)
+    xs = np.concatenate([[0.0, 1e-12, 1.0 - 1e-12, 1.0], np.linspace(0.0, 1.0, 1001),
+                         tail, 1.0 - tail])
+    assert np.array_equal(prof.moment0(xs), ref.moment0(xs))
+    assert np.array_equal(prof.moment1(xs), ref.moment1(xs))
+
+
+@pytest.mark.parametrize("name,H", [("kernel", 0.3), ("kernel", 0.7), ("psi", 0.7)])
+def test_profile_build_evaluates_each_weight_a_few_times(monkeypatch, name, H):
+    calls = []
+    real = kernel.hyp2f1
+
+    def counted_hyp2f1(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "hyp2f1", counted_hyp2f1)
+    _, seen = build_counted(monkeypatch, name, H)
+    if name == "kernel":
+        assert len(calls) <= 8  # one hyp2f1 call per weight call
+    for key in ("w", "resid0", "resid1"):
+        assert 1 <= seen[key] <= 3, key
 
 
 def test_pair_fractions_layout():

@@ -21,6 +21,13 @@ def test_gamma_domain_error():
         gamma_fn(-1.5)
 
 
+def test_gamma_rejects_nan():
+    with pytest.raises(ValueError):
+        gamma_fn(math.nan)
+    with pytest.raises(ValueError):
+        gamma_fn(np.array([1.0, math.nan]))
+
+
 def test_gamma_recurrence():
     for x in np.arange(0.1, 5.01, 0.1):
         assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
@@ -41,6 +48,13 @@ def test_beta_domain_error():
         beta_fn(-0.1, 1.0)
     with pytest.raises(ValueError):
         beta_fn(1.0, 0.0)
+
+
+def test_beta_rejects_nan():
+    with pytest.raises(ValueError):
+        beta_fn(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        beta_fn(1.0, math.nan)
 
 
 def test_beta_gamma_consistency():
@@ -71,6 +85,15 @@ def test_hyp2f1_rejects_positive_z_and_bad_c():
         hyp2f1(0.25, 0.25, 1.25, 0.5)
     with pytest.raises(ValueError):
         hyp2f1(0.25, 0.25, -1.0, -0.5)
+
+
+def test_hyp2f1_rejects_nan_c_and_z():
+    with pytest.raises(ValueError):
+        hyp2f1(0.2, -0.2, math.nan, -0.5)
+    with pytest.raises(ValueError):
+        hyp2f1(0.2, -0.2, 0.8, math.nan)
+    with pytest.raises(ValueError):
+        hyp2f1(0.2, -0.2, 0.8, np.array([-1.0, math.nan]))
 
 
 def test_hyp2f1_symmetry_in_ab():
