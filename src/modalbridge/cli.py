@@ -18,10 +18,11 @@ error.  Exit codes: 0 ok, 1 validation failure, 2 config or usage error,
 3 numerical error, 4 unsupported parameter.  CSV output is deterministic
 byte-for-byte for a given (config, seed): floats are printed with 17
 significant digits, LF line endings, UTF-8, header row always present.  The
-Monte Carlo estimators run their row blocks on as many worker threads as there
-are usable cores, or on MODALBRIDGE_THREADS of them (1 runs serially); the
-worker count never changes results, which are byte-identical for a fixed BLAS
-thread setting.
+Monte Carlo estimators cut the paths into fixed blocks of 2048 rows, each on
+its own Philox substream of the seed, and run them on as many worker threads
+as there are usable cores, or on MODALBRIDGE_THREADS of them (1 runs
+serially); the worker count never changes results, which are byte-identical
+for a fixed BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ def _load_config(path) -> dict:
 
 
 def _check_keys(block: dict, allowed, where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
     unknown = set(block) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -112,8 +115,23 @@ def _model_from_config(cfg: dict) -> ModelSpec:
         raise ConfigError("config must contain a 'model' block")
     try:
         return model_from_dict(cfg["model"])
-    except (ValueError, ExprSyntaxError) as exc:
+    except (TypeError, ValueError, ExprSyntaxError) as exc:
         raise ConfigError(f"invalid model: {exc}") from None
+
+
+def _number(value, where: str, kind=float):
+    """A config value as kind; a JSON value of another type is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
+def _numbers(value, where: str) -> list:
+    """A config list of numbers as floats."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return [_number(v, where) for v in value]
 
 
 def _point(value, where: str) -> tuple:
@@ -132,10 +150,12 @@ def _estimator_from_config(block: dict):
     kind = block.get("type")
     if kind == "bin":
         _require(block, ("width_x", "width_y"), "bin estimator")
-        return BinEstimator(float(block["width_x"]), float(block["width_y"]))
+        return BinEstimator(_number(block["width_x"], "width_x"),
+                            _number(block["width_y"], "width_y"))
     if kind == "kde":
         _require(block, ("bandwidth_x", "bandwidth_y"), "kde estimator")
-        return KdeEstimator(float(block["bandwidth_x"]), float(block["bandwidth_y"]))
+        return KdeEstimator(_number(block["bandwidth_x"], "bandwidth_x"),
+                            _number(block["bandwidth_y"], "bandwidth_y"))
     raise ConfigError(f"estimator type must be 'bin' or 'kde', got {kind!r}")
 
 
@@ -202,11 +222,12 @@ def cmd_kernel(args) -> int:
     _check_keys(block, ("H", "t_values", "s_fractions"), "kernel block")
     _require(block, ("H",), "kernel block")
     try:
-        hurst = Hurst(float(block["H"]))
+        hurst = Hurst(_number(block["H"], "H"))
     except ValueError as exc:
         raise ConfigError(f"invalid H: {exc}") from None
-    t_values = [float(v) for v in block.get("t_values", (0.1, 0.5, 1.0, 2.0))]
-    fracs = [float(v) for v in block.get("s_fractions", np.linspace(0.05, 0.95, 19))]
+    t_values = _numbers(block.get("t_values", [0.1, 0.5, 1.0, 2.0]), "t_values")
+    fracs = _numbers(block.get("s_fractions", np.linspace(0.05, 0.95, 19).tolist()),
+                     "s_fractions")
     if any(t <= 0 for t in t_values):
         raise ConfigError("t_values must be positive")
     if any(not 0.0 < f < 1.0 for f in fracs):
@@ -274,7 +295,7 @@ def cmd_modal_path(args) -> int:
     block = cfg.get("modal_path", {})
     _check_keys(block, ("n", "endpoint"), "modal_path block")
     _require(block, ("endpoint",), "modal_path block")
-    n = int(block.get("n", 512))
+    n = _number(block.get("n", 512), "modal_path n", int)
     endpoint = _point(block["endpoint"], "modal_path endpoint")
     path, mp = _emit_modal_path(model, n, endpoint, out_dir, "modal_path")
     print(path)
@@ -294,7 +315,7 @@ def cmd_density(args) -> int:
     block = cfg.get("density", {})
     _check_keys(block, ("n", "endpoints"), "density block")
     _require(block, ("endpoints",), "density block")
-    n = int(block.get("n", 512))
+    n = _number(block.get("n", 512), "density n", int)
     if not isinstance(block["endpoints"], list):
         raise ConfigError(f"density endpoints must be a list of [x, y] pairs, "
                           f"got {block['endpoints']!r}")
@@ -320,21 +341,22 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
+def _sim_config(block: dict, seed_flag) -> SimConfig:
+    """The SimConfig of a simulate or bridge_mc block; --seed overrides its seed."""
+    seed = seed_flag if seed_flag is not None else _number(block.get("seed", 0), "seed", int)
+    return SimConfig(n_paths=_number(block["n_paths"], "n_paths", int),
+                     n_steps=_number(block["n_steps"], "n_steps", int), seed=seed)
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, _TOP_LEVEL_KEYS, "config")
     model = _model_from_config(cfg)
     block = cfg.get("simulate", {})
-    _check_keys(block, ("n_paths", "n_steps", "point", "estimator", "chunk_size",
-                        "seed", "emit_terminals"), "simulate block")
+    _check_keys(block, ("n_paths", "n_steps", "point", "estimator", "seed",
+                        "emit_terminals"), "simulate block")
     _require(block, ("n_paths", "n_steps", "point", "estimator"), "simulate block")
-    seed = args.seed if args.seed is not None else int(block.get("seed", 0))
-    config = SimConfig(
-        n_paths=int(block["n_paths"]),
-        n_steps=int(block["n_steps"]),
-        seed=seed,
-        chunk_size=int(block.get("chunk_size", SimConfig.chunk_size)),
-    )
+    config = _sim_config(block, args.seed)
     estimator = _estimator_from_config(block["estimator"])
     point = _point(block["point"], "simulate point")
     ensemble = simulate_forward(model, config)
@@ -343,7 +365,7 @@ def cmd_simulate(args) -> int:
         "estimate": est.value,
         "std_err": est.std_err,
         "n_paths": ensemble.n_paths,
-        "seed": seed,
+        "seed": config.seed,
     }
     out = os.path.join(args.out, "simulate.json") if args.out else None
     if args.out:
@@ -361,16 +383,9 @@ def cmd_bridge_mc(args) -> int:
     _check_keys(cfg, _TOP_LEVEL_KEYS, "config")
     model = _model_from_config(cfg)
     block = cfg.get("bridge_mc", {})
-    _check_keys(block, ("n_paths", "n_steps", "endpoint", "chunk_size", "seed"),
-                "bridge_mc block")
+    _check_keys(block, ("n_paths", "n_steps", "endpoint", "seed"), "bridge_mc block")
     _require(block, ("n_paths", "n_steps", "endpoint"), "bridge_mc block")
-    seed = args.seed if args.seed is not None else int(block.get("seed", 0))
-    config = SimConfig(
-        n_paths=int(block["n_paths"]),
-        n_steps=int(block["n_steps"]),
-        seed=seed,
-        chunk_size=int(block.get("chunk_size", SimConfig.chunk_size)),
-    )
+    config = _sim_config(block, args.seed)
     endpoint = _point(block["endpoint"], "bridge_mc endpoint")
     est = bridge_mc_density(model, endpoint, config)
     payload = {
@@ -378,7 +393,7 @@ def cmd_bridge_mc(args) -> int:
         "std_err": est.std_err,
         "discretization_bias_estimate": est.discretization_bias,
         "n_paths": est.n_effective,
-        "seed": seed,
+        "seed": config.seed,
     }
     out = os.path.join(args.out, "bridge_mc.json") if args.out else None
     if args.out:

@@ -188,18 +188,11 @@ def _leading_coef(hurst: Hurst) -> float:
 
 
 def _unit_kernel(v: np.ndarray, hurst: Hurst) -> np.ndarray:
-    """k(v) = K_H(1, v) with a guard for v below double-precision reach."""
+    """k(v) = K_H(1, v) for 0 < v < 1."""
     H = hurst.H
     v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    tiny = v < 1e-270
-    if np.any(tiny):
-        out[tiny] = _leading_coef(hurst) * v[tiny] ** (-abs(H - 0.5))
-    rest = ~tiny
-    vv = v[rest]
-    z = 1.0 - 1.0 / vv
-    out[rest] = hurst.c_H * (1.0 - vv) ** (H - 0.5) * hyp2f1(H - 0.5, 0.5 - H, H + 0.5, z)
-    return out
+    z = 1.0 - 1.0 / v
+    return hurst.c_H * (1.0 - v) ** (H - 0.5) * hyp2f1(H - 0.5, 0.5 - H, H + 0.5, z)
 
 
 _profile_cache = OperatorCache(16)
@@ -221,14 +214,13 @@ def _build_kernel_profile(hurst: Hurst):
         out = np.empty_like(v)
         tiny = v < 1e-270
         out[tiny] = A
-        vv = np.maximum(v, 1e-270)
         rest = ~tiny
-        out[rest] = _unit_kernel(vv[rest], hurst) * vv[rest] ** (-b0)
+        out[rest] = _unit_kernel(v[rest], hurst) * v[rest] ** (-b0)
         return out
 
     def resid1(v):
         v = np.asarray(v, dtype=float)
-        z = 1.0 - 1.0 / np.maximum(v, 1e-270)
+        z = 1.0 - 1.0 / v
         return hurst.c_H * hyp2f1(H - 0.5, 0.5 - H, H + 0.5, z)
 
     def w(v):

@@ -15,27 +15,27 @@ summed over adjacent step pairs, also runs on the grid of half the step
 count; that coupled fine-minus-half-grid difference is the reported
 discretization-bias estimate.
 
-Both estimators run through one block runner.  Chunk k of a run with seed s
-is cut into row blocks of _BLOCK_ROWS paths (the last one takes the
-remainder), and block b draws its own numbers, inside its pool task, from
-the counter-based Philox stream keyed s XOR k jumped b times (Salmon et al.,
-SC 2011).  Jump 0 is the chunk's own stream, so a chunk small enough to be
-one block draws exactly the numbers of one whole-chunk pass.  A chunk's sums
-are taken over its concatenated block outputs, so the output depends on the
-fixed block partition but is bit-identical at any worker count.  The bridge
-runs each block as tiles of _TILE_ROWS rows, cut as blocks are cut; the
-tiles draw in row order, so together they draw the block's numbers, and
-only one tile's arrays exist at a time.  Its conditioning is row-local, so
-a path's weight depends on its own normals only, not on how its block is
-stacked or tiled.  While a pool of several workers runs the blocks, OpenBLAS
-runs one thread, so its threads do not compete with the pool's; one worker
-leaves OpenBLAS its own thread count: the bridge's path-major products give
-the same bits at any count.  The forward's Cholesky factor and its
-time-major noise product do not, so the forward runs OpenBLAS on one thread
-at any worker count, and no output depends on OPENBLAS_NUM_THREADS.  The
-worker count is the ``workers`` argument, else MODALBRIDGE_THREADS, else the
-number of usable cores; MODALBRIDGE_THREADS=1 runs every block on the
-calling thread.
+Both estimators run through one block runner.  A run with seed s is cut into
+row blocks of _BLOCK_ROWS paths (the last one takes the remainder), and
+block b draws its own numbers, inside its pool task, from the counter-based
+Philox stream keyed s jumped b times (Salmon et al., SC 2011).  Jump 0 is the
+run's own stream, so a run small enough to be one block draws exactly the
+numbers of one whole-run pass.  Each block returns its own results (the
+forward's terminal points, the bridge's weight sums), and the run joins them
+in block order, so the output depends on the fixed block partition but is
+bit-identical at any worker count.  The bridge runs each block as tiles of
+_TILE_ROWS rows, cut as blocks are cut; the tiles draw in row order, so
+together they draw the block's numbers, and only one tile's arrays exist at
+a time.  Its conditioning is row-local, so a path's weight depends on its own
+normals only, not on how its block is tiled.  While a pool of several workers
+runs the blocks, OpenBLAS runs one thread, so its threads do not compete
+with the pool's; one worker leaves OpenBLAS its own thread count: the
+bridge's path-major products give the same bits at any count.  The forward's
+Cholesky factor and its time-major noise product do not, so the forward runs
+OpenBLAS on one thread at any worker count, and no output depends on
+OPENBLAS_NUM_THREADS.  The worker count is the ``workers`` argument, else
+MODALBRIDGE_THREADS, else the number of usable cores; MODALBRIDGE_THREADS=1
+runs every block on the calling thread.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import itertools
 import math
 import os
 import threading
@@ -112,43 +111,32 @@ Estimator = Union[BinEstimator, KdeEstimator]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo configuration; deterministic given (seed, chunk_size).
+    """Monte Carlo configuration; deterministic given the seed.
 
-    Chunk k draws from the Philox stream keyed seed XOR k, one jumped
-    substream per row block of the chunk, so the output is fixed by (seed,
-    chunk_size) and the block partition, at any worker count.
+    Row block b draws from the Philox stream keyed seed, jumped b times, so
+    the output is fixed by the seed and the block partition, at any worker
+    count.
     """
 
     n_paths: int
     n_steps: int
     seed: int
-    chunk_size: int = 32768
 
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.n_steps < 2:
             raise ValueError("n_steps must be >= 2")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         if self.n_paths * self.n_steps > _MAX_VALUES:
             raise ValueError(
                 f"n_paths * n_steps = {self.n_paths * self.n_steps} exceeds the "
                 f"memory budget guard {_MAX_VALUES}"
             )
 
-    def chunks(self):
-        """(chunk_index, chunk_length) pairs covering n_paths."""
-        full, rem = divmod(self.n_paths, self.chunk_size)
-        out = [(k, self.chunk_size) for k in range(full)]
-        if rem:
-            out.append((full, rem))
-        return out
-
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Terminal samples of (X_T, Y_T), one entry per path in chunk order."""
+    """Terminal samples of (X_T, Y_T), one entry per path in block order."""
 
     terminal_x: np.ndarray
     terminal_y: np.ndarray
@@ -200,9 +188,9 @@ def _worker_count(workers: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
-def _block_rng(seed: int, k: int, b: int) -> np.random.Generator:
-    """Block b of chunk k: the Philox stream keyed seed XOR k, jumped b times."""
-    return np.random.Generator(np.random.Philox(key=(seed ^ k) & (2 ** 64 - 1)).jumped(b))
+def _block_rng(seed: int, b: int) -> np.random.Generator:
+    """Block b: the Philox stream keyed seed, jumped b times."""
+    return np.random.Generator(np.random.Philox(key=seed & (2 ** 64 - 1)).jumped(b))
 
 
 def _row_counts(m: int, size: int) -> list:
@@ -210,8 +198,8 @@ def _row_counts(m: int, size: int) -> list:
 
     The last part also takes the remainder, so a part has at least size rows
     unless it is the whole, and fewer than 2 * size rows are one part.  This
-    cuts chunks into blocks (size _BLOCK_ROWS; a one-block chunk draws the
-    chunk's own stream) and bridge blocks into tiles (size _TILE_ROWS).
+    cuts runs into blocks (size _BLOCK_ROWS; a one-block run draws the run's
+    own stream) and bridge blocks into tiles (size _TILE_ROWS).
     """
     full, rem = divmod(m, size)
     if full == 0:
@@ -273,38 +261,35 @@ def _one_blas_thread():
 
 
 def _run_blocks(config: SimConfig, kernel, workers: Optional[int]) -> list:
-    """kernel(k, rng, rows) over the row blocks of every chunk; per chunk, its block results.
+    """kernel(b, rng, rows) over the row blocks of the run; the results in block order.
 
     Each block gets its own generator (_block_rng) and draws its numbers in
     the kernel.  One worker runs the blocks in order on the calling thread,
     with OpenBLAS free to thread its matmuls.  Otherwise the calling thread
-    submits the blocks in chunk order to a pool with at most 2 x workers
-    blocks in flight, with OpenBLAS on one thread.  A failing block raises in
-    block order, after the pool has shut down, so the error is the same at
-    any worker count.
+    submits the blocks in order to a pool with at most 2 x workers blocks in
+    flight, with OpenBLAS on one thread.  A failing block raises in block
+    order, after the pool has shut down, so the error is the same at any
+    worker count.
     """
     def jobs():
-        for k, m in config.chunks():
-            for b, rows in enumerate(_row_counts(m, _BLOCK_ROWS)):
-                yield k, _block_rng(config.seed, k, b), rows
+        for b, rows in enumerate(_row_counts(config.n_paths, _BLOCK_ROWS)):
+            yield b, _block_rng(config.seed, b), rows
 
     nw = _worker_count(workers)
     if nw == 1:
-        done = [(k, kernel(k, rng, rows)) for k, rng, rows in jobs()]
-    else:
-        done, pending = [], deque()
-        with _one_blas_thread():
-            pool = ThreadPoolExecutor(max_workers=nw)
-            try:
-                for k, rng, rows in jobs():
-                    pending.append((k, pool.submit(kernel, k, rng, rows)))
-                    if len(pending) == 2 * nw:
-                        k0, future = pending.popleft()
-                        done.append((k0, future.result()))
-                done.extend((k0, future.result()) for k0, future in pending)
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return [[r for _, r in group] for _, group in itertools.groupby(done, lambda d: d[0])]
+        return [kernel(b, rng, rows) for b, rng, rows in jobs()]
+    done, pending = [], deque()
+    with _one_blas_thread():
+        pool = ThreadPoolExecutor(max_workers=nw)
+        try:
+            for job in jobs():
+                pending.append(pool.submit(kernel, *job))
+                if len(pending) == 2 * nw:
+                    done.append(pending.popleft().result())
+            done.extend(future.result() for future in pending)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return done
 
 
 # -- forward simulation ----------------------------------------------------------
@@ -333,7 +318,7 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     n = config.n_steps
     x0, y0 = float(model.x0), float(model.y0)
 
-    def run_block(k, rng, m):
+    def run_block(b, rng, m):
         z = rng.standard_normal((m, 2 * n))
         # time-major: row i (n + i) holds every path's X (Y) noise at node i + 1
         noise = factor @ z.T
@@ -348,7 +333,7 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
                 h2v = eval_drift(model.h2, t[i], x, y)
             except DriftDomainError as exc:
                 raise DriftDomainError(
-                    f"drift evaluation failed at step {i} (t={t[i]:g}) in chunk {k}: {exc}"
+                    f"drift evaluation failed at step {i} (t={t[i]:g}) in block {b}: {exc}"
                 ) from exc
             drift1 += np.asarray(h1v) * dt
             drift2 += np.asarray(h2v) * dt
@@ -360,7 +345,7 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     # thread count, so the forward runs OpenBLAS on one thread at any worker count
     with _one_blas_thread():
         factor = _forward_factor(grid, model)  # here, so worker threads never touch the cache
-        blocks = [r for chunk in _run_blocks(config, run_block, workers) for r in chunk]
+        blocks = _run_blocks(config, run_block, workers)
     xs, ys = (np.concatenate([r[j] for r in blocks]) for j in (0, 1))
     return PathEnsemble(terminal_x=xs, terminal_y=ys)
 
@@ -468,7 +453,7 @@ class _BridgeLevel:
         db += c0 * self.rho + c1 * w_last
         dw += c0 * self.rho_bar
 
-    def weights(self, model: ModelSpec, incr: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
+    def weights(self, model: ModelSpec, incr: np.ndarray, v: np.ndarray, b: int) -> np.ndarray:
         """Girsanov weights of the rows of incr, conditioned here in place."""
         n, dt = self.n, self.grid.dt
         self.condition(incr, v)
@@ -486,7 +471,7 @@ class _BridgeLevel:
             g2 = np.asarray(eval_drift(model.h2, tt, x, y), dtype=float)
             g1 = np.asarray(eval_drift(model.h1, tt, x, y), dtype=float)
         except DriftDomainError as exc:
-            raise DriftDomainError(f"bridge drift evaluation failed in chunk {k}: {exc}") from exc
+            raise DriftDomainError(f"bridge drift evaluation failed in block {b}: {exc}") from exc
         del x, y
         h2t = g2 @ self.inv_op_t
         h1t = np.multiply(h2t, -self.rho)
@@ -517,7 +502,9 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
     rows, each drawn, conditioned and weighed on both levels before the next,
     so a block in flight holds one tile's arrays (about 4 MB at n = 256).
     Every step is row-local, so the weights equal those of one pass over the
-    whole chunk, bit for bit.  Non-finite weight sums raise
+    whole block, bit for bit.  Each block returns its sums of w, w^2 and the
+    half-grid w, each one pairwise sum over the block's own arrays; the run
+    adds them in block order.  Non-finite weight sums raise
     NumericalConditioningError.
     """
     n = config.n_steps
@@ -527,7 +514,7 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
     fine, coarse = _bridge_level(model, n), _bridge_level(model, nc)
     v = np.array([endpoint[0] - model.x0, endpoint[1] - model.y0])
 
-    def run_block(k, rng, m):
+    def run_block(b, rng, m):
         w, wc = np.empty(m), np.empty(m)
         lo = 0
         # tiles draw in row order, so together they draw the block's numbers
@@ -538,16 +525,13 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
             pairs = incr.reshape(rows, 2, n)[:, :, :2 * nc].reshape(rows, 2, nc, 2)
             coarse_incr = (pairs[..., 0] + pairs[..., 1]).reshape(rows, 2 * nc)
             coarse_incr *= math.sqrt(coarse.grid.dt / (2.0 * fine.grid.dt))
-            w[lo:lo + rows] = fine.weights(model, incr, v, k)
-            wc[lo:lo + rows] = coarse.weights(model, coarse_incr, v, k)
+            w[lo:lo + rows] = fine.weights(model, incr, v, b)
+            wc[lo:lo + rows] = coarse.weights(model, coarse_incr, v, b)
             lo += rows
-        return w, wc
+        return float(w.sum()), float((w * w).sum()), float(wc.sum())
 
-    results = []
-    for blocks in _run_blocks(config, run_block, workers):
-        w, wc = (np.concatenate([b[j] for b in blocks]) for j in (0, 1))
-        results.append((float(w.sum()), float((w * w).sum()), float(wc.sum())))
-    s, s2, sc = (sum(r[j] for r in results) for j in range(3))
+    sums = _run_blocks(config, run_block, workers)
+    s, s2, sc = (sum(r[j] for r in sums) for j in range(3))
     if not all(math.isfinite(q) for q in (s, s2, sc)):
         raise NumericalConditioningError("bridge Girsanov weights overflow (non-finite sums)")
     count = config.n_paths

@@ -356,7 +356,7 @@ def crit_determinism(quick: bool) -> tuple:
     """11: identical seeds give identical results; worker count does not matter."""
     model = ModelSpec(Hurst(0.35), 0.4, 0.0, 0.0, 0.5,
                       parse_drift("0.1*x"), parse_drift("sin(t)"))
-    cfg = SimConfig(n_paths=8000, n_steps=32, seed=777, chunk_size=1000)
+    cfg = SimConfig(n_paths=8000, n_steps=32, seed=777)
     a = simulate_forward(model, cfg, workers=1)
     b = simulate_forward(model, cfg, workers=1)
     c = simulate_forward(model, cfg, workers=4)
@@ -365,10 +365,9 @@ def crit_determinism(quick: bool) -> tuple:
     same_workers = (np.array_equal(a.terminal_x, c.terminal_x)
                     and np.array_equal(a.terminal_y, c.terminal_y))
     zero = _zero_model(0.3, 0.2, T=0.5)
-    r1 = bridge_mc_density(zero, (0.1, 0.1), SimConfig(n_paths=4000, n_steps=32,
-                                                       seed=5, chunk_size=512))
-    r2 = bridge_mc_density(zero, (0.1, 0.1), SimConfig(n_paths=4000, n_steps=32,
-                                                       seed=5, chunk_size=512), workers=3)
+    bridge_cfg = SimConfig(n_paths=8000, n_steps=32, seed=5)
+    r1 = bridge_mc_density(zero, (0.1, 0.1), bridge_cfg)
+    r2 = bridge_mc_density(zero, (0.1, 0.1), bridge_cfg, workers=3)
     same_bridge = r1.value == r2.value and r1.std_err == r2.std_err
     ok = same_runs and same_workers and same_bridge
     return ok, (f"repeat runs identical: {same_runs}; worker-count invariant: "

@@ -162,15 +162,48 @@ def test_point_that_is_not_a_pair_exits_2(tmp_path, command, block):
     assert "[x, y]" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command,block", [
+    ("kernel", {"kernel": {"H": 0.3, "t_values": 5}}),
+    ("density", {"model": dict(MODEL, H=None), "density": {"endpoints": [[0.1, 0.2]]}}),
+    ("density", {"model": MODEL, "density": {"n": None, "endpoints": [[0.1, 0.2]]}}),
+    ("bridge-mc", {"model": MODEL, "bridge_mc": {"n_paths": None, "n_steps": 8,
+                                                 "endpoint": [0.1, 0.2]}}),
+    ("simulate", {"model": MODEL, "simulate": {"n_paths": 100, "n_steps": 8,
+                                               "point": [0.1, 0.2],
+                                               "estimator": dict(type="bin", width_x=None,
+                                                                 width_y=0.1)}}),
+    ("bridge-mc", {"model": MODEL, "bridge_mc": 5}),
+    ("simulate", {"model": MODEL, "simulate": {"n_paths": 100, "n_steps": 8,
+                                               "point": [0.1, 0.2], "estimator": 3}}),
+])
+def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, command, block):
+    cfg = write_config(tmp_path, block)
+    proc = run_cli([command, "--config", cfg])
+    assert proc.returncode == 2
+    assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 # -- simulate / bridge-mc ------------------------------------------------------------
 
-def simulate_config(tmp_path, n_paths=2000, chunk=512):
+@pytest.mark.parametrize("command,block", [
+    ("simulate", {"simulate": {"n_paths": 100, "n_steps": 8, "point": [0.1, 0.2],
+                               "estimator": _KDE, "chunk_size": 50}}),
+    ("bridge-mc", {"bridge_mc": {"n_paths": 100, "n_steps": 8, "endpoint": [0.1, 0.2],
+                                 "chunk_size": 50}}),
+])
+def test_chunk_size_is_an_unknown_key(tmp_path, command, block):
+    # the paths have one partition, the fixed row blocks: no key sets another
+    cfg = write_config(tmp_path, {"model": MODEL, **block})
+    proc = run_cli([command, "--config", cfg])
+    assert proc.returncode == 2
+    assert "unknown keys" in proc.stderr and "chunk_size" in proc.stderr
+
+def simulate_config(tmp_path, n_paths=2000):
     return write_config(tmp_path, {
         "model": MODEL,
         "simulate": {"n_paths": n_paths, "n_steps": 16, "point": [0.1, -0.05],
                      "estimator": {"type": "kde", "bandwidth_x": 0.05,
-                                   "bandwidth_y": 0.05},
-                     "chunk_size": chunk},
+                                   "bandwidth_y": 0.05}},
     })
 
 
@@ -188,7 +221,7 @@ def test_simulate_json_deterministic_bytes(tmp_path):
 
 
 def test_simulate_worker_count_invariance(tmp_path):
-    cfg = simulate_config(tmp_path)
+    cfg = simulate_config(tmp_path, n_paths=5000)  # blocks of 2048 and 2952 paths
     env_out = []
     for threads in ("1", "4"):
         out = str(tmp_path / f"w{threads}")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -39,8 +40,8 @@ def test_sim_config_validation():
         SimConfig(n_paths=10, n_steps=1, seed=1)
     with pytest.raises(ValueError):
         SimConfig(n_paths=10 ** 9, n_steps=1000, seed=1)
-    cfg = SimConfig(n_paths=10, n_steps=8, seed=1, chunk_size=4)
-    assert cfg.chunks() == [(0, 4), (1, 4), (2, 2)]
+    # the seed alone keys the streams: no other field partitions the paths
+    assert [f.name for f in dataclasses.fields(SimConfig)] == ["n_paths", "n_steps", "seed"]
 
 
 def test_density_estimate_rejects_nan():
@@ -71,31 +72,30 @@ def test_worker_count_defaults_to_usable_cores(monkeypatch):
 
 
 def test_block_runner_keeps_order_and_bounds_blocks_in_flight(monkeypatch):
-    # 5 chunks of 8192 paths, each 4 blocks of 2048; slow kernels let the
-    # calling thread run ahead as far as the bound allows
-    cfg = SimConfig(n_paths=5 * 8192, n_steps=2, seed=0, chunk_size=8192)
+    # 20 blocks of 2048 paths; slow kernels let the calling thread run ahead
+    # as far as the bound allows
+    cfg = SimConfig(n_paths=20 * 2048, n_steps=2, seed=9)
     block_rng = mc._block_rng
     for workers in (1, 2, 3):
         submitted, finished, ahead = [0], [0], []
 
-        def counting_rng(seed, k, b):
+        def counting_rng(seed, b):
             submitted[0] += 1
             ahead.append(submitted[0] - finished[0])
-            return block_rng(seed, k, b)
+            return block_rng(seed, b)
 
-        def kernel(k, rng, rows):
+        def kernel(b, rng, rows):
             time.sleep(0.002)
             finished[0] += 1
-            return k, rng.standard_normal(), rows
+            return b, rng.standard_normal(), rows
 
         monkeypatch.setattr(mc, "_block_rng", counting_rng)
         out = _run_blocks(cfg, kernel, workers)
-        assert [[(k, r) for k, _, r in chunk] for chunk in out] == [[(k, 2048)] * 4
-                                                                    for k in range(5)]
-        # block b of chunk k draws from the stream keyed seed XOR k, jumped b times
-        assert [[z for _, z, _ in chunk] for chunk in out] == [
-            [np.random.Generator(np.random.Philox(key=k).jumped(b)).standard_normal()
-             for b in range(4)] for k in range(5)]
+        assert [(b, r) for b, _, r in out] == [(b, 2048) for b in range(20)]
+        # block b draws from the stream keyed seed, jumped b times
+        assert [z for _, z, _ in out] == [
+            np.random.Generator(np.random.Philox(key=9).jumped(b)).standard_normal()
+            for b in range(20)]
         assert max(ahead) <= 2 * workers + 1
 
 
@@ -106,9 +106,10 @@ def test_estimator_validation():
         KdeEstimator(0.1, -0.1)
 
 
-def test_forward_determinism_and_worker_invariance():
+def test_forward_determinism_and_worker_invariance(monkeypatch):
     m = zero_model(0.3, 0.4, T=0.5)
-    cfg = SimConfig(n_paths=4000, n_steps=16, seed=13, chunk_size=512)
+    monkeypatch.setattr(mc, "_BLOCK_ROWS", 512)  # 7 blocks
+    cfg = SimConfig(n_paths=4000, n_steps=16, seed=13)
     a = simulate_forward(m, cfg)
     b = simulate_forward(m, cfg)
     c = simulate_forward(m, cfg, workers=4)
@@ -153,14 +154,14 @@ def _column_euler(m, grid, noise):
 
 def test_forward_time_major_loop_matches_column_reference():
     # the Euler arithmetic is unchanged by the time-major layout: compare the
-    # terminal points bit for bit with a column-wise loop over the same chunk's draws
+    # terminal points bit for bit with a column-wise loop over the same block's draws
     for H in (0.3, 0.5):
         m = _state_model(H)
         n, count = 16, 300
         grid = TimeGrid(m.T, n)
         ens = simulate_forward(m, SimConfig(n_paths=count, n_steps=n, seed=8),
                                warn_horizon=False)
-        rng = mc._block_rng(8, 0, 0)
+        rng = mc._block_rng(8, 0)
         noise = _node_noise(m, grid, [rng.standard_normal((count, 2 * n))])
         x, y = _column_euler(m, grid, noise)
         assert np.array_equal(ens.terminal_x, x[:, -1])
@@ -203,50 +204,45 @@ def test_forward_zero_drift_terminal_law(H):
     assert abs(cov[0, 1] - cxy) <= 4.0 * math.sqrt((vx * vy + cxy * cxy) / count)
 
 
-def _substreams(seed, k, count):
-    """(generator, rows) per row block of chunk k: blocks of 2048 rows, the last
-    taking the remainder, and block b on the Philox stream keyed seed XOR k
-    jumped b times."""
+def _substreams(seed, count):
+    """(generator, rows) per row block of a run: blocks of 2048 rows, the last
+    taking the remainder, and block b on the Philox stream keyed seed jumped b
+    times."""
     full, rem = divmod(count, 2048)
     rows = [count] if full == 0 else [2048] * (full - 1) + [2048 + rem]
-    return [(np.random.Generator(np.random.Philox(key=(seed ^ k) % 2 ** 64).jumped(b)), r)
+    return [(np.random.Generator(np.random.Philox(key=seed % 2 ** 64).jumped(b)), r)
             for b, r in enumerate(rows)]
 
 
-def _single_stream(seed, k, count):
-    """The whole chunk drawn at once from the stream keyed seed XOR k."""
-    return [(np.random.Generator(np.random.Philox(key=(seed ^ k) % 2 ** 64)), count)]
+def _single_stream(seed, count):
+    """The whole run drawn at once from the stream keyed seed."""
+    return [(np.random.Generator(np.random.Philox(key=seed % 2 ** 64)), count)]
 
 
-def _whole_chunk_forward(m, cfg, streams):
-    """simulate_forward's (x, y) paths: each chunk's block noise stacked, then one column loop."""
+def _per_block_forward(m, cfg, streams):
+    """simulate_forward's (x, y) paths: one column loop per block's noise, in block order."""
     n = cfg.n_steps
     grid = TimeGrid(m.T, n)
-    xs, ys = [], []
-    for k, count in cfg.chunks():
-        noise = _node_noise(m, grid, [rng.standard_normal((r, 2 * n))
-                                      for rng, r in streams(cfg.seed, k, count)])
-        x, y = _column_euler(m, grid, noise)
-        xs.append(x)
-        ys.append(y)
-    return np.concatenate(xs), np.concatenate(ys)
+    paths = [_column_euler(m, grid, _node_noise(m, grid, [rng.standard_normal((r, 2 * n))]))
+             for rng, r in streams(cfg.seed, cfg.n_paths)]
+    return tuple(np.concatenate([p[j] for p in paths]) for j in (0, 1))
 
 
-def _whole_chunk_bridge(m, endpoint, cfg, streams):
-    """bridge_mc_density's (value, std_err, bias): each chunk's draws stacked, one pass."""
+def _per_block_bridge(m, endpoint, cfg, streams):
+    """bridge_mc_density's (value, std_err, bias): one pass per block, its sums
+    added in block order."""
     n, nc = cfg.n_steps, cfg.n_steps // 2
     fine, coarse = _BridgeLevel(m, n), _BridgeLevel(m, nc)
     v = np.array([endpoint[0] - m.x0, endpoint[1] - m.y0])
     s = s2 = sc = 0
-    for k, count in cfg.chunks():
-        incr = np.concatenate([rng.standard_normal((r, 2 * n))
-                               for rng, r in streams(cfg.seed, k, count)])
+    for b, (rng, count) in enumerate(streams(cfg.seed, cfg.n_paths)):
+        incr = rng.standard_normal((count, 2 * n))
         incr *= math.sqrt(fine.grid.dt)
         pairs = incr.reshape(count, 2, n)[:, :, :2 * nc].reshape(count, 2, nc, 2)
         coarse_incr = (pairs[..., 0] + pairs[..., 1]).reshape(count, 2 * nc)
         coarse_incr *= math.sqrt(coarse.grid.dt / (2.0 * fine.grid.dt))
-        w = fine.weights(m, incr, v, k)
-        wc = coarse.weights(m, coarse_incr, v, k)
+        w = fine.weights(m, incr, v, b)
+        wc = coarse.weights(m, coarse_incr, v, b)
         s, s2, sc = s + float(w.sum()), s2 + float((w * w).sum()), sc + float(wc.sum())
     count = cfg.n_paths
     mean = s / count
@@ -256,8 +252,8 @@ def _whole_chunk_bridge(m, endpoint, cfg, streams):
 
 
 def _assert_estimators_match(m, cfg, streams, workers_list):
-    x, y = _whole_chunk_forward(m, cfg, streams)
-    bridge = _whole_chunk_bridge(m, (0.1, 0.05), cfg, streams)
+    x, y = _per_block_forward(m, cfg, streams)
+    bridge = _per_block_bridge(m, (0.1, 0.05), cfg, streams)
     for workers in workers_list:
         ens = simulate_forward(m, cfg, workers=workers, warn_horizon=False)
         assert np.array_equal(ens.terminal_x, x[:, -1])
@@ -267,30 +263,30 @@ def _assert_estimators_match(m, cfg, streams, workers_list):
 
 
 @pytest.mark.parametrize("H", [0.3, 0.5])
-def test_blocked_estimators_equal_whole_chunk_reference(H):
-    # chunks of 5000 paths run as blocks of 2048 and 2952, each on its own
-    # substream, the last chunk of 1000 as one block; the blocked run must
-    # reproduce one pass over each chunk's stacked block draws
-    cfg = SimConfig(n_paths=11000, n_steps=8, seed=17, chunk_size=5000)
+def test_blocked_estimators_equal_per_block_reference(H):
+    # 11000 paths run as blocks of 2048, the last of 2808, each on its own
+    # substream; the blocked run must reproduce one pass over each block's
+    # draws, with the bridge's block sums added in block order
+    cfg = SimConfig(n_paths=11000, n_steps=8, seed=17)
     _assert_estimators_match(_state_model(H), cfg, _substreams, (1, 2, 4))
 
 
-def test_single_block_chunks_draw_the_chunk_stream():
-    # a chunk of at most 4095 paths is one block, and jump 0 is the chunk's
-    # own stream: the output equals one whole-chunk draw from it
-    cfg = SimConfig(n_paths=7000, n_steps=8, seed=17, chunk_size=4095)
+def test_single_block_run_draws_the_seed_stream():
+    # a run of at most 4095 paths is one block, and jump 0 is the stream keyed
+    # seed: the output equals one whole-run draw from it
+    cfg = SimConfig(n_paths=4095, n_steps=8, seed=17)
     _assert_estimators_match(_state_model(0.3), cfg, _single_stream, (1, 2))
 
 
 @pytest.mark.parametrize("H", [0.3, 0.5])
 @pytest.mark.parametrize("n_steps", [64, 256])
 def test_bridge_tiles_are_invisible(n_steps, H):
-    # blocks of 2048 and 2952 rows run as tiles of 256 rows, the last taking
+    # blocks of 2048 and 2808 rows run as tiles of 256 rows, the last taking
     # the remainder; a path's weight depends on its own normals only, so the
-    # tiled run must reproduce one pass over each chunk's stacked block draws
+    # tiled run must reproduce one pass over each block's draws
     m = _state_model(H)
-    cfg = SimConfig(n_paths=11000, n_steps=n_steps, seed=17, chunk_size=5000)
-    reference = _whole_chunk_bridge(m, (0.1, 0.05), cfg, _substreams)
+    cfg = SimConfig(n_paths=11000, n_steps=n_steps, seed=17)
+    reference = _per_block_bridge(m, (0.1, 0.05), cfg, _substreams)
     for workers in (1, 2):
         est = bridge_mc_density(m, (0.1, 0.05), cfg, workers=workers)
         assert (est.value, est.std_err, est.discretization_bias) == reference
@@ -332,7 +328,7 @@ def test_block_error_is_the_same_at_any_worker_count():
             messages.append(str(info.value))
             assert threading.active_count() == baseline
         assert messages[0] == messages[1]
-        assert "in chunk 0" in messages[0]
+        assert "in block 0" in messages[0]
 
 
 def _blas_threads():
@@ -672,9 +668,10 @@ def test_bridge_transformed_drift_solves_defining_system():
         assert np.max(np.abs(image[lo:] - running[lo:])) / scale < 2e-2
 
 
-def test_bridge_determinism_and_worker_invariance():
+def test_bridge_determinism_and_worker_invariance(monkeypatch):
     m = zero_model(0.35, 0.2, T=0.5)
-    cfg = SimConfig(n_paths=3000, n_steps=16, seed=5, chunk_size=640)
+    monkeypatch.setattr(mc, "_BLOCK_ROWS", 640)  # 4 blocks
+    cfg = SimConfig(n_paths=3000, n_steps=16, seed=5)
     a = bridge_mc_density(m, (0.1, 0.2), cfg)
     b = bridge_mc_density(m, (0.1, 0.2), cfg, workers=3)
     assert a.value == b.value and a.std_err == b.std_err
@@ -738,11 +735,12 @@ def test_bridge_pathwise_conditioning_matches_dense_oracle(H):
                                rtol=0, atol=1e-12)
 
 
-def test_bridge_odd_steps_worker_invariance():
+def test_bridge_odd_steps_worker_invariance(monkeypatch):
     # n = 15: the half grid has 7 steps and the last normal of each block is unpaired
     m = ModelSpec(Hurst(0.3), 0.4, 0.0, 0.0, 0.5,
                   parse_drift("0.5*sin(x)"), parse_drift("0.3*cos(y)"))
-    cfg = SimConfig(n_paths=3000, n_steps=15, seed=21, chunk_size=700)
+    monkeypatch.setattr(mc, "_BLOCK_ROWS", 700)  # 4 blocks
+    cfg = SimConfig(n_paths=3000, n_steps=15, seed=21)
     a = bridge_mc_density(m, (0.1, 0.2), cfg)
     for workers in (1, 2, 4):
         b = bridge_mc_density(m, (0.1, 0.2), cfg, workers=workers)
