@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
+from . import opcache
 from .driftspec import ModelSpec
 from .kernel import TimeGrid, autocovariance, cholesky_with_jitter, kernel_partial_integral
-from .opcache import OperatorCache
 
 __all__ = [
     "GaussianConditioner",
@@ -108,9 +108,6 @@ class ModalPath:
     endpoint: tuple
 
 
-_coeff_cache = OperatorCache(16)
-
-
 def modal_coeffs(model: ModelSpec, grid: TimeGrid):
     """The four bridge coefficients m11, m12, m21, m22 on the grid nodes.
 
@@ -120,7 +117,7 @@ def modal_coeffs(model: ModelSpec, grid: TimeGrid):
     if model.rho_bar_H_sq < 1e-10:
         raise ValueError("degenerate rho_bar_H; modal coefficients undefined")
     key = (model.H, model.rho, model.T, grid.T, grid.n)
-    return _coeff_cache.get(key, lambda: _build_modal_coeffs(model, grid))
+    return opcache.get("modal_coeffs", key, lambda: _build_modal_coeffs(model, grid))
 
 
 def _build_modal_coeffs(model: ModelSpec, grid: TimeGrid):

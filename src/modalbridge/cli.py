@@ -120,11 +120,15 @@ def _model_from_config(cfg: dict) -> ModelSpec:
 
 
 def _number(value, where: str, kind=float):
-    """A config value as kind; a JSON value of another type is a ConfigError."""
+    """A config value as kind; a JSON value of another type is a ConfigError,
+    and so is a boolean or a value with a fractional part where kind is int."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if kind is int and (isinstance(value, bool) or number != value):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return number
 
 
 def _numbers(value, where: str) -> list:

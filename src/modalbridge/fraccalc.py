@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import opcache
 from .kernel import Hurst, TimeGrid, kernel_profile
-from .opcache import OperatorCache
 from .profiles import SingularProfile, _product_rows, product_integrate
 from .special import gamma_fn
 
@@ -193,11 +193,8 @@ def apply_KH(f: GridFunction, hurst: Hurst) -> GridFunction:
 
 
 # inverse-transform b-term weight: psi(v) = (1 - v^(1/2-H)) (1-v)^(-H-1/2), H > 1/2
-_psi_cache = OperatorCache(8)
-
-
 def _psi_profile(hurst: Hurst) -> SingularProfile:
-    return _psi_cache.get(hurst.H, lambda: _build_psi_profile(hurst.H))
+    return opcache.get("psi_profile", hurst.H, lambda: _build_psi_profile(hurst.H))
 
 
 def _build_psi_profile(H: float) -> SingularProfile:
@@ -302,9 +299,6 @@ def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
 _NODE0_FIT = {2: np.array([47.0, -16.0]) / 35.0, 3: np.array([3.0, -3.0, 1.0])}
 
 
-_inverse_cache = OperatorCache(4)
-
-
 def inverse_operator_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
     """The read-only (n+1) x (n+1) matrix L of the inverse kernel transform.
 
@@ -317,7 +311,7 @@ def inverse_operator_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
         op = _build_inverse_operator(grid, hurst)
         op.flags.writeable = False
         return op
-    return _inverse_cache.get((hurst.H, grid.T, grid.n), build)
+    return opcache.get("inverse_operator", (hurst.H, grid.T, grid.n), build)
 
 
 def _build_inverse_operator(grid: TimeGrid, hurst: Hurst) -> np.ndarray:

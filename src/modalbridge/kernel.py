@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .opcache import OperatorCache
+from . import opcache
 from .profiles import SingularProfile, moment_increments
 from .special import beta_fn, gamma_fn, hyp2f1
 
@@ -99,10 +99,7 @@ class TimeGrid:
     @property
     def nodes(self) -> np.ndarray:
         """The read-only nodes t_0..t_n, one cached array per (T, n)."""
-        return _nodes_cache.get((self.T, self.n), lambda: _build_nodes(self.T, self.n))
-
-
-_nodes_cache = OperatorCache(32)
+        return opcache.get("nodes", (self.T, self.n), lambda: _build_nodes(self.T, self.n))
 
 
 def _build_nodes(T: float, n: int) -> np.ndarray:
@@ -195,12 +192,9 @@ def _unit_kernel(v: np.ndarray, hurst: Hurst) -> np.ndarray:
     return hurst.c_H * (1.0 - v) ** (H - 0.5) * hyp2f1(H - 0.5, 0.5 - H, H + 0.5, z)
 
 
-_profile_cache = OperatorCache(16)
-
-
 def kernel_profile(hurst: Hurst):
     """Cached :class:`SingularProfile` of k(v) = K_H(1, v)."""
-    return _profile_cache.get(hurst.H, lambda: _build_kernel_profile(hurst))
+    return opcache.get("kernel_profile", hurst.H, lambda: _build_kernel_profile(hurst))
 
 
 def _build_kernel_profile(hurst: Hurst):

@@ -54,12 +54,12 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import opcache
 from .density import gaussian_prefactor
 from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift, validate_assumptions
 from .fraccalc import inverse_operator_matrix
 from .kernel import (NumericalConditioningError, TimeGrid, cholesky_with_jitter,
                      joint_cov_matrix, volterra_weight_matrix)
-from .opcache import OperatorCache
 
 __all__ = [
     "BinEstimator",
@@ -127,6 +127,8 @@ class SimConfig:
             raise ValueError("n_paths must be >= 1")
         if self.n_steps < 2:
             raise ValueError("n_steps must be >= 2")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.n_paths * self.n_steps > _MAX_VALUES:
             raise ValueError(
                 f"n_paths * n_steps = {self.n_paths * self.n_steps} exceeds the "
@@ -190,7 +192,7 @@ def _worker_count(workers: Optional[int]) -> int:
 
 def _block_rng(seed: int, b: int) -> np.random.Generator:
     """Block b: the Philox stream keyed seed, jumped b times."""
-    return np.random.Generator(np.random.Philox(key=seed & (2 ** 64 - 1)).jumped(b))
+    return np.random.Generator(np.random.Philox(key=seed).jumped(b))
 
 
 def _row_counts(m: int, size: int) -> list:
@@ -344,13 +346,10 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     # the bits of the factor, and of a time-major product, depend on the BLAS
     # thread count, so the forward runs OpenBLAS on one thread at any worker count
     with _one_blas_thread():
-        factor = _forward_factor(grid, model)  # here, so worker threads never touch the cache
+        factor = _forward_factor(grid, model)  # here, so pool tasks never look up the store
         blocks = _run_blocks(config, run_block, workers)
     xs, ys = (np.concatenate([r[j] for r in blocks]) for j in (0, 1))
     return PathEnsemble(terminal_x=xs, terminal_y=ys)
-
-
-_factor_cache = OperatorCache(4)
 
 
 def _forward_factor(grid: TimeGrid, model: ModelSpec) -> np.ndarray:
@@ -369,7 +368,7 @@ def _forward_factor(grid: TimeGrid, model: ModelSpec) -> np.ndarray:
         factor = cholesky_with_jitter(cov)
         factor.flags.writeable = False
         return factor
-    return _factor_cache.get((model.H, model.rho, grid.T, grid.n), build)
+    return opcache.get("forward_factor", (model.H, model.rho, grid.T, grid.n), build)
 
 
 # -- pointwise density estimation ---------------------------------------------------
@@ -422,6 +421,7 @@ class _BridgeLevel:
     def __init__(self, model: ModelSpec, n: int):
         self.n, self.rho, self.rho_bar = n, model.rho, model.rho_bar
         self.grid = TimeGrid(model.T, n)
+        self.nodes = self.grid.nodes  # here, so pool tasks never look up the store
         self.w_full = volterra_weight_matrix(self.grid, model.hurst)
         self.a = np.zeros((2, 2 * n))
         self.a[0, :n], self.a[0, n:] = model.rho, model.rho_bar
@@ -466,7 +466,7 @@ class _BridgeLevel:
         y = np.zeros_like(x)
         np.matmul(db, self.w_full.T, out=y[:, 1:])
         y += model.y0
-        tt = np.broadcast_to(self.grid.nodes, x.shape)
+        tt = np.broadcast_to(self.nodes, x.shape)
         try:
             g2 = np.asarray(eval_drift(model.h2, tt, x, y), dtype=float)
             g1 = np.asarray(eval_drift(model.h1, tt, x, y), dtype=float)
@@ -484,11 +484,9 @@ class _BridgeLevel:
             return np.exp(expo)
 
 
-_level_cache = OperatorCache(8)
-
-
 def _bridge_level(model: ModelSpec, n: int) -> _BridgeLevel:
-    return _level_cache.get((model.H, model.rho, model.T, n), lambda: _BridgeLevel(model, n))
+    return opcache.get("bridge_level", (model.H, model.rho, model.T, n),
+                        lambda: _BridgeLevel(model, n))
 
 
 def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy.special import roots_jacobi, roots_legendre
 
-from .opcache import OperatorCache
+from . import opcache
 
 __all__ = ["SingularProfile", "moment_increments", "product_integrate"]
 
@@ -249,8 +249,6 @@ def moment_increments(moment, lo: int, hi: int) -> np.ndarray:
 
 
 _BLOCK = 64  # rows of a product-integration matrix built per pass
-# the kernel transform's matrices (apply_KH): two slots keep a round trip's two grid sizes
-_table_cache = OperatorCache(2)
 
 
 def product_integrate(profile: SingularProfile, t: np.ndarray, f: np.ndarray,
@@ -264,5 +262,5 @@ def product_integrate(profile: SingularProfile, t: np.ndarray, f: np.ndarray,
     """
     n = len(t) - 1
     out = np.zeros(n + 1)
-    out[1:] = _table_cache.get((key, n), lambda: _product_matrix(profile, n)) @ f
+    out[1:] = opcache.get("product_matrix", (key, n), lambda: _product_matrix(profile, n)) @ f
     return out

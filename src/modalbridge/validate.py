@@ -19,12 +19,11 @@ import numpy as np
 from .bridge import GaussianConditioner, condition_gaussian, modal_coeffs, modal_path
 from .density import approx_density, exact_timeonly_density, gaussian_prefactor
 from .driftspec import ModelSpec, parse_drift
-from .fraccalc import GridFunction, _inverse_cache, apply_KH, invert_KH
+from .fraccalc import GridFunction, apply_KH, invert_KH
 from .kernel import (Hurst, TimeGrid, kernel_alt, kernel_hyp,
                      kernel_partial_integral, kernel_total_integral)
 from .mc import (BinEstimator, DensityEstimate, KdeEstimator, SimConfig, bridge_mc_density,
                  estimate_density_at, simulate_forward)
-from .profiles import _table_cache
 
 __all__ = ["CriterionResult", "ValidationReport", "run_validation", "CRITERIA"]
 
@@ -113,28 +112,22 @@ def crit_operator_round_trip(quick: bool) -> tuple:
     }
     lines = []
     ok = True
-    try:
-        for H in (0.25, 0.5, 0.75):
-            hurst = Hurst(H)
-            for name, fn in fns.items():
-                errs = {}
-                for n in (n_lo, n_hi):
-                    grid = TimeGrid(1.0, n)
-                    f = fn(grid.nodes)
-                    image = apply_KH(GridFunction(grid, f), hurst)
-                    back = invert_KH(image, hurst).values
-                    lo = int(0.02 * n)
-                    errs[n] = float(np.max(np.abs(back[lo:] - f[lo:])))
-                ratio = errs[n_lo] / max(errs[n_hi], 1e-300)
-                good = errs[n_lo] <= tol and (ratio >= 1.5 or errs[n_hi] <= 1e-9)
-                ok = ok and good
-                lines.append(f"H={H} f={name}: err({n_lo})={errs[n_lo]:.2e} "
-                             f"ratio={ratio:.2f}{'' if good else ' FAIL'}")
-    finally:
-        # no later criterion uses these grids (at full scale, L and the product
-        # matrices hold several hundred MB)
-        _inverse_cache.clear()
-        _table_cache.clear()
+    for H in (0.25, 0.5, 0.75):
+        hurst = Hurst(H)
+        for name, fn in fns.items():
+            errs = {}
+            for n in (n_lo, n_hi):
+                grid = TimeGrid(1.0, n)
+                f = fn(grid.nodes)
+                image = apply_KH(GridFunction(grid, f), hurst)
+                back = invert_KH(image, hurst).values
+                lo = int(0.02 * n)
+                errs[n] = float(np.max(np.abs(back[lo:] - f[lo:])))
+            ratio = errs[n_lo] / max(errs[n_hi], 1e-300)
+            good = errs[n_lo] <= tol and (ratio >= 1.5 or errs[n_hi] <= 1e-9)
+            ok = ok and good
+            lines.append(f"H={H} f={name}: err({n_lo})={errs[n_lo]:.2e} "
+                         f"ratio={ratio:.2f}{'' if good else ' FAIL'}")
     return ok, "; ".join(lines)
 
 

@@ -80,11 +80,21 @@ def test_criterion_07_bin_check_gives_zero_hits_a_poisson_bound():
     assert not V._bin_agrees(hit, 0.30, area)[0]
 
 
-def test_criterion_03_releases_its_grids():
-    # at full scale the inverse-transform and product matrices of its grids
-    # take several hundred MB, and no later criterion uses them
-    from modalbridge import fraccalc, profiles
+def test_criterion_03_fits_the_operator_budget():
+    # per H, the round trip alternates between two grids, and each needs its
+    # inverse-transform matrix L, (n+1) x (n+1), and its kernel product matrix,
+    # n x (n+1).  If the store cannot hold both grids' operators, least-recently-
+    # used eviction rebuilds every one of them on each pass.
+    from modalbridge import opcache
 
-    V.crit_operator_round_trip(True)
-    assert not [key for key in fraccalc._inverse_cache._items if key[2] in (500, 1000)]
-    assert not [key for key in profiles._table_cache._items if key[1] in (500, 1000)]
+    def working_set(sizes):
+        return sum(8 * ((n + 1) ** 2 + n * (n + 1)) for n in sizes)
+
+    opcache.clear()
+    V.crit_operator_round_trip(True)  # grids of 500 and 1000 steps, at H 0.25 and 0.75
+    stats = opcache.stats()
+    for partition in ("inverse_operator", "product_matrix"):
+        assert stats[partition]["builds"] == 4 and stats[partition]["evictions"] == 0
+    assert stats["inverse_operator"]["bytes"] + stats["product_matrix"]["bytes"] == \
+        2 * working_set((500, 1000))
+    assert opcache.BUDGET_BYTES >= working_set((2000, 4000))  # the full scale

@@ -183,6 +183,30 @@ def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, command, block):
     assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+_BRIDGE = {"n_paths": 100, "n_steps": 8, "endpoint": [0.1, 0.2]}
+_SIMULATE = {"n_paths": 100, "n_steps": 8, "point": [0.1, 0.2], "estimator": _KDE}
+
+
+@pytest.mark.parametrize("command,block,flags", [
+    ("bridge-mc", {"bridge_mc": dict(_BRIDGE, n_paths=100.7)}, []),
+    ("bridge-mc", {"bridge_mc": dict(_BRIDGE, n_steps=8.9)}, []),
+    ("bridge-mc", {"bridge_mc": dict(_BRIDGE, seed=True)}, []),
+    ("bridge-mc", {"bridge_mc": dict(_BRIDGE, seed=-1)}, []),
+    ("bridge-mc", {"bridge_mc": dict(_BRIDGE, seed=2 ** 64)}, []),
+    ("bridge-mc", {"bridge_mc": _BRIDGE}, ["--seed", "-1"]),
+    ("simulate", {"simulate": dict(_SIMULATE, n_paths="100")}, []),
+    ("simulate", {"simulate": dict(_SIMULATE, seed=-1)}, []),
+    ("simulate", {"simulate": _SIMULATE}, ["--seed", "-1"]),
+    ("density", {"density": {"n": 64.5, "endpoints": [[0.1, 0.2]]}}, []),
+])
+def test_integer_or_seed_out_of_its_domain_exits_2(tmp_path, capsys, command, block, flags):
+    # an integer is never truncated, and a seed lies in [0, 2**64)
+    cfg = write_config(tmp_path, {"model": MODEL, **block})
+    assert main([command, "--config", cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+
+
 # -- simulate / bridge-mc ------------------------------------------------------------
 
 @pytest.mark.parametrize("command,block", [

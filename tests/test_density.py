@@ -9,7 +9,7 @@ from modalbridge.density import (UnsupportedHurstError, alpha_exponent,
                                  approx_density, drift_functionals,
                                  exact_timeonly_density, gaussian_prefactor,
                                  omega_1, omega_full)
-from modalbridge import bridge, fraccalc, kernel, profiles
+from modalbridge import opcache
 from modalbridge.driftspec import DriftClass, DriftDomainError, ModelSpec, parse_drift
 from modalbridge.fraccalc import GridFunction, apply_KH
 from modalbridge.kernel import Hurst, TimeGrid
@@ -247,9 +247,7 @@ def test_warm_density_equals_cold_bit_for_bit(H):
     m = make_model("0.5*sin(x) + 0.2*y", "0.3*cos(y) - 0.1*x", H=H, rho=0.4,
                    holder_gamma=H / 2 if H > 0.5 else None)
     endpoints = [(0.1, 0.1), (0.5, -0.3)]
-    for cache in (kernel._profile_cache, fraccalc._psi_cache, profiles._table_cache,
-                  bridge._coeff_cache):
-        cache.clear()
+    opcache.clear()
     cold = [approx_density(m, ep, 128) for ep in endpoints]
     # warm, and in the other order, so no state leaks from one endpoint to the next
     warm = [approx_density(m, ep, 128) for ep in endpoints[::-1]][::-1]

@@ -14,12 +14,11 @@ from modalbridge.bridge import GaussianConditioner, condition_gaussian
 from modalbridge.density import exact_timeonly_density, gaussian_prefactor
 from modalbridge.driftspec import ModelSpec, parse_drift
 from modalbridge.kernel import Hurst, NumericalConditioningError, TimeGrid
-from modalbridge import mc
+from modalbridge import mc, opcache
 from modalbridge.mc import (BinEstimator, DensityEstimate, KdeEstimator, PathEnsemble,
                             SimConfig, _BridgeLevel, _run_blocks, _worker_count,
                             bridge_mc_density, estimate_density_at, simulate_forward,
                             volterra_weight_matrix)
-from modalbridge.opcache import OperatorCache
 
 ZERO = parse_drift("0")
 
@@ -329,6 +328,24 @@ def test_block_error_is_the_same_at_any_worker_count():
             assert threading.active_count() == baseline
         assert messages[0] == messages[1]
         assert "in block 0" in messages[0]
+
+
+def test_store_lookups_run_on_the_calling_thread(monkeypatch):
+    # lookups reorder the store's entries, so pool tasks must make none
+    m = _state_model(0.3)
+    cfg = SimConfig(n_paths=3 * 2048, n_steps=16, seed=6)
+    lookups = []
+    get = opcache.get
+
+    def recording(partition, key, build):
+        lookups.append((partition, threading.get_ident()))
+        return get(partition, key, build)
+
+    monkeypatch.setattr(opcache, "get", recording)
+    bridge_mc_density(m, (0.1, 0.05), cfg, workers=2)
+    simulate_forward(m, cfg, workers=2, warn_horizon=False)
+    assert {p for p, _ in lookups} >= {"bridge_level", "forward_factor", "nodes"}
+    assert {ident for _, ident in lookups} == {threading.get_ident()}
 
 
 def _blas_threads():
@@ -772,8 +789,11 @@ def test_bridge_with_two_step_half_grid_matches_column_loop_operator(n_steps, mo
     a = bridge_mc_density(m, (0.1, 0.2), cfg)
     assert a.value > 0 and math.isfinite(a.discretization_bias)
     monkeypatch.setattr(mc, "inverse_operator_matrix", column_loop)
-    monkeypatch.setattr(mc, "_level_cache", OperatorCache(8))  # build the levels anew
-    b = bridge_mc_density(m, (0.1, 0.2), cfg)
+    opcache.clear()  # build the levels anew
+    try:
+        b = bridge_mc_density(m, (0.1, 0.2), cfg)
+    finally:
+        opcache.clear()  # no later test may get these column-loop levels
     assert b.value == pytest.approx(a.value, rel=1e-12)
     assert b.discretization_bias == pytest.approx(a.discretization_bias, rel=1e-9, abs=1e-15)
 
@@ -790,7 +810,7 @@ def test_bridge_levels_are_cached_read_only_and_model_free(monkeypatch):
         return volterra_weight_matrix(grid, hurst)
 
     monkeypatch.setattr(mc, "volterra_weight_matrix", counting)
-    monkeypatch.setattr(mc, "_level_cache", OperatorCache(8))
+    opcache.clear()
     first = ModelSpec(Hurst(0.3), 0.4, 0.0, 0.0, 0.5, parse_drift("0.5*sin(x)"), ZERO)
     second = ModelSpec(Hurst(0.3), 0.4, 0.2, -0.1, 0.5, parse_drift("0.2"),
                        parse_drift("0.3*cos(y)"))
@@ -801,7 +821,7 @@ def test_bridge_levels_are_cached_read_only_and_model_free(monkeypatch):
     level = mc._bridge_level(second, 16)
     for op in (level.w_full, level.a, level.g_inv, level.inv_op_t):
         assert not op.flags.writeable
-    monkeypatch.setattr(mc, "_level_cache", OperatorCache(8))
+    opcache.clear()
     cold = bridge_mc_density(second, (0.1, 0.2), cfg)
     assert (warm.value, warm.std_err, warm.discretization_bias) == \
         (cold.value, cold.std_err, cold.discretization_bias)

@@ -1,38 +1,134 @@
 import sys
 import threading
 
-from modalbridge.opcache import OperatorCache
+import numpy as np
+import pytest
+
+from modalbridge import opcache
 
 
-def test_fifo_eviction_and_reuse():
-    cache = OperatorCache(2)
+@pytest.fixture(autouse=True)
+def empty_store():
+    # the store is process-wide: start empty, and leave none of these entries behind
+    opcache.clear()
+    yield
+    opcache.clear()
+
+
+def _array(nbytes, fill=0.0):
+    return np.full(nbytes // 8, fill)
+
+
+def test_lru_eviction_across_partitions(monkeypatch):
+    monkeypatch.setattr(opcache, "BUDGET_BYTES", 3 * 800)
     builds = []
 
-    def build(key):
-        builds.append(key)
-        return [key]
+    def get(partition, key):
+        def build():
+            builds.append((partition, key))
+            return _array(800)
+        return opcache.get(partition, key, build)
 
-    a = cache.get("a", lambda: build("a"))
-    assert cache.get("a", lambda: build("a")) is a
-    cache.get("b", lambda: build("b"))
-    cache.get("c", lambda: build("c"))  # evicts "a", the oldest
-    assert len(cache) == 2
-    assert cache.get("a", lambda: build("a")) is not a
-    assert builds == ["a", "b", "c", "a"]
+    a1 = get("a", 1)
+    b1 = get("b", 1)
+    get("a", 2)
+    assert get("a", 1) is a1  # a hit makes ("a", 1) the most recently used
+    get("b", 2)  # evicts ("b", 1), the least recently used, from the other partition
+    assert get("a", 1) is a1
+    assert get("b", 1) is not b1  # rebuilt, which evicts ("a", 2)
+    assert builds == [("a", 1), ("b", 1), ("a", 2), ("b", 2), ("b", 1)]
+    assert opcache.stats() == {
+        "a": {"builds": 2, "hits": 2, "evictions": 1, "bytes": 800},
+        "b": {"builds": 3, "hits": 0, "evictions": 1, "bytes": 1600},
+    }
 
 
-def test_concurrent_distinct_keys_at_capacity_two():
-    # many threads on a full cache evict concurrently; an unlocked
-    # check-then-pop can pop a key another thread already removed
-    cache = OperatorCache(2)
+def test_value_over_budget_is_returned_not_kept(monkeypatch):
+    monkeypatch.setattr(opcache, "BUDGET_BYTES", 1000)
+    kept = opcache.get("small", 0, lambda: _array(800))
+    big = [opcache.get("big", 0, lambda: _array(1008, fill=k)) for k in (1.0, 2.0)]
+    assert big[0][0] == 1.0 and big[1][0] == 2.0  # built twice, never stored
+    assert opcache.get("small", 0, lambda: _array(800)) is kept  # nothing evicted for it
+    assert opcache.stats() == {
+        "small": {"builds": 1, "hits": 1, "evictions": 0, "bytes": 800},
+        "big": {"builds": 2, "hits": 0, "evictions": 0, "bytes": 0},
+    }
+
+
+def test_sizes_count_the_arrays_of_tuples_and_objects():
+    class Level:
+        def __init__(self):
+            self.n = 4
+            self.w = _array(80)
+            self.a = _array(16)
+
+    opcache.get("tuple", 0, lambda: (_array(40), _array(24), 3.0))
+    opcache.get("object", 0, Level)
+    held = {p: s["bytes"] for p, s in opcache.stats().items()}
+    assert held == {"tuple": 64, "object": 96}
+
+
+def test_clear_drops_entries_and_counters():
+    first = opcache.get("p", 0, lambda: _array(8))
+    assert opcache.get("p", 0, lambda: _array(8)) is first
+    opcache.clear()
+    assert opcache.stats() == {}
+    assert opcache.get("p", 0, lambda: _array(8)) is not first
+    assert opcache.stats() == {"p": {"builds": 1, "hits": 0, "evictions": 0, "bytes": 8}}
+
+
+def test_racing_builds_return_the_value_stored_first():
+    # both threads miss, then build at the same time: each returns the first one stored
+    barrier = threading.Barrier(2, timeout=30)
+    results = [None, None]
+
+    def worker(i):
+        def build():
+            barrier.wait()
+            return _array(8, fill=i)
+        results[i] = opcache.get("p", "key", build)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
+    assert results[0] is results[1]
+    assert opcache.stats()["p"]["builds"] == 2
+
+
+def test_nested_build_does_not_deadlock():
+    # a build that looks up another entry, as a bridge level fetches its inverse operator
+    out = []
+
+    def outer():
+        inner = opcache.get("inner", 0, lambda: _array(8, fill=2.0))
+        return (inner, _array(8))
+
+    th = threading.Thread(target=lambda: out.append(opcache.get("outer", 0, outer)), daemon=True)
+    th.start()
+    th.join(timeout=30)
+    assert not th.is_alive()
+    assert out[0][0][0] == 2.0
+    assert {p: s["builds"] for p, s in opcache.stats().items()} == {"inner": 1, "outer": 1}
+
+
+def test_concurrent_distinct_keys_at_capacity_two(monkeypatch):
+    # many threads on a full store evict concurrently; an unlocked check-then-pop
+    # can pop an entry another thread already removed.  Every call counts as
+    # exactly one build or one hit.
+    monkeypatch.setattr(opcache, "BUDGET_BYTES", 2 * 16)  # two entries of two int64
     errors, wrong = [], []
+    calls = 5000
 
     def worker(w):
         try:
-            for i in range(5000):
-                key = (w, i % 7)
-                value = cache.get(key, lambda: key)
-                if value != key:
+            for i in range(calls):
+                # every other call asks for one shared entry, which stays in the store
+                key = (-1, -1) if i % 2 else (w, i % 7)
+                value = opcache.get(f"p{w % 3}", key, lambda: np.array(key))
+                if tuple(value) != key:
                     wrong.append((key, value))
         except Exception as exc:  # recorded; the assertion below reports it
             errors.append(exc)
@@ -49,4 +145,6 @@ def test_concurrent_distinct_keys_at_capacity_two():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert errors == [] and wrong == []
-    assert len(cache) <= 2
+    stats = opcache.stats().values()
+    assert sum(s["builds"] + s["hits"] for s in stats) == 16 * calls
+    assert 0 < sum(s["bytes"] for s in stats) <= 2 * 16
