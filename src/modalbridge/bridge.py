@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import opcache
 from .driftspec import ModelSpec
@@ -75,10 +74,12 @@ def condition_gaussian(g: GaussianConditioner):
     s_yy = g.cov[np.ix_(obs, obs)]
     s_xy = g.cov[np.ix_(keep, obs)]
     s_xx = g.cov[np.ix_(keep, keep)]
-    chol = (cholesky_with_jitter(s_yy), True)
-    resid = g.observed_values - g.mean[obs]
-    cond_mean = g.mean[keep] + s_xy @ cho_solve(chol, resid)
-    cond_cov = s_xx - s_xy @ cho_solve(chol, s_xy.T)
+    chol = cholesky_with_jitter(s_yy)
+    # S_YY^-1 [resid, S_YX] through the jittered factor: L^-T (L^-1 rhs)
+    rhs = np.column_stack([g.observed_values - g.mean[obs], s_xy.T])
+    sol = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    cond_mean = g.mean[keep] + s_xy @ sol[:, 0]
+    cond_cov = s_xx - s_xy @ sol[:, 1:]
     cond_cov = 0.5 * (cond_cov + cond_cov.T)
     return cond_mean, cond_cov
 

@@ -81,12 +81,31 @@ def _write_json(payload: dict, out_path=None) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _non_finite(value) -> bool:
+    """True for a NaN or infinite real, or a list holding one at any depth."""
+    if isinstance(value, list):
+        return any(map(_non_finite, value))
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+def _finite_object(pairs) -> dict:
+    """A JSON object, or a ConfigError naming the key of a non-finite real.
+
+    json reads NaN, Infinity and an overflowing literal such as 1e999 as
+    floats; this hook sees each one with its key, in every object.
+    """
+    for key, value in pairs:
+        if _non_finite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+    return dict(pairs)
+
+
 def _load_config(path) -> dict:
     if path is None:
         raise ConfigError("--config is required for this command")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_finite_object)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
@@ -113,20 +132,33 @@ def _require(block: dict, keys, where: str) -> None:
 def _model_from_config(cfg: dict) -> ModelSpec:
     if "model" not in cfg:
         raise ConfigError("config must contain a 'model' block")
+    block = cfg["model"]
+    if isinstance(block, dict):
+        # a missing key is model_from_dict's to report; holder_gamma may be null
+        for key in ("H", "rho", "x0", "y0", "T", "holder_gamma"):
+            if key in block and (block[key] is not None or key != "holder_gamma"):
+                _number(block[key], f"model {key}")
     try:
-        return model_from_dict(cfg["model"])
+        return model_from_dict(block)
     except (TypeError, ValueError, ExprSyntaxError) as exc:
         raise ConfigError(f"invalid model: {exc}") from None
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number: an int or float, not a boolean or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value, where: str, kind=float):
-    """A config value as kind; a JSON value of another type is a ConfigError,
-    and so is a boolean or a value with a fractional part where kind is int."""
+    """A config value as kind; any JSON value but a number is a ConfigError,
+    and so is a value with a fractional part where kind is int."""
+    if not _is_number(value):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         number = kind(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
-    if kind is int and (isinstance(value, bool) or number != value):
+    if kind is int and number != value:
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return number
 
@@ -139,11 +171,11 @@ def _numbers(value, where: str) -> list:
 
 
 def _point(value, where: str) -> tuple:
-    """A config point [x, y] as two floats."""
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+    """A config point [x, y] of two JSON numbers as two floats."""
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
         try:
             return float(value[0]), float(value[1])
-        except (TypeError, ValueError):
+        except OverflowError:
             pass
     raise ConfigError(f"{where} must be a pair of numbers [x, y], got {value!r}")
 

@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from . import opcache
-from .profiles import SingularProfile, moment_increments
+from .profiles import SingularProfile, gauss_jacobi, moment_increments
 from .special import beta_fn, gamma_fn, hyp2f1
 
 __all__ = [
@@ -132,6 +131,13 @@ def kernel_hyp(t: float, s, hurst: Hurst):
 _JACOBI_ORDER = 80  # Gauss-Jacobi nodes of kernel_alt's inner integral
 
 
+def _jacobi_rule(H: float):
+    """kernel_alt's read-only Gauss-Jacobi rule, one per H (a build takes about 1 ms)."""
+    x, w = gauss_jacobi(_JACOBI_ORDER, 0.0, H - 0.5)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def kernel_alt(t: float, s, hurst: Hurst):
     """K_H(t, s) via the integral form.
 
@@ -145,7 +151,7 @@ def kernel_alt(t: float, s, hurst: Hurst):
         out = np.ones_like(np.asarray(s, dtype=float))
         return float(out) if scalar else out
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    x, w = roots_jacobi(_JACOBI_ORDER, 0.0, H - 0.5)
+    x, w = opcache.get("jacobi_rule", H, lambda: _jacobi_rule(H))
     # u = s + (t - s) * y, y in (0, 1); integral = (t-s)^(H+1/2) int y^(H-1/2) u^(H-3/2) dy
     y = 0.5 * (x + 1.0)
     u = s[:, None] + (t - s)[:, None] * y[None, :]

@@ -32,17 +32,58 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from . import opcache
+from .special import beta_fn
 
 __all__ = ["SingularProfile", "moment_increments", "product_integrate"]
 
-_GL_NODES, _GL_WEIGHTS = roots_legendre(12)
+_GL_NODES, _GL_WEIGHTS = leggauss(12)
 _DEG = 12          # Chebyshev degree of the per-panel antiderivative
 _RATIO = 0.5       # geometric grading ratio of the panel mesh
 _VMIN = 1e-10      # first breakpoint away from each endpoint
 _TINY = 1e-250     # evaluation guard for residuals at v = 0
+
+
+def _jacobi_poly(n: int, a: float, b: float, x: np.ndarray):
+    """Jacobi polynomials P_(n-1) and P_n with parameters (a, b) at x, n >= 1."""
+    prev, cur = np.ones_like(x), 0.5 * ((a + b + 2.0) * x + a - b)
+    for m in range(1, n):
+        s = 2.0 * m + a + b
+        prev, cur = cur, (((s + 1.0) * (a * a - b * b) + s * (s + 1.0) * (s + 2.0) * x) * cur
+                          - 2.0 * (m + a) * (m + b) * (s + 2.0) * prev) / (
+                              2.0 * (m + 1.0) * (m + a + b + 1.0) * s)
+    return prev, cur
+
+
+def gauss_jacobi(n: int, alpha: float, beta: float):
+    """n-point Gauss rule on [-1, 1] for the weight (1 - x)^alpha (1 + x)^beta.
+
+    The method of ``scipy.special.roots_jacobi``: the eigenvalues of the
+    Jacobi matrix, one Newton step on P_n, and weights 1 / (P_(n-1) P_n')
+    scaled to sum to the weight's integral.  Returns (nodes, weights), the
+    nodes ascending; n >= 2.
+    """
+    a, b = float(alpha), float(beta)
+    k = np.arange(1.0, n)
+    s = 2.0 * k + a + b
+    diag = np.empty(n)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b * b - a * a) / (s * (s + 2.0))
+    off = 2.0 / s * np.sqrt((k + a) * (k + b) / (s + 1.0))
+    off[1:] *= np.sqrt(k[1:] * (k[1:] + a + b) / (s[1:] - 1.0))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+    dp = 0.5 * (n + a + b + 1.0) * _jacobi_poly(n - 1, a + 1.0, b + 1.0, x)[1]
+    x -= _jacobi_poly(n, a, b, x)[1] / dp
+    pm = _jacobi_poly(n, a, b, x)[0]
+    # P_(n-1) and P_n' span many decades: scale each by its geometric mid-range
+    for v in (pm, dp):
+        logs = np.log(np.abs(v))
+        v /= np.exp(0.5 * (logs.max() + logs.min()))
+    w = 1.0 / (pm * dp)
+    return x, w * (2.0 ** (a + b + 1.0) * beta_fn(a + 1.0, b + 1.0) / w.sum())
 
 
 def _legendre_points(a: np.ndarray, b: np.ndarray):
@@ -109,7 +150,7 @@ class SingularProfile:
         # left panel: Phi(v) = int_0^v s^b0 g ds = v^(1+b0) chi(v); interpolate chi.
         # Gauss-Jacobi on [0, x_1], Gauss-Legendre on the later node intervals.
         b0, x = self.b0, nodes[0]
-        xj, wj = roots_jacobi(12, 0.0, b0)
+        xj, wj = gauss_jacobi(12, 0.0, b0)
         vj = 0.5 * (xj + 1.0) * x[1]
         v, half = _legendre_points(x[1:-1], x[2:])
         r = resid0(np.concatenate([vj, v.ravel(), [_TINY]]))
@@ -130,7 +171,7 @@ class SingularProfile:
         # Gauss-Jacobi on [x_11, 1], Gauss-Legendre on the earlier node intervals,
         # accumulated from the right.
         a1, x = self.a1, nodes[-1]
-        xj, wj = roots_jacobi(12, a1, 0.0)
+        xj, wj = gauss_jacobi(12, a1, 0.0)
         vj = 0.5 * (xj + 1.0) * (1.0 - x[-2]) + x[-2]
         v, half = _legendre_points(x[:-2], x[1:-1])
         r = resid1(np.concatenate([vj, v.ravel(), [1.0]]))
@@ -168,7 +209,8 @@ class SingularProfile:
         idx = np.clip(np.searchsorted(self.breaks, flat, side="right") - 1,
                       0, self.n_panels - 1)
         out = np.empty_like(flat)
-        for p in np.unique(idx):
+        # the panels in use, ascending; np.unique would load numpy.ma on its first call
+        for p in np.flatnonzero(np.bincount(idx, minlength=self.n_panels)):
             sel = idx == p
             lo, hi = self.breaks[p], self.breaks[p + 1]
             h = hi - lo

@@ -26,13 +26,13 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as _cheb
 from scipy.integrate import quad
-from scipy.special import roots_jacobi, roots_legendre
 
 from modalbridge.driftspec import BinOp, Call, DriftDomainError, Neg, Num, Var, _bad_example
 from modalbridge.fraccalc import (_derivative_by_differencing, _marchaud_tail, _psi_profile,
                                   _rl_apply)
 from modalbridge.kernel import Hurst, _leading_coef
-from modalbridge.profiles import _DEG, _RATIO, _TINY, _VMIN, SingularProfile, product_integrate
+from modalbridge.profiles import (_DEG, _GL_NODES, _GL_WEIGHTS, _RATIO, _TINY, _VMIN,
+                                  SingularProfile, gauss_jacobi, product_integrate)
 from modalbridge.special import _check_c, gamma_fn, hyp2f1
 
 
@@ -261,9 +261,8 @@ def reference_eval_drift():
     return _reference_eval_drift
 
 
-_GL_NODES, _GL_WEIGHTS = roots_legendre(12)
-
-
+# The library's own Gauss rules: the tables are compared bit for bit, so both
+# builds must integrate with the same nodes and weights.
 def _gauss(f: Callable, a: float, b: float) -> float:
     v = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
     return 0.5 * (b - a) * float(np.sum(_GL_WEIGHTS * f(v)))
@@ -271,14 +270,14 @@ def _gauss(f: Callable, a: float, b: float) -> float:
 
 def _gauss_jacobi_left(g: Callable, b: float, b0: float) -> float:
     # int_0^b s^b0 g(s) ds, g smooth
-    x, w = roots_jacobi(12, 0.0, b0)
+    x, w = gauss_jacobi(12, 0.0, b0)
     v = 0.5 * (x + 1.0) * b
     return (0.5 * b) ** (1.0 + b0) * float(np.sum(w * g(v)))
 
 
 def _gauss_jacobi_right(q: Callable, a: float, a1: float) -> float:
     # int_a^1 (1 - s)^a1 q(s) ds, q smooth
-    x, w = roots_jacobi(12, a1, 0.0)
+    x, w = gauss_jacobi(12, a1, 0.0)
     v = 0.5 * (x + 1.0) * (1.0 - a) + a
     return (0.5 * (1.0 - a)) ** (1.0 + a1) * float(np.sum(w * q(v)))
 

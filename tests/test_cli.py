@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -205,6 +206,52 @@ def test_integer_or_seed_out_of_its_domain_exits_2(tmp_path, capsys, command, bl
     assert main([command, "--config", cfg, *flags]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,block", [
+    ("simulate", {"simulate": dict(_SIMULATE, estimator=dict(_KDE, bandwidth_x=True))}),
+    ("simulate", {"simulate": dict(_SIMULATE, estimator=dict(_KDE, bandwidth_y="0.05"))}),
+    ("simulate", {"simulate": dict(_SIMULATE, point=[0.3, True])}),
+    ("bridge-mc", {"bridge_mc": dict(_BRIDGE, endpoint=["0.3", 0.2])}),
+    ("density", {"density": {"endpoints": [[0.1, False]]}}),
+    ("kernel", {"kernel": {"H": "0.3"}}),
+    ("kernel", {"kernel": {"H": 0.3, "t_values": [1.0, True]}}),
+    ("density", {"model": dict(MODEL, T=True), "density": {"endpoints": [[0.1, 0.2]]}}),
+    ("density", {"model": dict(MODEL, rho="0.5"), "density": {"endpoints": [[0.1, 0.2]]}}),
+])
+def test_real_given_as_a_boolean_or_string_exits_2(tmp_path, capsys, command, block):
+    # a real value is a JSON number: true is not 1.0 and "0.05" is not 0.05
+    cfg = write_config(tmp_path, {"model": MODEL, **block})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "must be a number" in err or "[x, y]" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,block,key", [
+    ("density", {"model": dict(MODEL, H=math.nan),
+                 "density": {"endpoints": [[0.1, 0.2]]}}, "H"),
+    ("density", {"model": dict(MODEL, T=math.inf),
+                 "density": {"endpoints": [[0.1, 0.2]]}}, "T"),
+    ("density", {"density": {"endpoints": [[0.1, -math.inf]]}}, "endpoints"),
+    ("simulate", {"simulate": dict(_SIMULATE, estimator=dict(_KDE, bandwidth_x=math.nan))},
+     "bandwidth_x"),
+    ("bridge-mc", {"bridge_mc": dict(_BRIDGE, endpoint=[math.inf, 0.2])}, "endpoint"),
+])
+def test_nan_or_infinity_names_its_key_and_exits_2(tmp_path, capsys, command, block, key):
+    cfg = write_config(tmp_path, {"model": MODEL, **block})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} must be finite" in err and "Traceback" not in err
+
+
+def test_overflowing_real_literal_names_its_key_and_exits_2(tmp_path, capsys):
+    # 1e999 parses to inf, the same as Infinity
+    path = tmp_path / "cfg.json"
+    text = json.dumps({"model": MODEL, "density": {"endpoints": [[0.1, 0.2]]}})
+    path.write_text(text.replace('"T": 0.5', '"T": 1e999'), encoding="utf-8")
+    assert main(["density", "--config", str(path)]) == 2
+    assert "config error: T must be finite, got inf" in capsys.readouterr().err
 
 
 # -- simulate / bridge-mc ------------------------------------------------------------

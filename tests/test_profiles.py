@@ -6,7 +6,8 @@ from conftest import ReferenceProfile, pair_fractions
 from modalbridge import fraccalc, kernel
 from modalbridge.fraccalc import _psi_profile
 from modalbridge.kernel import Hurst, kernel_profile, kernel_total_integral
-from modalbridge.profiles import SingularProfile, product_integrate
+from modalbridge.profiles import SingularProfile, gauss_jacobi, product_integrate
+from modalbridge.special import beta_fn
 
 
 def flat_profile():
@@ -127,6 +128,49 @@ def test_profile_build_evaluates_each_weight_a_few_times(monkeypatch, name, H):
         assert len(calls) <= 8  # one hyp2f1 call per weight call
     for key in ("w", "resid0", "resid1"):
         assert 1 <= seen[key] <= 3, key
+
+
+# The library's Gauss-Jacobi exponents are (0, e) and (e, 0) with e = +-(H - 1/2):
+# the profiles' end panels and kernel_alt's inner integral.
+JACOBI_EXPONENTS = [(0.0, e) for e in (-0.49, -0.3, -0.2, -1e-7, 1e-7, 0.2, 0.49)] + [
+    (e, 0.0) for e in (-0.49, -0.2, -1e-7, 1e-7, 0.2, 0.3, 0.49)]
+
+
+def jacobi_moments(kmax, alpha, beta):
+    """int_-1^1 x^k (1-x)^alpha (1+x)^beta dx for k = 0..kmax.
+
+    M_0 = 2^(alpha+beta+1) B(alpha+1, beta+1); integrating the derivative of
+    x^k (1-x)^(alpha+1) (1+x)^(beta+1) gives
+    M_(k+1) = (k M_(k-1) + (beta - alpha) M_k) / (k + alpha + beta + 2),
+    whose two terms share a sign when one exponent is zero.
+    """
+    m = np.empty(kmax + 1)
+    m[0] = 2.0 ** (alpha + beta + 1.0) * beta_fn(alpha + 1.0, beta + 1.0)
+    m[1] = (beta - alpha) * m[0] / (alpha + beta + 2.0)
+    for k in range(1, kmax):
+        m[k + 1] = (k * m[k - 1] + (beta - alpha) * m[k]) / (k + alpha + beta + 2.0)
+    return m
+
+
+@pytest.mark.parametrize("n,weight_rtol", [(12, 1e-12), (80, 1e-10)])
+@pytest.mark.parametrize("alpha,beta", JACOBI_EXPONENTS)
+def test_gauss_jacobi_matches_scipy(n, weight_rtol, alpha, beta):
+    from scipy.special import roots_jacobi
+    x, w = gauss_jacobi(n, alpha, beta)
+    xr, wr = roots_jacobi(n, alpha, beta)
+    np.testing.assert_allclose(x, xr, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w, wr, rtol=weight_rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("n,tol", [(12, 1e-13), (80, 1e-11)])
+@pytest.mark.parametrize("alpha,beta", JACOBI_EXPONENTS)
+def test_gauss_jacobi_is_exact_to_degree_2n_minus_1(n, tol, alpha, beta):
+    # odd moments vanish as the exponents do, so errors are measured against
+    # the sum of the terms' magnitudes
+    x, w = gauss_jacobi(n, alpha, beta)
+    terms = w[:, None] * x[:, None] ** np.arange(2 * n)
+    err = np.abs(terms.sum(axis=0) - jacobi_moments(2 * n - 1, alpha, beta))
+    assert np.all(err <= tol * np.abs(terms).sum(axis=0))
 
 
 def test_pair_fractions_layout():

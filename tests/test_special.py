@@ -132,3 +132,32 @@ def test_hyp2f1_vectorized_over_z():
     out = hyp2f1(0.25, -0.25, 0.75, z)
     assert out.shape == z.shape
     assert out[0] == 1.0
+
+
+def test_gamma_overflows_to_inf():
+    # math.gamma raises OverflowError past about 171.6; scipy returned inf
+    assert gamma_fn(200.0) == math.inf
+    np.testing.assert_array_equal(gamma_fn(np.array([0.5, 200.0])),
+                                  [math.sqrt(math.pi), math.inf])
+
+
+def test_beta_large_arguments_stay_finite():
+    from scipy.special import beta as sp_beta
+    for a, b in ((200.0, 300.0), (171.0, 0.5), (0.5, 400.0), (85.0, 90.0)):
+        assert beta_fn(a, b) == pytest.approx(sp_beta(a, b), rel=1e-12)
+    assert beta_fn(200.0, 300.0) > 0.0
+
+
+KERNEL_HS = [0.01] + [round(h, 2) for h in np.arange(0.05, 0.96, 0.05)] + [0.99, 0.4999999,
+                                                                              0.5000001]
+
+
+@pytest.mark.parametrize("H", KERNEL_HS)
+def test_kernel_family_matches_scipy(H):
+    # F(a, -a; a + 1; z), a = H - 1/2, on both of its routes and their switch
+    from scipy.special import hyp2f1 as sp_hyp2f1
+    a, b, c = H - 0.5, 0.5 - H, H + 0.5
+    z = -np.concatenate([[0.0], np.geomspace(1e-16, 1e14, 2001), np.linspace(0.0, 10.0, 2001)])
+    ours = hyp2f1(a, b, c, z)
+    np.testing.assert_allclose(ours, sp_hyp2f1(a, b, c, z), rtol=1e-14, atol=0.0)
+    assert hyp2f1(a, b, c, -2.5) == ours[np.flatnonzero(z == -2.5)[0]]
