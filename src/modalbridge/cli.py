@@ -19,10 +19,10 @@ error.  Exit codes: 0 ok, 1 validation failure, 2 config or usage error,
 byte-for-byte for a given (config, seed): floats are printed with 17
 significant digits, LF line endings, UTF-8, header row always present.  The
 Monte Carlo estimators cut the paths into fixed blocks of 2048 rows, each on
-its own Philox substream of the seed, and run them on as many worker threads
-as there are usable cores, or on MODALBRIDGE_THREADS of them (1 runs
-serially); the worker count never changes results, which are byte-identical
-for a fixed BLAS thread setting.
+its own SFC64 stream spawned from the seed's SeedSequence, and run them on
+as many worker threads as there are usable cores, or on MODALBRIDGE_THREADS
+of them (1 runs serially); the worker count never changes results, which
+are byte-identical for a fixed BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -72,13 +72,35 @@ def _write_csv(path: str, header, columns) -> None:
         np.savetxt(fh, data, fmt="%.17g", delimiter=",", newline="\n")
 
 
-def _write_json(payload: dict, out_path=None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+def _write_json(payload: dict, out_dir, name: str) -> None:
+    """Write payload as JSON to out_dir/name, making the directory, or to stdout.
+
+    JSON has no NaN or infinity: a non-finite number in payload is a
+    NumericalConditioningError naming its field, raised before anything is
+    made or written.
+    """
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalConditioningError(
+            f"output field {_non_finite_field(payload)} is not finite") from exc
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _non_finite_field(value, path=""):
+    """The path, such as density[0].phi, of the first non-finite real in value, or None."""
+    if isinstance(value, dict):
+        parts = ((f"{path}.{key}" if path else key, v) for key, v in sorted(value.items()))
+    elif isinstance(value, list):
+        parts = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return path if _non_finite(value) else None
+    return next(filter(None, (_non_finite_field(v, p) for p, v in parts)), None)
 
 
 def _non_finite(value) -> bool:
@@ -370,10 +392,7 @@ def cmd_density(args) -> int:
             "drift_class": model.drift_class.value,
         })
     payload = {"density": results}
-    out = os.path.join(args.out, "density.json") if args.out else None
-    if out:
-        os.makedirs(args.out, exist_ok=True)
-    _write_json(payload, out)
+    _write_json(payload, args.out, "density.json")
     return EXIT_OK
 
 
@@ -403,10 +422,7 @@ def cmd_simulate(args) -> int:
         "n_paths": ensemble.n_paths,
         "seed": config.seed,
     }
-    out = os.path.join(args.out, "simulate.json") if args.out else None
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-    _write_json(payload, out)
+    _write_json(payload, args.out, "simulate.json")
     if args.out and block.get("emit_terminals"):
         _write_csv(os.path.join(args.out, "terminals.csv"),
                    ("terminal_x", "terminal_y"),
@@ -431,10 +447,7 @@ def cmd_bridge_mc(args) -> int:
         "n_paths": est.n_effective,
         "seed": config.seed,
     }
-    out = os.path.join(args.out, "bridge_mc.json") if args.out else None
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-    _write_json(payload, out)
+    _write_json(payload, args.out, "bridge_mc.json")
     return EXIT_OK
 
 
@@ -443,10 +456,7 @@ def cmd_validate(args) -> int:
 
     report = run_validation(quick=args.quick, echo=lambda s: print(s, file=sys.stderr))
     payload = report.to_dict()
-    out = os.path.join(args.out, "validation.json") if args.out else None
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-    _write_json(payload, out)
+    _write_json(payload, args.out, "validation.json")
     return EXIT_OK if report.all_passed else EXIT_VALIDATION_FAILURE
 
 

@@ -17,25 +17,26 @@ discretization-bias estimate.
 
 Both estimators run through one block runner.  A run with seed s is cut into
 row blocks of _BLOCK_ROWS paths (the last one takes the remainder), and
-block b draws its own numbers, inside its pool task, from the counter-based
-Philox stream keyed s jumped b times (Salmon et al., SC 2011).  Jump 0 is the
-run's own stream, so a run small enough to be one block draws exactly the
-numbers of one whole-run pass.  Each block returns its own results (the
-forward's terminal points, the bridge's weight sums), and the run joins them
-in block order, so the output depends on the fixed block partition but is
-bit-identical at any worker count.  The bridge runs each block as tiles of
-_TILE_ROWS rows, cut as blocks are cut; the tiles draw in row order, so
-together they draw the block's numbers, and only one tile's arrays exist at
-a time.  Its conditioning is row-local, so a path's weight depends on its own
-normals only, not on how its block is tiled.  While a pool of several workers
-runs the blocks, OpenBLAS runs one thread, so its threads do not compete
-with the pool's; one worker leaves OpenBLAS its own thread count: the
-bridge's path-major products give the same bits at any count.  The forward's
-Cholesky factor and its time-major noise product do not, so the forward runs
-OpenBLAS on one thread at any worker count, and no output depends on
-OPENBLAS_NUM_THREADS.  The worker count is the ``workers`` argument, else
-MODALBRIDGE_THREADS, else the number of usable cores; MODALBRIDGE_THREADS=1
-runs every block on the calling thread.
+block b draws its own numbers, inside its pool task, from an SFC64 stream
+seeded by child b of the SeedSequence of s, SeedSequence(s, spawn_key=(b,)),
+numpy's way to make independent parallel streams.  A run small enough to be
+one block draws block 0's stream in one whole-run pass.  Each block returns
+its own results (the forward's terminal points, the bridge's centred weight
+sums), and the run joins them in block order, so the output depends on the
+fixed block partition but is bit-identical at any worker count.  The bridge
+runs each block as tiles of _TILE_ROWS rows, cut as blocks are cut; the
+tiles draw in row order, so together they draw the block's numbers, and only
+one tile's arrays exist at a time.  Its conditioning is row-local, so a
+path's weight depends on its own normals only, not on how its block is
+tiled.  While a pool of several workers runs the blocks, OpenBLAS runs one
+thread, so its threads do not compete with the pool's; one worker leaves
+OpenBLAS its own thread count: the bridge's path-major products give the
+same bits at any count.  The forward's Cholesky factor and its time-major
+noise product do not, so the forward runs OpenBLAS on one thread at any
+worker count, and no output depends on OPENBLAS_NUM_THREADS.  The worker
+count is the ``workers`` argument, else MODALBRIDGE_THREADS, else the number
+of usable cores; MODALBRIDGE_THREADS=1 runs every block on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -113,9 +114,9 @@ Estimator = Union[BinEstimator, KdeEstimator]
 class SimConfig:
     """Monte Carlo configuration; deterministic given the seed.
 
-    Row block b draws from the Philox stream keyed seed, jumped b times, so
-    the output is fixed by the seed and the block partition, at any worker
-    count.
+    Row block b draws from an SFC64 stream seeded by child b of the seed's
+    SeedSequence, so the output is fixed by the seed and the block partition,
+    at any worker count.
     """
 
     n_paths: int
@@ -191,8 +192,8 @@ def _worker_count(workers: Optional[int]) -> int:
 
 
 def _block_rng(seed: int, b: int) -> np.random.Generator:
-    """Block b: the Philox stream keyed seed, jumped b times."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(b))
+    """Block b: an SFC64 stream seeded by child b of the seed's SeedSequence."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
 
 
 def _row_counts(m: int, size: int) -> list:
@@ -200,8 +201,8 @@ def _row_counts(m: int, size: int) -> list:
 
     The last part also takes the remainder, so a part has at least size rows
     unless it is the whole, and fewer than 2 * size rows are one part.  This
-    cuts runs into blocks (size _BLOCK_ROWS; a one-block run draws the run's
-    own stream) and bridge blocks into tiles (size _TILE_ROWS).
+    cuts runs into blocks (size _BLOCK_ROWS; a one-block run draws block 0's
+    stream) and bridge blocks into tiles (size _TILE_ROWS).
     """
     full, rem = divmod(m, size)
     if full == 0:
@@ -500,9 +501,12 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
     rows, each drawn, conditioned and weighed on both levels before the next,
     so a block in flight holds one tile's arrays (about 4 MB at n = 256).
     Every step is row-local, so the weights equal those of one pass over the
-    whole block, bit for bit.  Each block returns its sums of w, w^2 and the
-    half-grid w, each one pairwise sum over the block's own arrays; the run
-    adds them in block order.  Non-finite weight sums raise
+    whole block, bit for bit.  Each block returns its row count, the mean of
+    its w, the sum of squares of w about that mean and the sum of its
+    half-grid w, each a pairwise sum over the block's own arrays; the run
+    merges them in block order by the pairwise update of Chan, Golub &
+    LeVeque (1983), so the variance never comes from the cancelling
+    difference of raw sums.  Non-finite weight sums raise
     NumericalConditioningError.
     """
     n = config.n_steps
@@ -526,15 +530,21 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
             w[lo:lo + rows] = fine.weights(model, incr, v, b)
             wc[lo:lo + rows] = coarse.weights(model, coarse_incr, v, b)
             lo += rows
-        return float(w.sum()), float((w * w).sum()), float(wc.sum())
+        with np.errstate(over="ignore", invalid="ignore"):  # the run raises on non-finite sums
+            mean = float(w.mean())
+            return m, mean, float(np.square(w - mean).sum()), float(wc.sum())
 
-    sums = _run_blocks(config, run_block, workers)
-    s, s2, sc = (sum(r[j] for r in sums) for j in range(3))
-    if not all(math.isfinite(q) for q in (s, s2, sc)):
+    count, mean, m2, sc = 0, 0.0, 0.0, 0.0
+    for m, block_mean, block_m2, block_sc in _run_blocks(config, run_block, workers):
+        # Chan, Golub & LeVeque's pairwise update of the count, mean and centred sum
+        total = count + m
+        delta = block_mean - mean
+        mean += delta * (m / total)
+        m2 += block_m2 + delta * delta * (count * m / total)
+        count, sc = total, sc + block_sc
+    if not all(math.isfinite(q) for q in (mean, m2, sc)):
         raise NumericalConditioningError("bridge Girsanov weights overflow (non-finite sums)")
-    count = config.n_paths
-    mean = s / count
-    var = max(s2 / count - mean * mean, 0.0) * count / max(count - 1, 1)
+    var = m2 / max(count - 1, 1)
     phi = gaussian_prefactor(endpoint[0] - model.x0, endpoint[1] - model.y0, model)
     return BridgeDensityEstimate(value=phi * mean, std_err=phi * math.sqrt(var / count),
                                  n_effective=count,

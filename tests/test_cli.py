@@ -338,6 +338,25 @@ def test_bridge_mc_overflow_exits_3_without_nan(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("out", [False, True])
+def test_non_finite_result_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, out):
+    # JSON has no NaN: a result holding one is a numerical error naming the field,
+    # and neither the output directory nor its file is made
+    from modalbridge import cli
+    from modalbridge.mc import BridgeDensityEstimate
+
+    monkeypatch.setattr(cli, "bridge_mc_density", lambda *args: BridgeDensityEstimate(
+        value=0.3, std_err=0.01, n_effective=100, discretization_bias=math.nan))
+    cfg = write_config(tmp_path, {"model": MODEL, "bridge_mc": _BRIDGE})
+    out_dir = tmp_path / "out"
+    assert main(["bridge-mc", "--config", cfg, *(["--out", str(out_dir)] if out else [])]) == 3
+    captured = capsys.readouterr()
+    assert "numerical error: output field discretization_bias_estimate is not finite" \
+        in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_density_overflow_exits_3_without_traceback(tmp_path):
     cfg = write_config(tmp_path, {"model": OVERFLOW_MODEL,
                                   "density": {"endpoints": [[60.0, 0.0]]}})

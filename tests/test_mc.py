@@ -70,6 +70,23 @@ def test_worker_count_defaults_to_usable_cores(monkeypatch):
     assert _worker_count(None) == 1
 
 
+def _stream(seed, b):
+    """Block b's generator: SFC64 seeded by child b of the seed's SeedSequence."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+
+
+def test_block_streams_are_sfc64_children_of_the_seed_sequence():
+    for seed in (0, 9, 2 ** 64 - 1):
+        for b in (0, 1, 7):
+            rng = mc._block_rng(seed, b)
+            assert isinstance(rng.bit_generator, np.random.SFC64)
+            assert np.array_equal(rng.standard_normal(16), _stream(seed, b).standard_normal(16))
+    # the largest seed runs, and blocks 0 and 1 draw different first rows
+    cfg = SimConfig(n_paths=2 * 2048, n_steps=4, seed=2 ** 64 - 1)
+    rows = _run_blocks(cfg, lambda b, rng, m: rng.standard_normal(8), 1)
+    assert len(rows) == 2 and not np.array_equal(rows[0], rows[1])
+
+
 def test_block_runner_keeps_order_and_bounds_blocks_in_flight(monkeypatch):
     # 20 blocks of 2048 paths; slow kernels let the calling thread run ahead
     # as far as the bound allows
@@ -91,10 +108,8 @@ def test_block_runner_keeps_order_and_bounds_blocks_in_flight(monkeypatch):
         monkeypatch.setattr(mc, "_block_rng", counting_rng)
         out = _run_blocks(cfg, kernel, workers)
         assert [(b, r) for b, _, r in out] == [(b, 2048) for b in range(20)]
-        # block b draws from the stream keyed seed, jumped b times
-        assert [z for _, z, _ in out] == [
-            np.random.Generator(np.random.Philox(key=9).jumped(b)).standard_normal()
-            for b in range(20)]
+        # block b draws from SFC64 seeded by child b of the seed's SeedSequence
+        assert [z for _, z, _ in out] == [_stream(9, b).standard_normal() for b in range(20)]
         assert max(ahead) <= 2 * workers + 1
 
 
@@ -205,17 +220,15 @@ def test_forward_zero_drift_terminal_law(H):
 
 def _substreams(seed, count):
     """(generator, rows) per row block of a run: blocks of 2048 rows, the last
-    taking the remainder, and block b on the Philox stream keyed seed jumped b
-    times."""
+    taking the remainder, and block b on its own stream."""
     full, rem = divmod(count, 2048)
     rows = [count] if full == 0 else [2048] * (full - 1) + [2048 + rem]
-    return [(np.random.Generator(np.random.Philox(key=seed % 2 ** 64).jumped(b)), r)
-            for b, r in enumerate(rows)]
+    return [(_stream(seed, b), r) for b, r in enumerate(rows)]
 
 
 def _single_stream(seed, count):
-    """The whole run drawn at once from the stream keyed seed."""
-    return [(np.random.Generator(np.random.Philox(key=seed % 2 ** 64)), count)]
+    """The whole run drawn at once from block 0's stream."""
+    return [(_stream(seed, 0), count)]
 
 
 def _per_block_forward(m, cfg, streams):
@@ -228,12 +241,12 @@ def _per_block_forward(m, cfg, streams):
 
 
 def _per_block_bridge(m, endpoint, cfg, streams):
-    """bridge_mc_density's (value, std_err, bias): one pass per block, its sums
-    added in block order."""
+    """bridge_mc_density's (value, std_err, bias): one pass per block, its
+    centred sums merged in block order."""
     n, nc = cfg.n_steps, cfg.n_steps // 2
     fine, coarse = _BridgeLevel(m, n), _BridgeLevel(m, nc)
     v = np.array([endpoint[0] - m.x0, endpoint[1] - m.y0])
-    s = s2 = sc = 0
+    total, mean, m2, sc = 0, 0.0, 0.0, 0.0
     for b, (rng, count) in enumerate(streams(cfg.seed, cfg.n_paths)):
         incr = rng.standard_normal((count, 2 * n))
         incr *= math.sqrt(fine.grid.dt)
@@ -242,12 +255,16 @@ def _per_block_bridge(m, endpoint, cfg, streams):
         coarse_incr *= math.sqrt(coarse.grid.dt / (2.0 * fine.grid.dt))
         w = fine.weights(m, incr, v, b)
         wc = coarse.weights(m, coarse_incr, v, b)
-        s, s2, sc = s + float(w.sum()), s2 + float((w * w).sum()), sc + float(wc.sum())
-    count = cfg.n_paths
-    mean = s / count
-    var = max(s2 / count - mean * mean, 0.0) * count / max(count - 1, 1)
+        # Chan, Golub & LeVeque's update by the block's mean and centred sum of squares
+        block_mean = float(w.mean())
+        delta = block_mean - mean
+        mean += delta * (count / (total + count))
+        m2 += float(np.square(w - block_mean).sum()) + delta * delta * (
+            total * count / (total + count))
+        total, sc = total + count, sc + float(wc.sum())
+    var = m2 / max(total - 1, 1)
     phi = gaussian_prefactor(endpoint[0] - m.x0, endpoint[1] - m.y0, m)
-    return phi * mean, phi * math.sqrt(var / count), phi * abs(mean - sc / count)
+    return phi * mean, phi * math.sqrt(var / total), phi * abs(mean - sc / total)
 
 
 def _assert_estimators_match(m, cfg, streams, workers_list):
@@ -271,8 +288,8 @@ def test_blocked_estimators_equal_per_block_reference(H):
 
 
 def test_single_block_run_draws_the_seed_stream():
-    # a run of at most 4095 paths is one block, and jump 0 is the stream keyed
-    # seed: the output equals one whole-run draw from it
+    # a run of at most 4095 paths is one block: the output equals one
+    # whole-run draw from block 0's stream, child 0 of the seed's SeedSequence
     cfg = SimConfig(n_paths=4095, n_steps=8, seed=17)
     _assert_estimators_match(_state_model(0.3), cfg, _single_stream, (1, 2))
 
@@ -606,6 +623,15 @@ def test_bridge_timeonly_matches_exact():
         exact = exact_timeonly_density(m, endpoint)
         assert abs(est.value - exact) <= 2.0 * (est.std_err + est.discretization_bias) \
             + 1e-10 * exact
+
+
+def test_bridge_std_err_of_equal_weights_is_rounding_level():
+    # at H = 1/2 constant drifts give every path the same Girsanov weight up to
+    # rounding, so the s.e. is rounding noise; raw sums, s2/n - mean^2, cancel
+    # to 8e-11 relative here (or clip to 0), where centred sums give about 1e-17
+    m = ModelSpec(Hurst(0.5), 0.7, 0.1, -0.3, 0.5, parse_drift("0.2"), parse_drift("-0.1"))
+    est = bridge_mc_density(m, (0.4, -0.6), SimConfig(n_paths=20_000, n_steps=128, seed=15))
+    assert est.std_err <= 1e-14 * est.value
 
 
 def test_bridge_linear_drifts_vs_forward(tmp_path):

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -148,3 +149,35 @@ def test_concurrent_distinct_keys_at_capacity_two(monkeypatch):
     stats = opcache.stats().values()
     assert sum(s["builds"] + s["hits"] for s in stats) == 16 * calls
     assert 0 < sum(s["bytes"] for s in stats) <= 2 * 16
+
+
+def test_counters_count_every_call_under_contention(monkeypatch):
+    # a counter's += is a read and a write; here the read yields the interpreter
+    # before it returns, so an increment made outside the lock loses updates
+    class YieldingCounts(list):
+        def __getitem__(self, i):
+            value = super().__getitem__(i)
+            time.sleep(0)
+            return value
+
+    monkeypatch.setattr(opcache, "BUDGET_BYTES", 64)
+    opcache._counts["p"] = YieldingCounts([0, 0, 0, 0])
+    calls, errors = 1000, []
+
+    def worker(w):
+        try:
+            for i in range(calls):
+                # odd calls hit one stored entry; even calls build one too large to keep
+                opcache.get("p", i % 2, lambda: _array(8 if i % 2 else 128))
+        except Exception as exc:  # recorded; the assertion below reports it
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    stats = opcache.stats()["p"]
+    assert stats["builds"] + stats["hits"] == 8 * calls
