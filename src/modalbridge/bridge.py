@@ -115,8 +115,6 @@ def modal_coeffs(model: ModelSpec, grid: TimeGrid):
     They do not depend on the endpoint or the drifts, so they are built once
     per (H, rho, model T, grid T, n) and returned as cached read-only arrays.
     """
-    if model.rho_bar_H_sq < 1e-10:
-        raise ValueError("degenerate rho_bar_H; modal coefficients undefined")
     key = (model.H, model.rho, model.T, grid.T, grid.n)
     return opcache.get("modal_coeffs", key, lambda: _build_modal_coeffs(model, grid))
 

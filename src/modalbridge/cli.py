@@ -18,11 +18,12 @@ error.  Exit codes: 0 ok, 1 validation failure, 2 config or usage error,
 3 numerical error, 4 unsupported parameter.  CSV output is deterministic
 byte-for-byte for a given (config, seed): floats are printed with 17
 significant digits, LF line endings, UTF-8, header row always present.  The
-Monte Carlo estimators cut the paths into fixed blocks of 2048 rows, each on
-its own SFC64 stream spawned from the seed's SeedSequence, and run them on
-as many worker threads as there are usable cores, or on MODALBRIDGE_THREADS
-of them (1 runs serially); the worker count never changes results, which
-are byte-identical for a fixed BLAS thread setting.
+Monte Carlo estimators cut the paths into fixed blocks, 2048 rows for
+simulate and 256 for bridge-mc, each on its own SFC64 stream spawned from
+the seed's SeedSequence, and run them on as many worker threads as there
+are usable cores, or on MODALBRIDGE_THREADS of them (1 runs serially); the
+worker count never changes results, which are byte-identical for a fixed
+BLAS thread setting.
 """
 
 from __future__ import annotations

@@ -55,8 +55,6 @@ def gaussian_prefactor(dx: float, dy: float, model: ModelSpec) -> float:
     T, H = model.T, model.H
     rho_h = model.rho_H
     bar_sq = model.rho_bar_H_sq
-    if bar_sq < 1e-10:
-        raise ValueError("degenerate rho_bar_H in the Gaussian prefactor")
     u = dx / math.sqrt(T)
     v = dy / T ** H
     quad = (u * u - 2.0 * rho_h * u * v + v * v) / (2.0 * bar_sq)
@@ -230,17 +228,17 @@ def approx_density(model: ModelSpec, endpoint, n: int = 512) -> DensityApprox:
     )
 
 
-def exact_timeonly_density(model: ModelSpec, endpoint, quad_points: int = 4001) -> float:
+def exact_timeonly_density(model: ModelSpec, endpoint) -> float:
     """Closed-form Gaussian density of (X_T, Y_T) for time-only drifts.
 
     The drifts shift the mean by their plain time integrals and leave the
     covariance Sigma(T) untouched; the integrals are computed by dense
-    trapezoid quadrature of the given time functions (independent of the
-    modal-path pipeline).
+    trapezoid quadrature of the given time functions on 4001 nodes
+    (independent of the modal-path pipeline).
     """
     if model.drift_class is not DriftClass.TIME_ONLY:
         raise ValueError("exact density is only available for TimeOnly drifts")
-    t = np.linspace(0.0, model.T, quad_points)
+    t = np.linspace(0.0, model.T, 4001)
     zeros = np.zeros_like(t)
     m1 = float(np.trapezoid(np.asarray(eval_drift(model.h1, t, zeros, zeros)), t))
     m2 = float(np.trapezoid(np.asarray(eval_drift(model.h2, t, zeros, zeros)), t))

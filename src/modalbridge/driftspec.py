@@ -602,8 +602,10 @@ def default_sample_box(model: ModelSpec):
     return ((model.x0 - rx, model.x0 + rx), (model.y0 - ry, model.y0 + ry))
 
 
-def validate_assumptions(model: ModelSpec, sample_box=None, samples: int = 400,
-                         seed: int = 0) -> AssumptionReport:
+_ASSUMPTION_SAMPLES = 400  # points per sampled quotient, from a fixed stream
+
+
+def validate_assumptions(model: ModelSpec, sample_box=None) -> AssumptionReport:
     """Estimate the Lipschitz / linear-growth constants by sampled quotients.
 
     The estimates are lower bounds of the true constants, so violations are
@@ -617,10 +619,10 @@ def validate_assumptions(model: ModelSpec, sample_box=None, samples: int = 400,
     (x_lo, x_hi), (y_lo, y_hi) = sample_box
     if not (np.isfinite([x_lo, x_hi, y_lo, y_hi]).all() and x_lo < x_hi and y_lo < y_hi):
         raise ValueError(f"sample_box must be finite with lo < hi, got {sample_box}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    ts = rng.uniform(0.0, model.T, samples)
-    xs = rng.uniform(x_lo, x_hi, samples)
-    ys = rng.uniform(y_lo, y_hi, samples)
+    rng = np.random.Generator(np.random.Philox(key=0))
+    ts = rng.uniform(0.0, model.T, _ASSUMPTION_SAMPLES)
+    xs = rng.uniform(x_lo, x_hi, _ASSUMPTION_SAMPLES)
+    ys = rng.uniform(y_lo, y_hi, _ASSUMPTION_SAMPLES)
     violations = []
 
     # Lipschitz quotients at a ladder of spacings; growth under refinement is a

@@ -16,27 +16,24 @@ count; that coupled fine-minus-half-grid difference is the reported
 discretization-bias estimate.
 
 Both estimators run through one block runner.  A run with seed s is cut into
-row blocks of _BLOCK_ROWS paths (the last one takes the remainder), and
-block b draws its own numbers, inside its pool task, from an SFC64 stream
-seeded by child b of the SeedSequence of s, SeedSequence(s, spawn_key=(b,)),
-numpy's way to make independent parallel streams.  A run small enough to be
-one block draws block 0's stream in one whole-run pass.  Each block returns
-its own results (the forward's terminal points, the bridge's centred weight
+row blocks of its estimator's own size, the last one taking the remainder:
+_FORWARD_BLOCK_ROWS paths for the forward, and fewer, _BRIDGE_BLOCK_ROWS, for
+the bridge, whose block's arrays all exist at once.  Block b draws its own
+numbers in one call, inside its pool task, from an SFC64 stream seeded by
+child b of the SeedSequence of s, SeedSequence(s, spawn_key=(b,)), numpy's
+way to make independent parallel streams.  A run small enough to be one
+block draws block 0's stream in one whole-run pass.  Each block returns its
+own results (the forward's terminal points, the bridge's centred weight
 sums), and the run joins them in block order, so the output depends on the
-fixed block partition but is bit-identical at any worker count.  The bridge
-runs each block as tiles of _TILE_ROWS rows, cut as blocks are cut; the
-tiles draw in row order, so together they draw the block's numbers, and only
-one tile's arrays exist at a time.  Its conditioning is row-local, so a
-path's weight depends on its own normals only, not on how its block is
-tiled.  While a pool of several workers runs the blocks, OpenBLAS runs one
-thread, so its threads do not compete with the pool's; one worker leaves
-OpenBLAS its own thread count: the bridge's path-major products give the
-same bits at any count.  The forward's Cholesky factor and its time-major
-noise product do not, so the forward runs OpenBLAS on one thread at any
-worker count, and no output depends on OPENBLAS_NUM_THREADS.  The worker
-count is the ``workers`` argument, else MODALBRIDGE_THREADS, else the number
-of usable cores; MODALBRIDGE_THREADS=1 runs every block on the calling
-thread.
+fixed block partition but is bit-identical at any worker count.  While a
+pool of several workers runs the blocks, OpenBLAS runs one thread, so its
+threads do not compete with the pool's; one worker leaves OpenBLAS its own
+thread count: the bridge's path-major products give the same bits at any
+count.  The forward's Cholesky factor and its time-major noise product do
+not, so the forward runs OpenBLAS on one thread at any worker count, and no
+output depends on OPENBLAS_NUM_THREADS.  The worker count is the ``workers``
+argument, else MODALBRIDGE_THREADS, else the number of usable cores;
+MODALBRIDGE_THREADS=1 runs every block on the calling thread.
 """
 
 from __future__ import annotations
@@ -76,11 +73,11 @@ __all__ = [
 ]
 
 _MAX_VALUES = 200_000_000  # n_steps * n_paths guard
-# paths per pool task; each block draws its own substream, so results depend on
-# this fixed partition (never on the worker count)
-_BLOCK_ROWS = 2048
-# bridge paths per tile of a block: the block's arrays exist one tile at a time
-_TILE_ROWS = 256
+# paths per pool task, per estimator; each block draws its own substream, so
+# results depend on this fixed partition (never on the worker count)
+_FORWARD_BLOCK_ROWS = 2048
+# small, as a bridge block's arrays all exist at once (about 4 MB at n = 256)
+_BRIDGE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -200,9 +197,8 @@ def _row_counts(m: int, size: int) -> list:
     """Row counts of the parts of size rows that cover m rows, in order.
 
     The last part also takes the remainder, so a part has at least size rows
-    unless it is the whole, and fewer than 2 * size rows are one part.  This
-    cuts runs into blocks (size _BLOCK_ROWS; a one-block run draws block 0's
-    stream) and bridge blocks into tiles (size _TILE_ROWS).
+    unless it is the whole, and fewer than 2 * size rows are one part: one
+    block, which draws block 0's stream.
     """
     full, rem = divmod(m, size)
     if full == 0:
@@ -263,8 +259,8 @@ def _one_blas_thread():
                 set_threads(_blas_saved)
 
 
-def _run_blocks(config: SimConfig, kernel, workers: Optional[int]) -> list:
-    """kernel(b, rng, rows) over the row blocks of the run; the results in block order.
+def _run_blocks(config: SimConfig, block_rows: int, kernel, workers: Optional[int]) -> list:
+    """kernel(b, rng, rows) over the run's blocks of block_rows rows; the results in block order.
 
     Each block gets its own generator (_block_rng) and draws its numbers in
     the kernel.  One worker runs the blocks in order on the calling thread,
@@ -275,7 +271,7 @@ def _run_blocks(config: SimConfig, kernel, workers: Optional[int]) -> list:
     worker count.
     """
     def jobs():
-        for b, rows in enumerate(_row_counts(config.n_paths, _BLOCK_ROWS)):
+        for b, rows in enumerate(_row_counts(config.n_paths, block_rows)):
             yield b, _block_rng(config.seed, b), rows
 
     nw = _worker_count(workers)
@@ -305,7 +301,8 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     The noise pair (rho B + rho_bar W, B^H) is drawn exactly at the nodes, as
     one factor of its 2n-dimensional covariance times 2n normals per path;
     the drift integrals are left-point Euler sums added to it (the noise
-    itself carries no discretization error).
+    itself carries no discretization error).  A non-finite terminal value
+    raises NumericalConditioningError naming its block.
     """
     if warn_horizon and model.drift_class is DriftClass.GENERAL:
         report = validate_assumptions(model)
@@ -330,25 +327,29 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
         noise[n:] += y0
         x, y = np.full(m, x0), np.full(m, y0)
         drift1, drift2 = np.zeros(m), np.zeros(m)
-        for i in range(n):
-            try:
-                h1v = eval_drift(model.h1, t[i], x, y)
-                h2v = eval_drift(model.h2, t[i], x, y)
-            except DriftDomainError as exc:
-                raise DriftDomainError(
-                    f"drift evaluation failed at step {i} (t={t[i]:g}) in block {b}: {exc}"
-                ) from exc
-            drift1 += np.asarray(h1v) * dt
-            drift2 += np.asarray(h2v) * dt
-            x = np.add(noise[i], drift1, out=noise[i])
-            y = np.add(noise[n + i], drift2, out=noise[n + i])
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite terminals raise below
+            for i in range(n):
+                try:
+                    h1v = eval_drift(model.h1, t[i], x, y)
+                    h2v = eval_drift(model.h2, t[i], x, y)
+                except DriftDomainError as exc:
+                    raise DriftDomainError(
+                        f"drift evaluation failed at step {i} (t={t[i]:g}) in block {b}: {exc}"
+                    ) from exc
+                drift1 += np.asarray(h1v) * dt
+                drift2 += np.asarray(h2v) * dt
+                x = np.add(noise[i], drift1, out=noise[i])
+                y = np.add(noise[n + i], drift2, out=noise[n + i])
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise NumericalConditioningError(
+                f"forward paths overflow (non-finite terminal values) in block {b}")
         return x.copy(), y.copy()  # rows of noise: copies let it go
 
     # the bits of the factor, and of a time-major product, depend on the BLAS
     # thread count, so the forward runs OpenBLAS on one thread at any worker count
     with _one_blas_thread():
         factor = _forward_factor(grid, model)  # here, so pool tasks never look up the store
-        blocks = _run_blocks(config, run_block, workers)
+        blocks = _run_blocks(config, _FORWARD_BLOCK_ROWS, run_block, workers)
     xs, ys = (np.concatenate([r[j] for r in blocks]) for j in (0, 1))
     return PathEnsemble(terminal_x=xs, terminal_y=ys)
 
@@ -497,16 +498,14 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
     Estimates phi * E[exp(Girsanov exponent)] under the terminal-pinned
     driftless law.  Each block also runs its noise, summed in adjacent pairs,
     on the grid of half the step count; the difference of the two estimates
-    is the discretization-bias estimate.  A block runs as tiles of _TILE_ROWS
-    rows, each drawn, conditioned and weighed on both levels before the next,
-    so a block in flight holds one tile's arrays (about 4 MB at n = 256).
-    Every step is row-local, so the weights equal those of one pass over the
-    whole block, bit for bit.  Each block returns its row count, the mean of
-    its w, the sum of squares of w about that mean and the sum of its
-    half-grid w, each a pairwise sum over the block's own arrays; the run
-    merges them in block order by the pairwise update of Chan, Golub &
-    LeVeque (1983), so the variance never comes from the cancelling
-    difference of raw sums.  Non-finite weight sums raise
+    is the discretization-bias estimate.  A block of _BRIDGE_BLOCK_ROWS rows
+    draws its normals in one call, then conditions and weighs them on both
+    levels, so a block in flight holds about 4 MB at n = 256.  Each block
+    returns its row count, the mean of its w, the sum of squares of w about
+    that mean and the sum of its half-grid w, each a pairwise sum over the
+    block's own arrays; the run merges them in block order by the pairwise
+    update of Chan, Golub & LeVeque (1983), so the variance never comes from
+    the cancelling difference of raw sums.  Non-finite weight sums raise
     NumericalConditioningError.
     """
     n = config.n_steps
@@ -517,25 +516,21 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
     v = np.array([endpoint[0] - model.x0, endpoint[1] - model.y0])
 
     def run_block(b, rng, m):
-        w, wc = np.empty(m), np.empty(m)
-        lo = 0
-        # tiles draw in row order, so together they draw the block's numbers
-        for rows in _row_counts(m, _TILE_ROWS):
-            incr = rng.standard_normal((rows, 2 * n))
-            incr *= math.sqrt(fine.grid.dt)
-            # pairs within the dB and the dW half; an odd n leaves each half's last unpaired
-            pairs = incr.reshape(rows, 2, n)[:, :, :2 * nc].reshape(rows, 2, nc, 2)
-            coarse_incr = (pairs[..., 0] + pairs[..., 1]).reshape(rows, 2 * nc)
-            coarse_incr *= math.sqrt(coarse.grid.dt / (2.0 * fine.grid.dt))
-            w[lo:lo + rows] = fine.weights(model, incr, v, b)
-            wc[lo:lo + rows] = coarse.weights(model, coarse_incr, v, b)
-            lo += rows
+        incr = rng.standard_normal((m, 2 * n))
+        incr *= math.sqrt(fine.grid.dt)
+        # pairs within the dB and the dW half; an odd n leaves each half's last unpaired
+        pairs = incr.reshape(m, 2, n)[:, :, :2 * nc].reshape(m, 2, nc, 2)
+        coarse_incr = (pairs[..., 0] + pairs[..., 1]).reshape(m, 2 * nc)
+        coarse_incr *= math.sqrt(coarse.grid.dt / (2.0 * fine.grid.dt))
+        w = fine.weights(model, incr, v, b)
+        wc = coarse.weights(model, coarse_incr, v, b)
         with np.errstate(over="ignore", invalid="ignore"):  # the run raises on non-finite sums
             mean = float(w.mean())
             return m, mean, float(np.square(w - mean).sum()), float(wc.sum())
 
     count, mean, m2, sc = 0, 0.0, 0.0, 0.0
-    for m, block_mean, block_m2, block_sc in _run_blocks(config, run_block, workers):
+    blocks = _run_blocks(config, _BRIDGE_BLOCK_ROWS, run_block, workers)
+    for m, block_mean, block_m2, block_sc in blocks:
         # Chan, Golub & LeVeque's pairwise update of the count, mean and centred sum
         total = count + m
         delta = block_mean - mean

@@ -338,6 +338,20 @@ def test_bridge_mc_overflow_exits_3_without_nan(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_simulate_overflow_exits_3_and_writes_nothing(tmp_path, capsys):
+    # forward paths under 50 x^2 + 1 overflow to inf: a numerical error, not
+    # an estimate that counts the exploded paths as far-away samples
+    model = {"H": 0.3, "rho": 0.3, "x0": 0.0, "y0": 0.0, "T": 1.0,
+             "h1": "50*x*x + 1", "h2": "0"}
+    cfg = write_config(tmp_path, {"model": model, "simulate": dict(
+        _SIMULATE, n_paths=200, n_steps=32, emit_terminals=True)})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--seed", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error: forward paths overflow" in err and "Traceback" not in err
+    assert not (out / "simulate.json").exists() and not (out / "terminals.csv").exists()
+
+
 @pytest.mark.parametrize("out", [False, True])
 def test_non_finite_result_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, out):
     # JSON has no NaN: a result holding one is a numerical error naming the field,

@@ -83,7 +83,7 @@ def test_block_streams_are_sfc64_children_of_the_seed_sequence():
             assert np.array_equal(rng.standard_normal(16), _stream(seed, b).standard_normal(16))
     # the largest seed runs, and blocks 0 and 1 draw different first rows
     cfg = SimConfig(n_paths=2 * 2048, n_steps=4, seed=2 ** 64 - 1)
-    rows = _run_blocks(cfg, lambda b, rng, m: rng.standard_normal(8), 1)
+    rows = _run_blocks(cfg, 2048, lambda b, rng, m: rng.standard_normal(8), 1)
     assert len(rows) == 2 and not np.array_equal(rows[0], rows[1])
 
 
@@ -106,7 +106,7 @@ def test_block_runner_keeps_order_and_bounds_blocks_in_flight(monkeypatch):
             return b, rng.standard_normal(), rows
 
         monkeypatch.setattr(mc, "_block_rng", counting_rng)
-        out = _run_blocks(cfg, kernel, workers)
+        out = _run_blocks(cfg, 2048, kernel, workers)
         assert [(b, r) for b, _, r in out] == [(b, 2048) for b in range(20)]
         # block b draws from SFC64 seeded by child b of the seed's SeedSequence
         assert [z for _, z, _ in out] == [_stream(9, b).standard_normal() for b in range(20)]
@@ -122,7 +122,7 @@ def test_estimator_validation():
 
 def test_forward_determinism_and_worker_invariance(monkeypatch):
     m = zero_model(0.3, 0.4, T=0.5)
-    monkeypatch.setattr(mc, "_BLOCK_ROWS", 512)  # 7 blocks
+    monkeypatch.setattr(mc, "_FORWARD_BLOCK_ROWS", 512)  # 7 blocks
     cfg = SimConfig(n_paths=4000, n_steps=16, seed=13)
     a = simulate_forward(m, cfg)
     b = simulate_forward(m, cfg)
@@ -218,15 +218,19 @@ def test_forward_zero_drift_terminal_law(H):
     assert abs(cov[0, 1] - cxy) <= 4.0 * math.sqrt((vx * vy + cxy * cxy) / count)
 
 
-def _substreams(seed, count):
-    """(generator, rows) per row block of a run: blocks of 2048 rows, the last
+# rows per block of each estimator
+_FORWARD_ROWS, _BRIDGE_ROWS = 2048, 256
+
+
+def _substreams(seed, count, size):
+    """(generator, rows) per row block of a run: blocks of size rows, the last
     taking the remainder, and block b on its own stream."""
-    full, rem = divmod(count, 2048)
-    rows = [count] if full == 0 else [2048] * (full - 1) + [2048 + rem]
+    full, rem = divmod(count, size)
+    rows = [count] if full == 0 else [size] * (full - 1) + [size + rem]
     return [(_stream(seed, b), r) for b, r in enumerate(rows)]
 
 
-def _single_stream(seed, count):
+def _single_stream(seed, count, size):
     """The whole run drawn at once from block 0's stream."""
     return [(_stream(seed, 0), count)]
 
@@ -236,7 +240,7 @@ def _per_block_forward(m, cfg, streams):
     n = cfg.n_steps
     grid = TimeGrid(m.T, n)
     paths = [_column_euler(m, grid, _node_noise(m, grid, [rng.standard_normal((r, 2 * n))]))
-             for rng, r in streams(cfg.seed, cfg.n_paths)]
+             for rng, r in streams(cfg.seed, cfg.n_paths, _FORWARD_ROWS)]
     return tuple(np.concatenate([p[j] for p in paths]) for j in (0, 1))
 
 
@@ -247,7 +251,7 @@ def _per_block_bridge(m, endpoint, cfg, streams):
     fine, coarse = _BridgeLevel(m, n), _BridgeLevel(m, nc)
     v = np.array([endpoint[0] - m.x0, endpoint[1] - m.y0])
     total, mean, m2, sc = 0, 0.0, 0.0, 0.0
-    for b, (rng, count) in enumerate(streams(cfg.seed, cfg.n_paths)):
+    for b, (rng, count) in enumerate(streams(cfg.seed, cfg.n_paths, _BRIDGE_ROWS)):
         incr = rng.standard_normal((count, 2 * n))
         incr *= math.sqrt(fine.grid.dt)
         pairs = incr.reshape(count, 2, n)[:, :, :2 * nc].reshape(count, 2, nc, 2)
@@ -267,55 +271,64 @@ def _per_block_bridge(m, endpoint, cfg, streams):
     return phi * mean, phi * math.sqrt(var / total), phi * abs(mean - sc / total)
 
 
-def _assert_estimators_match(m, cfg, streams, workers_list):
+def _assert_forward_matches(m, cfg, streams, workers_list):
     x, y = _per_block_forward(m, cfg, streams)
-    bridge = _per_block_bridge(m, (0.1, 0.05), cfg, streams)
     for workers in workers_list:
         ens = simulate_forward(m, cfg, workers=workers, warn_horizon=False)
         assert np.array_equal(ens.terminal_x, x[:, -1])
         assert np.array_equal(ens.terminal_y, y[:, -1])
+
+
+def _assert_bridge_matches(m, cfg, streams, workers_list):
+    bridge = _per_block_bridge(m, (0.1, 0.05), cfg, streams)
+    for workers in workers_list:
         est = bridge_mc_density(m, (0.1, 0.05), cfg, workers=workers)
         assert (est.value, est.std_err, est.discretization_bias) == bridge
 
 
 @pytest.mark.parametrize("H", [0.3, 0.5])
 def test_blocked_estimators_equal_per_block_reference(H):
-    # 11000 paths run as blocks of 2048, the last of 2808, each on its own
-    # substream; the blocked run must reproduce one pass over each block's
-    # draws, with the bridge's block sums added in block order
-    cfg = SimConfig(n_paths=11000, n_steps=8, seed=17)
-    _assert_estimators_match(_state_model(H), cfg, _substreams, (1, 2, 4))
-
-
-def test_single_block_run_draws_the_seed_stream():
-    # a run of at most 4095 paths is one block: the output equals one
-    # whole-run draw from block 0's stream, child 0 of the seed's SeedSequence
-    cfg = SimConfig(n_paths=4095, n_steps=8, seed=17)
-    _assert_estimators_match(_state_model(0.3), cfg, _single_stream, (1, 2))
+    # 11000 paths run as forward blocks of 2048, the last of 2808, and as
+    # bridge blocks of 256, the last of 504, each on its own substream;
+    # the blocked run must reproduce one pass over each block's draws, with
+    # the bridge's block sums added in block order
+    m = _state_model(H)
+    _assert_forward_matches(m, SimConfig(n_paths=11000, n_steps=8, seed=17), _substreams,
+                            (1, 2, 4))
+    _assert_bridge_matches(m, SimConfig(n_paths=11000, n_steps=8, seed=17), _substreams,
+                           (1, 2, 4))
 
 
 @pytest.mark.parametrize("H", [0.3, 0.5])
 @pytest.mark.parametrize("n_steps", [64, 256])
 def test_bridge_tiles_are_invisible(n_steps, H):
-    # blocks of 2048 and 2808 rows run as tiles of 256 rows, the last taking
-    # the remainder; a path's weight depends on its own normals only, so the
-    # tiled run must reproduce one pass over each block's draws
+    # at fine grids the bridge still runs 256-row blocks, the last taking the
+    # remainder; a path's weight depends on its own normals only, so the
+    # blocked run must reproduce one pass over each block's draws
     m = _state_model(H)
     cfg = SimConfig(n_paths=11000, n_steps=n_steps, seed=17)
-    reference = _per_block_bridge(m, (0.1, 0.05), cfg, _substreams)
-    for workers in (1, 2):
-        est = bridge_mc_density(m, (0.1, 0.05), cfg, workers=workers)
-        assert (est.value, est.std_err, est.discretization_bias) == reference
+    _assert_bridge_matches(m, cfg, _substreams, (1, 2))
+
+
+def test_single_block_run_draws_the_seed_stream():
+    # a run of fewer than two blocks' rows (4095 forward paths, 511 bridge
+    # paths) is one block: the output equals one whole-run draw from block
+    # 0's stream, child 0 of the seed's SeedSequence
+    m = _state_model(0.3)
+    _assert_forward_matches(m, SimConfig(n_paths=4095, n_steps=8, seed=17), _single_stream,
+                            (1, 2))
+    _assert_bridge_matches(m, SimConfig(n_paths=511, n_steps=8, seed=17), _single_stream,
+                           (1, 2))
 
 
 def test_bridge_block_working_set_is_bounded():
-    # numpy reports its buffers to tracemalloc.  At n = 256 one 256-row tile
+    # numpy reports its buffers to tracemalloc.  At n = 256 one 256-row block
     # holds its increments (1.05 MB), the half-grid increments (0.52 MB) and
     # one level's paths x, y and drifts g1, g2 (0.53 MB each): 3.9 MB traced at
-    # the peak.  A 2048-row block materialised at once peaks at 29.6 MB, and a
-    # tile of 1024 rows would pass 8 MB too; the bound leaves twice the tile's
-    # room for the block results and the temporaries.  The levels (cached
-    # operators, not per-block work) are built before tracing starts.
+    # the peak.  A 2048-row block peaks at 29.6 MB, and a block of 1024 rows
+    # would pass 8 MB too; the bound leaves twice the block's room for the
+    # block results and the temporaries.  The levels (cached operators, not
+    # per-block work) are built before tracing starts.
     m = _state_model(0.3)
     bridge_mc_density(m, (0.1, 0.05), SimConfig(16, 256, 3), workers=1)
     tracemalloc.start()
@@ -328,18 +341,23 @@ def test_bridge_block_working_set_is_bounded():
 
 
 def test_block_error_is_the_same_at_any_worker_count():
-    # log(x + 0.2) fails once a path passes below -0.2, in every block at its
-    # own step: the error raised must be the first block's, after the pool ends
+    # log(x + 0.2) fails once a path passes below -0.2, and forward paths under
+    # 50 x^2 + 1 overflow, in every block at its own step: the error raised
+    # must be the first block's, after the pool ends
     from modalbridge.driftspec import DriftDomainError
 
     m = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 1.0, parse_drift("log(x + 0.2)"), ZERO)
+    blowup = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 1.0, parse_drift("50*x*x + 1"), ZERO)
     cfg = SimConfig(n_paths=4 * 2048, n_steps=32, seed=4)
     baseline = threading.active_count()
-    for run in (lambda w: simulate_forward(m, cfg, workers=w, warn_horizon=False),
-                lambda w: bridge_mc_density(m, (-0.1, 0.0), cfg, workers=w)):
+    for error, run in (
+            (DriftDomainError, lambda w: simulate_forward(m, cfg, workers=w, warn_horizon=False)),
+            (DriftDomainError, lambda w: bridge_mc_density(m, (-0.1, 0.0), cfg, workers=w)),
+            (NumericalConditioningError,
+             lambda w: simulate_forward(blowup, cfg, workers=w, warn_horizon=False))):
         messages = []
         for workers in (1, 2):
-            with pytest.raises(DriftDomainError) as info:
+            with pytest.raises(error) as info:
                 run(workers)
             messages.append(str(info.value))
             assert threading.active_count() == baseline
@@ -475,7 +493,7 @@ def test_one_worker_leaves_the_blas_thread_count():
     try:
         cfg = SimConfig(n_paths=2 * 2048, n_steps=2, seed=0)
         for workers in (1, 2):
-            _run_blocks(cfg, lambda k, rng, rows: seen.append(get_threads()), workers)
+            _run_blocks(cfg, 2048, lambda k, rng, rows: seen.append(get_threads()), workers)
         assert seen == [2, 2, 1, 1]
         m = _state_model(0.3)
         forward = simulate_forward(m, cfg, workers=1, warn_horizon=False)
@@ -713,7 +731,7 @@ def test_bridge_transformed_drift_solves_defining_system():
 
 def test_bridge_determinism_and_worker_invariance(monkeypatch):
     m = zero_model(0.35, 0.2, T=0.5)
-    monkeypatch.setattr(mc, "_BLOCK_ROWS", 640)  # 4 blocks
+    monkeypatch.setattr(mc, "_BRIDGE_BLOCK_ROWS", 640)  # 4 blocks
     cfg = SimConfig(n_paths=3000, n_steps=16, seed=5)
     a = bridge_mc_density(m, (0.1, 0.2), cfg)
     b = bridge_mc_density(m, (0.1, 0.2), cfg, workers=3)
@@ -782,7 +800,7 @@ def test_bridge_odd_steps_worker_invariance(monkeypatch):
     # n = 15: the half grid has 7 steps and the last normal of each block is unpaired
     m = ModelSpec(Hurst(0.3), 0.4, 0.0, 0.0, 0.5,
                   parse_drift("0.5*sin(x)"), parse_drift("0.3*cos(y)"))
-    monkeypatch.setattr(mc, "_BLOCK_ROWS", 700)  # 4 blocks
+    monkeypatch.setattr(mc, "_BRIDGE_BLOCK_ROWS", 700)  # 4 blocks
     cfg = SimConfig(n_paths=3000, n_steps=15, seed=21)
     a = bridge_mc_density(m, (0.1, 0.2), cfg)
     for workers in (1, 2, 4):

@@ -118,3 +118,65 @@ def test_bridge_mc_output_schema(tmp_path):
 def test_validation_output_schema(tmp_path):
     payload = run_to_json(tmp_path, ["validate", "--quick"], "validation.json")
     check(payload, load_schema("validation.schema.json"))
+
+
+# each command's smallest valid config, with every optional key given, and the
+# JSON file it writes (kernel and modal-path write CSV)
+_SMALLEST = {
+    "kernel": ({"kernel": {"H": 0.3, "t_values": [1.0], "s_fractions": [0.5]}}, None),
+    "modal-path": ({"model": dict(MODEL, holder_gamma=0.2),
+                    "modal_path": {"n": 8, "endpoint": [0.1, 0.0]}}, None),
+    "density": ({"model": dict(MODEL, holder_gamma=0.2),
+                 "density": {"n": 8, "endpoints": [[0.1, 0.0]]}}, "density.json"),
+    "simulate": ({"model": dict(MODEL, holder_gamma=0.2),
+                  "simulate": {"n_paths": 8, "n_steps": 4, "point": [0.1, 0.0], "seed": 1,
+                               "emit_terminals": True,
+                               "estimator": {"type": "kde", "bandwidth_x": 0.2,
+                                             "bandwidth_y": 0.2}}}, "simulate.json"),
+    "bridge-mc": ({"model": dict(MODEL, holder_gamma=0.2),
+                   "bridge_mc": {"n_paths": 8, "n_steps": 4, "endpoint": [0.1, 0.0],
+                                 "seed": 1}}, "bridge_mc.json"),
+}
+_SWEEP_VALUES = (None, True, "s", [], {}, float("nan"), float("inf"), -1, 1.5, 1e30)
+
+
+def _key_paths(block, prefix=()):
+    """The key path of every key of block and of every block nested in it."""
+    for key, value in block.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _with_value(config, path, value):
+    """A deep copy of config with the key at path set to value."""
+    config = json.loads(json.dumps(config))
+    block = config
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    return config
+
+
+@pytest.mark.parametrize("command", sorted(_SMALLEST))
+def test_config_sweep_exits_with_a_documented_code(tmp_path, capsys, command):
+    # every key set to each value of the sweep: the command exits 0, 2, 3 or 4
+    # without a traceback, and an exit-0 JSON output passes its schema
+    config, output = _SMALLEST[command]
+    schema = load_schema(output.replace(".json", ".schema.json")) if output else None
+    cases = [(path, value) for path in _key_paths(config) for value in _SWEEP_VALUES]
+    for i, (path, value) in enumerate(cases):
+        cfg, out = tmp_path / f"cfg{i}.json", tmp_path / f"out{i}"
+        cfg.write_text(json.dumps(_with_value(config, path, value)), encoding="utf-8")
+        case = f"{command} {'.'.join(path)} = {value!r}"
+        try:
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+        except Exception as exc:  # noqa: BLE001 - the failure names the case
+            pytest.fail(f"{case} raised {exc!r}")
+        assert code in (0, 2, 3, 4), case
+        assert "Traceback" not in capsys.readouterr().err, case
+        if code == 0 and output:
+            with open(out / output, "r", encoding="utf-8") as fh:
+                check(json.load(fh), schema)
+        elif code == 0:
+            assert any(out.iterdir()), case
