@@ -12,9 +12,9 @@ forward simulation and against the exactly solvable cases.
 
 from .bridge import (GaussianConditioner, ModalPath, condition_gaussian, modal_coeffs,
                      modal_path)
-from .density import (DensityApprox, DriftFunctionals, alpha_exponent, approx_density,
-                      drift_functionals, exact_timeonly_density, gaussian_prefactor,
-                      omega_1, omega_full)
+from .density import (DensityApprox, DriftFunctionals, alpha_exponent, approx_densities,
+                      approx_density, drift_functionals, exact_timeonly_density,
+                      gaussian_prefactor, omega_1, omega_full)
 from .driftspec import (AssumptionReport, DriftClass, DriftDomainError, DriftExpr,
                         ExprSyntaxError, ModelSpec, classify_drift, eval_drift,
                         model_from_dict, parse_drift, validate_assumptions)
@@ -37,7 +37,8 @@ __all__ = [
     "GridFunction", "Hurst", "KdeEstimator", "MAX_SUPPORTED_H", "ModalPath",
     "ModelSpec", "NumericalConditioningError", "PathEnsemble",
     "SimConfig", "TimeGrid", "UnsupportedHurstError", "alpha_exponent",
-    "approx_density", "autocovariance", "beta_fn", "bridge_mc_density",
+    "approx_densities", "approx_density", "autocovariance", "beta_fn",
+    "bridge_mc_density",
     "classify_drift", "condition_gaussian", "drift_functionals",
     "estimate_density_at", "eval_drift", "exact_timeonly_density", "gamma_fn",
     "gaussian_prefactor", "hyp2f1", "invert_KH", "joint_cov_matrix", "kernel_alt",

@@ -27,6 +27,7 @@ __all__ = [
     "GaussianConditioner",
     "condition_gaussian",
     "modal_coeffs",
+    "modal_coeff_matrix",
     "modal_path",
     "ModalPath",
 ]
@@ -113,10 +114,25 @@ def modal_coeffs(model: ModelSpec, grid: TimeGrid):
     """The four bridge coefficients m11, m12, m21, m22 on the grid nodes.
 
     They do not depend on the endpoint or the drifts, so they are built once
-    per (H, rho, model T, grid T, n) and returned as cached read-only arrays.
+    per (H, rho, model T, grid T, n) and returned as cached read-only views of
+    one stacked array, modal_coeff_matrix.
     """
-    key = (model.H, model.rho, model.T, grid.T, grid.n)
-    return opcache.get("modal_coeffs", key, lambda: _build_modal_coeffs(model, grid))
+    return _modal_coeffs(model, grid.T, grid.n)
+
+
+def modal_coeff_matrix(model: ModelSpec, T: float, n: int) -> np.ndarray:
+    """The read-only (2, 2(n+1)) array [[m11, m21], [m12, m22]] on TimeGrid(T, n).
+
+    An endpoint displacement (dx, dy) times it is the displaced modal path
+    [x - x0, y - y0] on the nodes, so k displacements give k paths in one
+    product.  It is the base of modal_coeffs' views: the store holds it once.
+    """
+    return _modal_coeffs(model, T, n)[0].base
+
+
+def _modal_coeffs(model: ModelSpec, T: float, n: int):
+    key = (model.H, model.rho, model.T, T, n)
+    return opcache.get("modal_coeffs", key, lambda: _build_modal_coeffs(model, TimeGrid(T, n)))
 
 
 def _build_modal_coeffs(model: ModelSpec, grid: TimeGrid):
@@ -125,23 +141,25 @@ def _build_modal_coeffs(model: ModelSpec, grid: TimeGrid):
     hurst = model.hurst
     frac = t / T
     if hurst.is_brownian:
-        coeffs = frac, np.zeros_like(t), np.zeros_like(t), frac.copy()
+        m11, m12, m21, m22 = frac, np.zeros_like(t), np.zeros_like(t), frac
     elif model.rho == 0.0:
         r_tT = autocovariance(t, T, hurst)
-        coeffs = frac, np.zeros_like(t), np.zeros_like(t), r_tT / T ** (2.0 * H)
+        m11, m12, m21, m22 = frac, np.zeros_like(t), np.zeros_like(t), r_tT / T ** (2.0 * H)
     else:
         r_tT = autocovariance(t, T, hurst)
         pow_h = t ** (H + 0.5)
         rho, rho_h = model.rho, model.rho_H
         denom = model.rho_bar_H_sq
         part = kernel_partial_integral(t, T, hurst)
-        coeffs = ((frac - rho * rho_h / T ** (H + 0.5) * part) / denom,
-                  (-rho_h * t / T ** (H + 0.5) + rho / T ** (2.0 * H) * part) / denom,
-                  rho_h / denom * (pow_h / T - r_tT / T ** (H + 0.5)),
-                  (-rho_h ** 2 * frac ** (H + 0.5) + r_tT / T ** (2.0 * H)) / denom)
-    for c in coeffs:
-        c.flags.writeable = False
-    return coeffs
+        m11 = (frac - rho * rho_h / T ** (H + 0.5) * part) / denom
+        m12 = (-rho_h * t / T ** (H + 0.5) + rho / T ** (2.0 * H) * part) / denom
+        m21 = rho_h / denom * (pow_h / T - r_tT / T ** (H + 0.5))
+        m22 = (-rho_h ** 2 * frac ** (H + 0.5) + r_tT / T ** (2.0 * H)) / denom
+    stacked = np.block([[m11, m21], [m12, m22]])
+    stacked.flags.writeable = False
+    n1 = grid.n + 1
+    # the entry is the four views, whose bytes are exactly the stacked array's
+    return stacked[0, :n1], stacked[1, :n1], stacked[0, n1:], stacked[1, n1:]
 
 
 def modal_path(model: ModelSpec, grid: TimeGrid, endpoint) -> ModalPath:

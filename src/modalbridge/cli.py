@@ -36,7 +36,7 @@ import sys
 
 import numpy as np
 
-from .density import approx_density
+from .density import approx_densities
 from .fraccalc import UnsupportedHurstError
 from .driftspec import (DriftDomainError, ExprSyntaxError, ModelSpec,
                         model_from_dict, parse_drift)
@@ -380,8 +380,7 @@ def cmd_density(args) -> int:
                           f"got {block['endpoints']!r}")
     endpoints = [_point(ep, "density endpoint") for ep in block["endpoints"]]
     results = []
-    for endpoint in endpoints:
-        approx = approx_density(model, endpoint, n=n)
+    for endpoint, approx in zip(endpoints, approx_densities(model, endpoints, n=n)):
         results.append({
             "endpoint": list(endpoint),
             "phi": approx.phi,
@@ -390,6 +389,8 @@ def cmd_density(args) -> int:
             "alpha": approx.alpha if math.isfinite(approx.alpha) else "exact",
             "p_hat_leading": approx.p_hat,
             "p_hat_full": approx.p_hat_full,
+            "log_p_hat_leading": approx.log_p_hat,
+            "log_p_hat_full": approx.log_p_hat_full,
             "drift_class": model.drift_class.value,
         })
     payload = {"density": results}
@@ -415,6 +416,9 @@ def cmd_simulate(args) -> int:
     config = _sim_config(block, args.seed)
     estimator = _estimator_from_config(block["estimator"])
     point = _point(block["point"], "simulate point")
+    emit_terminals = block.get("emit_terminals", False)
+    if not isinstance(emit_terminals, bool):
+        raise ConfigError(f"emit_terminals must be true or false, got {emit_terminals!r}")
     ensemble = simulate_forward(model, config)
     est = estimate_density_at(ensemble, point, estimator)
     payload = {
@@ -424,7 +428,7 @@ def cmd_simulate(args) -> int:
         "seed": config.seed,
     }
     _write_json(payload, args.out, "simulate.json")
-    if args.out and block.get("emit_terminals"):
+    if args.out and emit_terminals:
         _write_csv(os.path.join(args.out, "terminals.csv"),
                    ("terminal_x", "terminal_y"),
                    (ensemble.terminal_x, ensemble.terminal_y))

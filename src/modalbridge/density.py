@@ -16,10 +16,18 @@ would not reproduce the exact Gaussian density).
 Only two time integrals of the drifts enter omega, those of bar_h1 and
 bar_h2: hat_h1 = (bar_h1 - rho hat_h2) / rho_bar gives
 rho_bar int hat_h1 + rho int hat_h2 = int bar_h1, so the inverse kernel
-transform cancels out of omega, and approx_density needs no operator beyond
+transform cancels out of omega, and the density needs no operator beyond
 the modal path.  drift_functionals returns the transformed drifts
 themselves: hat_h2 = L @ bar_h2 through invert_KH's integrand mode, with L
 the cached inverse-transform matrix of fraccalc.inverse_operator_matrix.
+
+approx_densities evaluates a list of endpoints at once; approx_density is
+its one-endpoint case.  The modal path is affine in the endpoint, so the k
+paths are one (k, 2) @ (2, 2(n+1)) product with the stacked coefficients of
+bridge.modal_coeff_matrix; each compiled drift plan runs once over the
+(k, n+1) paths, and the two integrals are products with the cached trapezoid
+weights.  The scalar tail works in log space, log p = log phi + omega, and
+exponentiates last, so a density that underflows is 0.0 with a finite log.
 """
 
 from __future__ import annotations
@@ -29,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import ModalPath, modal_path, terminal_cov
+from .bridge import ModalPath, modal_coeff_matrix, terminal_cov
 from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift
 from .fraccalc import GridFunction, UnsupportedHurstError, _check_hurst_supported, invert_KH
-from .kernel import TimeGrid
+from .kernel import NumericalConditioningError, _nodes_and_weights
 
 __all__ = [
     "DriftFunctionals",
@@ -43,6 +51,7 @@ __all__ = [
     "omega_1",
     "alpha_exponent",
     "approx_density",
+    "approx_densities",
     "exact_timeonly_density",
     "UnsupportedHurstError",
 ]
@@ -50,15 +59,45 @@ __all__ = [
 ALPHA_EXACT = math.inf  # sentinel: the TimeOnly representation is exact
 
 
+class _Scales:
+    """A model's Gaussian scales, computed once for any number of endpoints.
+
+    quad(dx, dy) is the exponent of the driftless Gaussian phi = e^-quad / norm;
+    omega_parts gives the two pieces of omega from the drift integrals.
+    """
+
+    __slots__ = ("sqrt_t", "t_h", "rho_h", "bar_sq", "norm")
+
+    def __init__(self, model: ModelSpec) -> None:
+        T, H = model.T, model.H
+        self.sqrt_t = math.sqrt(T)
+        self.t_h = T ** H
+        self.rho_h = model.rho_H
+        self.bar_sq = model.rho_bar_H_sq
+        self.norm = 2.0 * math.pi * T ** (H + 0.5) * math.sqrt(self.bar_sq)
+
+    def quad(self, dx: float, dy: float) -> float:
+        u = dx / self.sqrt_t
+        v = dy / self.t_h
+        return (u * u - 2.0 * self.rho_h * u * v + v * v) / (2.0 * self.bar_sq)
+
+    def omega_parts(self, int_bar_h1: float, int_bar_h2: float, dx: float, dy: float):
+        """The two pieces of omega: 1' D Sigma^-1 Delta and (1/2) 1' D Sigma^-1 D' 1,
+        from the time integrals of bar_h1 and bar_h2."""
+        sqrt_t, t_h, rho_h, bar_sq = self.sqrt_t, self.t_h, self.rho_h, self.bar_sq
+        # A = <bar h1>/sqrt(T) - rho_H <bar h2>/T^H,
+        # where <bar h1> = rho_bar <hat h1> + rho <hat h2>
+        a = int_bar_h1 / sqrt_t - rho_h * int_bar_h2 / t_h
+        u2 = int_bar_h2 / t_h
+        linear = (a * (dx / sqrt_t) - rho_h * a * (dy / t_h)) / bar_sq + u2 * (dy / t_h)
+        quadratic = 0.5 * (a * a / bar_sq + u2 * u2)
+        return linear, quadratic
+
+
 def gaussian_prefactor(dx: float, dy: float, model: ModelSpec) -> float:
     """Driftless bivariate Gaussian density of (X_T - x0, Y_T - y0) at (dx, dy)."""
-    T, H = model.T, model.H
-    rho_h = model.rho_H
-    bar_sq = model.rho_bar_H_sq
-    u = dx / math.sqrt(T)
-    v = dy / T ** H
-    quad = (u * u - 2.0 * rho_h * u * v + v * v) / (2.0 * bar_sq)
-    return math.exp(-quad) / (2.0 * math.pi * T ** (H + 0.5) * math.sqrt(bar_sq))
+    scales = _Scales(model)
+    return math.exp(-scales.quad(dx, dy)) / scales.norm
 
 
 @dataclass(frozen=True)
@@ -124,39 +163,24 @@ def drift_functionals(model: ModelSpec, path: ModalPath) -> DriftFunctionals:
     )
 
 
-def _linear_and_quadratic(int_bar_h1: float, int_bar_h2: float, model: ModelSpec, endpoint):
-    """The two pieces of omega: 1' D Sigma^-1 Delta and (1/2) 1' D Sigma^-1 D' 1,
-    from the time integrals of bar_h1 and bar_h2."""
-    T, H = model.T, model.H
-    rho_h = model.rho_H
-    bar_sq = model.rho_bar_H_sq
-    dx = endpoint[0] - model.x0
-    dy = endpoint[1] - model.y0
-    sqrt_t = math.sqrt(T)
-    # A = <bar h1>/sqrt(T) - rho_H <bar h2>/T^H, where <bar h1> = rho_bar <hat h1> + rho <hat h2>
-    a = int_bar_h1 / sqrt_t - rho_h * int_bar_h2 / T ** H
-    u2 = int_bar_h2 / T ** H
-    linear = (a * (dx / sqrt_t) - rho_h * a * (dy / T ** H)) / bar_sq \
-        + u2 * (dy / T ** H)
-    quadratic = 0.5 * (a * a / bar_sq + u2 * u2)
-    return linear, quadratic
-
-
 def _int_bar_h1(f: DriftFunctionals, model: ModelSpec) -> float:
     return model.rho_bar * f.int_hat_h1 + model.rho * f.int_hat_h2
 
 
+def _omega_parts(f: DriftFunctionals, model: ModelSpec, endpoint):
+    return _Scales(model).omega_parts(_int_bar_h1(f, model), f.int_bar_h2,
+                                      endpoint[0] - model.x0, endpoint[1] - model.y0)
+
+
 def omega_full(f: DriftFunctionals, model: ModelSpec, endpoint) -> float:
     """Full log-correction, linear part minus the halved quadratic form."""
-    linear, quadratic = _linear_and_quadratic(_int_bar_h1(f, model), f.int_bar_h2,
-                                              model, endpoint)
+    linear, quadratic = _omega_parts(f, model, endpoint)
     return linear - quadratic
 
 
 def omega_1(f: DriftFunctionals, model: ModelSpec, endpoint) -> float:
     """Leading (linear-in-endpoint) part of the log-correction."""
-    linear, _ = _linear_and_quadratic(_int_bar_h1(f, model), f.int_bar_h2, model, endpoint)
-    return linear
+    return _omega_parts(f, model, endpoint)[0]
 
 
 def alpha_exponent(model: ModelSpec) -> float:
@@ -183,49 +207,111 @@ def alpha_exponent(model: ModelSpec) -> float:
 
 @dataclass(frozen=True)
 class DensityApprox:
-    """Approximate joint density at one endpoint."""
+    """Approximate joint density at one endpoint.
+
+    The densities are exponentiated from their logs, so far from the mode
+    they may underflow to 0.0 (or overflow to inf) while the logs stay finite.
+    """
 
     phi: float
     omega_full: float
     omega_1: float
     alpha: float
-    p_hat: float        # phi * exp(omega_1), the headline approximation
-    p_hat_full: float   # phi * exp(omega_full); exact for TimeOnly drifts
+    p_hat: float           # phi * exp(omega_1), the headline approximation
+    p_hat_full: float      # phi * exp(omega_full); exact for TimeOnly drifts
+    log_p_hat: float       # log phi + omega_1
+    log_p_hat_full: float  # log phi + omega_full
 
     def __post_init__(self) -> None:
-        if not (self.phi > 0.0 and self.p_hat > 0.0):
-            raise ValueError("density values must be positive")
+        if math.isnan(self.log_p_hat) or math.isnan(self.log_p_hat_full):
+            raise NumericalConditioningError(
+                f"log density is NaN (log_p_hat={self.log_p_hat}, "
+                f"log_p_hat_full={self.log_p_hat_full})")
+
+
+# Endpoints per product: bounds the (k, 2(n+1)) paths (2 MB at n = 512) and
+# the drift values however long the endpoint list.
+_ENDPOINT_BLOCK = 256
 
 
 def approx_density(model: ModelSpec, endpoint, n: int = 512) -> DensityApprox:
     """Modal-path small-time approximation of the joint density at endpoint.
 
+    The one-endpoint case of approx_densities.
+    """
+    return approx_densities(model, (endpoint,), n)[0]
+
+
+def approx_densities(model: ModelSpec, endpoints, n: int = 512) -> list:
+    """approx_density at each of a list of endpoints, in one batched pass.
+
     Also reports the exp(omega_full) variant, which is exact when the drifts
     depend on time only.  Omega needs only the time integrals of bar_h1 and
     bar_h2, so no inverse transform is applied (see drift_functionals for the
-    transformed drifts).
+    transformed drifts).  A drift that is not finite somewhere on an
+    endpoint's modal path is a DriftDomainError naming the first such node.
     """
     alpha = alpha_exponent(model)  # raises for General with H >= 3/4
     # omega needs no transformed drift, but it is only defined where they are
     _check_hurst_supported(model.hurst)
-    grid = TimeGrid(model.T, n)
-    path = modal_path(model, grid, endpoint)
-    bar1, bar2 = _drifts_along(model, path)
-    dx = endpoint[0] - model.x0
-    dy = endpoint[1] - model.y0
-    phi = gaussian_prefactor(dx, dy, model)
-    linear, quadratic = _linear_and_quadratic(_trapz(bar1, grid.dt), _trapz(bar2, grid.dt),
-                                              model, endpoint)
-    w1 = linear
-    wf = linear - quadratic
-    return DensityApprox(
-        phi=phi,
-        omega_full=wf,
-        omega_1=w1,
-        alpha=alpha,
-        p_hat=phi * math.exp(w1),
-        p_hat_full=phi * math.exp(wf),
-    )
+    coeffs = modal_coeff_matrix(model, model.T, n)  # builds, and checks n, on a miss
+    t, weights = _nodes_and_weights(model.T, n)
+    scales = _Scales(model)
+    log_norm = math.log(scales.norm)
+    disp = [(float(e[0]) - model.x0, float(e[1]) - model.y0) for e in endpoints]
+    results = []
+    for start in range(0, len(disp), _ENDPOINT_BLOCK):
+        block = disp[start:start + _ENDPOINT_BLOCK]
+        paths = np.array(block) @ coeffs
+        x, y = paths[:, :n + 1], paths[:, n + 1:]
+        if model.x0 or model.y0:  # the product gives the paths less (x0, y0)
+            x += model.x0
+            y += model.y0
+        with np.errstate(over="ignore", invalid="ignore"):
+            ints1 = _drift_integrals("h1", model.h1, t, x, y, weights)
+            ints2 = _drift_integrals("h2", model.h2, t, x, y, weights)
+        for (dx, dy), int1, int2 in zip(block, ints1, ints2):
+            quad = scales.quad(dx, dy)
+            linear, quadratic = scales.omega_parts(int1, int2, dx, dy)
+            wf = linear - quadratic
+            log_phi = -quad - log_norm
+            results.append(DensityApprox(
+                phi=math.exp(-quad) / scales.norm,
+                omega_full=wf,
+                omega_1=linear,
+                alpha=alpha,
+                p_hat=_exp(log_phi + linear),
+                p_hat_full=_exp(log_phi + wf),
+                log_p_hat=log_phi + linear,
+                log_p_hat_full=log_phi + wf,
+            ))
+    return results
+
+
+def _drift_integrals(name: str, expr, t, x, y, weights) -> list:
+    """The trapezoid integral of the drift along each row of the (k, n+1) paths.
+
+    Every weight is positive, so an integral is finite whenever its row is;
+    only a row whose integral is not finite is scanned, for the first node
+    where the drift is not finite (a row of finite values may also overflow).
+    """
+    vals = eval_drift(expr, t, x, y)  # (k, n+1): x and y are the paths
+    ints = (vals @ weights).tolist()
+    for row, value in enumerate(ints):
+        if not math.isfinite(value) and not np.isfinite(vals[row]).all():
+            bad = int(np.argmin(np.isfinite(vals[row])))
+            raise DriftDomainError(
+                f"drift {name} = {expr.to_source()} is not finite along the modal path "
+                f"(t={t[bad]:g}, x={x[row, bad]:g}, y={y[row, bad]:g})")
+    return ints
+
+
+def _exp(v: float) -> float:
+    """e^v as a float: inf where math.exp overflows."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 def exact_timeonly_density(model: ModelSpec, endpoint) -> float:

@@ -396,8 +396,11 @@ def _compile_call(fn: str, arg):
 
 
 def _spans(v, shape) -> bool:
-    """True when v broadcasts to shape without widening it: a numpy scalar or an array of shape."""
-    return getattr(v, "shape", None) in (shape, ())
+    """True when v broadcasts to shape without widening it: a numpy array whose
+    shape is a trailing part of shape (a scalar's (), or the nodes under a batch
+    of paths)."""
+    vshape = getattr(v, "shape", None)
+    return vshape is not None and vshape == shape[len(shape) - len(vshape):]
 
 
 def eval_drift(expr: DriftExpr, t, x, y):
@@ -522,6 +525,8 @@ class ModelSpec:
                 f"degenerate correlation: 1 - (rho kappa_H)^2 = {1 - rho_h ** 2:.3e} < 1e-10"
             )
         object.__setattr__(self, "drift_class", classify_exprs(self.h1, self.h2))
+        if self.holder_gamma is not None and not 0.0 < self.holder_gamma < 0.5:
+            raise ValueError(f"holder_gamma must lie in (0, 1/2), got {self.holder_gamma}")
         if self.hurst.H > 0.5 and self.drift_class is not DriftClass.TIME_ONLY:
             g = self.holder_gamma
             if g is None or not (self.hurst.H - 0.5 < g < 0.5):
@@ -556,14 +561,17 @@ def model_from_dict(cfg: dict) -> ModelSpec:
     missing = {"H", "rho", "x0", "y0", "T", "h1", "h2"} - set(cfg)
     if missing:
         raise ValueError(f"missing model keys: {sorted(missing)}")
+    for key in ("h1", "h2"):
+        if not isinstance(cfg[key], str):
+            raise ValueError(f"{key} must be a drift expression string, got {cfg[key]!r}")
     return ModelSpec(
         hurst=Hurst(float(cfg["H"])),
         rho=float(cfg["rho"]),
         x0=float(cfg["x0"]),
         y0=float(cfg["y0"]),
         T=float(cfg["T"]),
-        h1=parse_drift(str(cfg["h1"])),
-        h2=parse_drift(str(cfg["h2"])),
+        h1=parse_drift(cfg["h1"]),
+        h2=parse_drift(cfg["h2"]),
         holder_gamma=None if cfg.get("holder_gamma") is None else float(cfg["holder_gamma"]),
     )
 

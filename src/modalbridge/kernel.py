@@ -98,13 +98,22 @@ class TimeGrid:
     @property
     def nodes(self) -> np.ndarray:
         """The read-only nodes t_0..t_n, one cached array per (T, n)."""
-        return opcache.get("nodes", (self.T, self.n), lambda: _build_nodes(self.T, self.n))
+        return _nodes_and_weights(self.T, self.n)[0]
 
 
-def _build_nodes(T: float, n: int) -> np.ndarray:
-    t = np.linspace(0.0, T, n + 1)
-    t.flags.writeable = False
-    return t
+def _nodes_and_weights(T: float, n: int):
+    """The nodes of a valid TimeGrid(T, n) and their trapezoid weights (dt,
+    halved at both ends: values @ weights is the trapezoid integral), as
+    read-only views of one cached (2, n+1) array.  A caller holding only
+    (T, n), such as the batched density, fetches both in one lookup."""
+    def build():
+        both = np.empty((2, n + 1))
+        both[0] = np.linspace(0.0, T, n + 1)
+        both[1] = T / n
+        both[1, [0, -1]] *= 0.5
+        both.flags.writeable = False
+        return both[0], both[1]  # the views' bytes are exactly the array's
+    return opcache.get("nodes", (T, n), build)
 
 
 # -- kernel evaluation -------------------------------------------------------

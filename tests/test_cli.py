@@ -127,6 +127,31 @@ def test_density_H_above_transform_cap_exits_4(tmp_path):
     assert proc.returncode == 4
 
 
+@pytest.mark.parametrize("key,value", [
+    ("h1", 1.5), ("h2", 0), ("h1", None), ("h2", ["x"]),
+    ("holder_gamma", -1), ("holder_gamma", 1.5), ("holder_gamma", 1e30), ("holder_gamma", 0.5),
+])
+def test_model_drift_or_holder_gamma_out_of_contract_exits_2(tmp_path, capsys, key, value):
+    # drifts are JSON strings; a given holder_gamma lies in (0, 1/2) whether
+    # or not the model needs one (this one is TimeOnly at H < 1/2)
+    cfg = write_config(tmp_path, {"model": dict(MODEL, **{key: value}),
+                                  "density": {"endpoints": [[0.1, 0.2]]}})
+    assert main(["density", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: invalid model: {key} must" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["s", 1.5, [], None, 1])
+def test_emit_terminals_must_be_a_boolean(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, {"model": MODEL, "simulate": dict(
+        _SIMULATE, emit_terminals=value)})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: emit_terminals must be true or false" in err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"model": MODEL, "bogus": {},
                                   "density": {"endpoints": [[0.0, 0.0]]}})
@@ -389,6 +414,39 @@ def test_density_nonfinite_drift_exits_3(tmp_path):
     assert proc.returncode == 3
     assert "numerical error" in proc.stderr and "exp(x)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_density_overflow_names_the_leading_field(tmp_path, capsys):
+    # the full variant is finite (0.173), but the leading one is e^2122: JSON
+    # cannot hold it, so the run exits 3 naming it
+    cfg = write_config(tmp_path, {"model": OVERFLOW_MODEL,
+                                  "density": {"endpoints": [[60.0, 0.0]]}})
+    assert main(["density", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert "numerical error: output field density[0].p_hat_leading is not finite" \
+        in captured.err
+    assert captured.out == ""
+
+
+def test_density_far_endpoint_underflows_with_finite_logs(tmp_path, capsys):
+    model = dict(OVERFLOW_MODEL, h1="1", rho=0.3)
+    cfg = write_config(tmp_path, {"model": model, "density": {"endpoints": [[1e150, 0.0]]}})
+    assert main(["density", "--config", cfg]) == 0
+    row = json.loads(capsys.readouterr().out)["density"][0]
+    assert row["phi"] == 0.0 and row["p_hat_leading"] == 0.0 and row["p_hat_full"] == 0.0
+    assert row["log_p_hat_leading"] == pytest.approx(-5.47e299, rel=1e-3)
+    assert math.isfinite(row["log_p_hat_full"])
+
+
+def test_density_log_of_minus_infinity_exits_3_naming_the_field(tmp_path, capsys):
+    # u^2 overflows at (1e200, 0): the log density is -inf, which JSON cannot hold
+    model = dict(OVERFLOW_MODEL, h1="1")
+    cfg = write_config(tmp_path, {"model": model, "density": {"endpoints": [[1e200, 0.0]]}})
+    assert main(["density", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert "numerical error: output field density[0].log_p_hat_full is not finite" \
+        in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_csv_float_format_17_digits(tmp_path):

@@ -1,11 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
 from modalbridge.bridge import modal_path, terminal_cov
-from modalbridge.density import (UnsupportedHurstError, alpha_exponent,
+from modalbridge.density import (UnsupportedHurstError, alpha_exponent, approx_densities,
                                  approx_density, drift_functionals,
                                  exact_timeonly_density, gaussian_prefactor,
                                  omega_1, omega_full)
@@ -282,3 +285,105 @@ def test_density_dot_products_match_drift_functionals(H, n):
             assert d.omega_1 == pytest.approx(w1, rel=1e-12)
             # omega_full is a difference of two pieces and can cancel to ~1e-5
             assert d.omega_full == pytest.approx(wf, rel=1e-12, abs=1e-15)
+
+
+# -- approx_densities: the batched kernel -------------------------------------------
+
+_DENSITY_FIELDS = ("phi", "p_hat", "p_hat_full", "log_p_hat", "log_p_hat_full")
+
+
+@pytest.mark.parametrize("k", [1, 7, 256, 300])
+@pytest.mark.parametrize("H", [0.2, 0.3, 0.5, 0.7])
+def test_batch_equals_per_endpoint_calls(H, k):
+    # 300 endpoints cross the kernel's 256-endpoint block
+    drifts = {"General": ("0.5*sin(x) + 0.2*y", "0.3*cos(y) - 0.1*x"),
+              "Linear": ("0.3*x - 0.2*y + 1", "0.5*y + 0.1*x"),
+              "TimeOnly": ("0.2 + sin(t)", "-0.1*t")}
+    rng = np.random.default_rng(7)
+    endpoints = [tuple(p) for p in 0.6 * rng.standard_normal((k, 2))]
+    for cls, (h1, h2) in drifts.items():
+        m = make_model(h1, h2, H=H, rho=0.4, x0=0.1, y0=-0.2,
+                       holder_gamma=H / 2 if H > 0.5 else None)
+        assert m.drift_class.value == cls
+        batch = approx_densities(m, endpoints, 512)
+        assert len(batch) == k
+        for ep, d in zip(endpoints, batch):
+            single = approx_density(m, ep, 512)
+            for name in _DENSITY_FIELDS:
+                assert getattr(d, name) == pytest.approx(getattr(single, name), rel=1e-14)
+            # the omegas are differences that can cancel towards 0
+            assert d.omega_1 == pytest.approx(single.omega_1, rel=1e-14, abs=1e-15)
+            assert d.omega_full == pytest.approx(single.omega_full, rel=1e-14, abs=1e-15)
+            assert d.alpha == single.alpha
+
+
+def test_empty_endpoint_list():
+    assert approx_densities(make_model("sin(x)", "0"), [], 64) == []
+
+
+def test_overflow_config_matches_the_exact_density():
+    # phi underflows and exp(omega_1) overflows; in log space the full variant
+    # is the exact time-only density
+    m = make_model("60", "0", H=0.3, rho=0.4, T=1.0)
+    d = approx_density(m, (60.0, 0.0))
+    exact = exact_timeonly_density(m, (60.0, 0.0))
+    assert exact == pytest.approx(0.172867, abs=1e-6)
+    assert d.p_hat_full == pytest.approx(exact, rel=1e-8)
+    assert d.log_p_hat_full == pytest.approx(math.log(exact), abs=1e-8)
+    assert d.phi == 0.0
+    # the leading variant is e^2122: its log is finite, the float is not
+    assert math.isfinite(d.log_p_hat) and d.log_p_hat > 2000.0 and d.p_hat == math.inf
+
+
+def test_far_endpoint_underflows_with_a_finite_log():
+    m = make_model("1", "0", H=0.3, rho=0.3, T=1.0)
+    d = approx_density(m, (1e150, 0.0))
+    assert d.phi == 0.0 and d.p_hat == 0.0 and d.p_hat_full == 0.0
+    assert math.isfinite(d.log_p_hat) and math.isfinite(d.log_p_hat_full)
+    # -u^2 / (2 (1 - rho_H^2)) dominates: about -5.47e299
+    assert d.log_p_hat == pytest.approx(-1e300 / (2.0 * m.rho_bar_H_sq), rel=1e-12)
+    assert d.log_p_hat == pytest.approx(-5.47e299, rel=1e-3)
+    # u^2 overflows further out: the log is -inf, not NaN
+    far = approx_density(m, (1e200, 0.0))
+    assert far.p_hat == 0.0 and far.log_p_hat == -math.inf and far.log_p_hat_full == -math.inf
+
+
+def test_nonfinite_drift_names_the_endpoint_in_a_list():
+    # the third endpoint's path reaches x = 800, where exp(x) overflows; the
+    # error names that path's first bad node, as the single call does
+    m = make_model("exp(x)", "0", H=0.3, rho=0.3, T=0.25)
+    with pytest.raises(DriftDomainError) as single:
+        approx_density(m, (800.0, 0.0), 64)
+    assert "x=" in str(single.value)
+    with pytest.raises(DriftDomainError) as batch:
+        approx_densities(m, [(0.1, 0.0), (0.5, 0.2), (800.0, 0.0), (0.3, 0.1)], 64)
+    assert str(batch.value) == str(single.value)
+
+
+def test_density_does_not_depend_on_openblas_threads():
+    from modalbridge import mc
+
+    if mc._openblas_threads() is None:
+        pytest.skip("numpy links no OpenBLAS with a known thread-count setter")
+    script = (
+        "from modalbridge.density import approx_density, approx_densities\n"
+        "from modalbridge.driftspec import ModelSpec, parse_drift\n"
+        "from modalbridge.kernel import Hurst\n"
+        "for H in (0.3, 0.7):\n"
+        "    m = ModelSpec(Hurst(H), 0.3, 0.0, 0.0, 0.25, parse_drift('0.5*sin(x)'),\n"
+        "                  parse_drift('0.5*cos(y)'), holder_gamma=0.3)\n"
+        "    eps = [(0.01 * i - 0.5, 0.3 - 0.005 * i) for i in range(300)]\n"
+        "    print(repr([approx_density(m, ep) for ep in eps[:8]]))\n"
+        "    print(repr(approx_densities(m, eps)))\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 4
+    assert outputs[0] == outputs[1]
