@@ -38,8 +38,7 @@ import numpy as np
 
 from .density import approx_densities
 from .fraccalc import UnsupportedHurstError
-from .driftspec import (DriftDomainError, ExprSyntaxError, ModelSpec,
-                        model_from_dict, parse_drift)
+from .driftspec import DriftDomainError, ModelSpec, model_from_dict, parse_drift
 from .kernel import (Hurst, NumericalConditioningError, TimeGrid, kernel_alt,
                      kernel_hyp)
 from .bridge import modal_path
@@ -163,8 +162,19 @@ def _model_from_config(cfg: dict) -> ModelSpec:
                 _number(block[key], f"model {key}")
     try:
         return model_from_dict(block)
-    except (TypeError, ValueError, ExprSyntaxError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model: {exc}") from None
+
+
+def _model_and_block(args, name: str, allowed, required):
+    """The model of args' config and its block `name` ({} if absent), every key checked."""
+    cfg = _load_config(args.config)
+    _check_keys(cfg, _TOP_LEVEL_KEYS, "config")
+    model = _model_from_config(cfg)
+    block = cfg.get(name, {})
+    _check_keys(block, allowed, f"{name} block")
+    _require(block, required, f"{name} block")
+    return model, block
 
 
 def _is_number(value) -> bool:
@@ -348,12 +358,7 @@ def cmd_modal_path(args) -> int:
         for p in emitted:
             print(p)
         return EXIT_OK
-    cfg = _load_config(args.config)
-    _check_keys(cfg, _TOP_LEVEL_KEYS, "config")
-    model = _model_from_config(cfg)
-    block = cfg.get("modal_path", {})
-    _check_keys(block, ("n", "endpoint"), "modal_path block")
-    _require(block, ("endpoint",), "modal_path block")
+    model, block = _model_and_block(args, "modal_path", ("n", "endpoint"), ("endpoint",))
     n = _number(block.get("n", 512), "modal_path n", int)
     endpoint = _point(block["endpoint"], "modal_path endpoint")
     path, mp = _emit_modal_path(model, n, endpoint, out_dir, "modal_path")
@@ -368,12 +373,7 @@ def cmd_modal_path(args) -> int:
 
 
 def cmd_density(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, _TOP_LEVEL_KEYS, "config")
-    model = _model_from_config(cfg)
-    block = cfg.get("density", {})
-    _check_keys(block, ("n", "endpoints"), "density block")
-    _require(block, ("endpoints",), "density block")
+    model, block = _model_and_block(args, "density", ("n", "endpoints"), ("endpoints",))
     n = _number(block.get("n", 512), "density n", int)
     if not isinstance(block["endpoints"], list):
         raise ConfigError(f"density endpoints must be a list of [x, y] pairs, "
@@ -406,13 +406,9 @@ def _sim_config(block: dict, seed_flag) -> SimConfig:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, _TOP_LEVEL_KEYS, "config")
-    model = _model_from_config(cfg)
-    block = cfg.get("simulate", {})
-    _check_keys(block, ("n_paths", "n_steps", "point", "estimator", "seed",
-                        "emit_terminals"), "simulate block")
-    _require(block, ("n_paths", "n_steps", "point", "estimator"), "simulate block")
+    model, block = _model_and_block(
+        args, "simulate", ("n_paths", "n_steps", "point", "estimator", "seed", "emit_terminals"),
+        ("n_paths", "n_steps", "point", "estimator"))
     config = _sim_config(block, args.seed)
     estimator = _estimator_from_config(block["estimator"])
     point = _point(block["point"], "simulate point")
@@ -436,12 +432,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bridge_mc(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, _TOP_LEVEL_KEYS, "config")
-    model = _model_from_config(cfg)
-    block = cfg.get("bridge_mc", {})
-    _check_keys(block, ("n_paths", "n_steps", "endpoint", "seed"), "bridge_mc block")
-    _require(block, ("n_paths", "n_steps", "endpoint"), "bridge_mc block")
+    model, block = _model_and_block(args, "bridge_mc", ("n_paths", "n_steps", "endpoint", "seed"),
+                                    ("n_paths", "n_steps", "endpoint"))
     config = _sim_config(block, args.seed)
     endpoint = _point(block["endpoint"], "bridge_mc endpoint")
     est = bridge_mc_density(model, endpoint, config)
@@ -511,9 +503,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     except UnsupportedHurstError as exc:
         print(f"unsupported parameter: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -521,10 +510,7 @@ def main(argv=None) -> int:
             OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
-    except ExprSyntaxError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and ExprSyntaxError among them
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -79,7 +79,8 @@ class _Scales:
     def quad(self, dx: float, dy: float) -> float:
         u = dx / self.sqrt_t
         v = dy / self.t_h
-        return (u * u - 2.0 * self.rho_h * u * v + v * v) / (2.0 * self.bar_sq)
+        r = u - self.rho_h * v  # no inf - inf where u^2 and v^2 overflow
+        return r * r / (2.0 * self.bar_sq) + 0.5 * v * v
 
     def omega_parts(self, int_bar_h1: float, int_bar_h2: float, dx: float, dy: float):
         """The two pieces of omega: 1' D Sigma^-1 Delta and (1/2) 1' D Sigma^-1 D' 1,

@@ -431,69 +431,31 @@ class DriftClass(str, Enum):
     GENERAL = "General"
 
 
-def _linear_parts(node: Node):
-    """Decompose as alpha(t) * x + beta(t) * y + gamma(t); None when impossible.
+def _stateless(node: Node) -> bool:
+    return not _free_vars(node, set()) & {"x", "y"}
 
-    Returns (alpha, beta, gamma) as AST nodes (possibly Num(0.0)).
-    """
-    if isinstance(node, Num):
-        return Num(0.0), Num(0.0), node
-    if isinstance(node, Var):
-        if node.name == "x":
-            return Num(1.0), Num(0.0), Num(0.0)
-        if node.name == "y":
-            return Num(0.0), Num(1.0), Num(0.0)
-        return Num(0.0), Num(0.0), node
+
+def _is_linear(node: Node) -> bool:
+    """True when node has the form alpha(t) * x + beta(t) * y + gamma(t)."""
+    if _stateless(node) or isinstance(node, Var):
+        return True
     if isinstance(node, Neg):
-        parts = _linear_parts(node.operand)
-        if parts is None:
-            return None
-        return tuple(Neg(p) for p in parts)
-    if isinstance(node, Call):
-        return (Num(0.0), Num(0.0), node) if not _free_vars(node, set()) & {"x", "y"} else None
-    if isinstance(node, BinOp):
-        if node.op in "+-":
-            lp = _linear_parts(node.left)
-            rp = _linear_parts(node.right)
-            if lp is None or rp is None:
-                return None
-            return tuple(BinOp(node.op, a, b) for a, b in zip(lp, rp))
-        state_l = _free_vars(node.left, set()) & {"x", "y"}
-        state_r = _free_vars(node.right, set()) & {"x", "y"}
-        if node.op == "*":
-            if not state_l and not state_r:
-                return Num(0.0), Num(0.0), node
-            if not state_l:
-                rp = _linear_parts(node.right)
-                if rp is None:
-                    return None
-                return tuple(BinOp("*", node.left, p) for p in rp)
-            if not state_r:
-                lp = _linear_parts(node.left)
-                if lp is None:
-                    return None
-                return tuple(BinOp("*", p, node.right) for p in lp)
-            return None
-        if node.op == "/":
-            if state_r:
-                return None
-            if not state_l:
-                return Num(0.0), Num(0.0), node
-            lp = _linear_parts(node.left)
-            if lp is None:
-                return None
-            return tuple(BinOp("/", p, node.right) for p in lp)
-        # "^": only time-dependent expressions pass through
-        if not state_l and not state_r:
-            return Num(0.0), Num(0.0), node
-        return None
-    return None
+        return _is_linear(node.operand)
+    if not isinstance(node, BinOp):  # a Call of the state
+        return False
+    if node.op in "+-":
+        return _is_linear(node.left) and _is_linear(node.right)
+    if node.op == "*":
+        return ((_stateless(node.left) and _is_linear(node.right))
+                or (_stateless(node.right) and _is_linear(node.left)))
+    # "^" of the state is never linear
+    return node.op == "/" and _stateless(node.right) and _is_linear(node.left)
 
 
 def classify_exprs(h1: DriftExpr, h2: DriftExpr) -> DriftClass:
     if not h1.references_state() and not h2.references_state():
         return DriftClass.TIME_ONLY
-    if _linear_parts(h1.ast) is not None and _linear_parts(h2.ast) is not None:
+    if _is_linear(h1.ast) and _is_linear(h2.ast):
         return DriftClass.LINEAR
     return DriftClass.GENERAL
 

@@ -73,9 +73,6 @@ class GridFunction:
             raise ValueError("GridFunction values must be finite")
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def _check_hurst_supported(hurst: Hurst) -> None:
     if hurst.H > MAX_SUPPORTED_H:

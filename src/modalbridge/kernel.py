@@ -64,12 +64,9 @@ class Hurst:
         H = self.H
         if not 0.0 < H < 1.0:
             raise ValueError(f"Hurst exponent must lie in (0, 1), got {H}")
-        if H == 0.5:
-            c, kappa = 1.0, 1.0
-        else:
-            c = float(np.sqrt(2.0 * H * gamma_fn(1.5 - H)
-                              / (gamma_fn(2.0 - 2.0 * H) * gamma_fn(H + 0.5))))
-            kappa = c * beta_fn(1.5 - H, H + 0.5) / (H + 0.5)
+        c = float(np.sqrt(2.0 * H * gamma_fn(1.5 - H)
+                          / (gamma_fn(2.0 - 2.0 * H) * gamma_fn(H + 0.5))))
+        kappa = c * beta_fn(1.5 - H, H + 0.5) / (H + 0.5)
         object.__setattr__(self, "c_H", c)
         object.__setattr__(self, "kappa_H", kappa)
 
@@ -129,9 +126,6 @@ def kernel_hyp(t: float, s, hurst: Hurst):
     _check_ts(t, s)
     s = np.asarray(s, dtype=float)
     H = hurst.H
-    if hurst.is_brownian:
-        out = np.ones_like(s)
-        return float(out) if out.ndim == 0 else out
     z = 1.0 - t / s
     out = hurst.c_H * (t - s) ** (H - 0.5) * hyp2f1(H - 0.5, 0.5 - H, H + 0.5, z)
     return float(out) if np.ndim(out) == 0 else out
@@ -148,7 +142,7 @@ def _jacobi_rule(H: float):
 
 
 def kernel_alt(t: float, s, hurst: Hurst):
-    """K_H(t, s) via the integral form.
+    """K_H(t, s) via the integral form, for a scalar or 1-D s in (0, t).
 
     The inner integral int_s^t u^(H-3/2) (u-s)^(H-1/2) du is computed with a
     Gauss-Jacobi rule whose weight absorbs the (u-s)^(H-1/2) endpoint factor.
@@ -156,9 +150,6 @@ def kernel_alt(t: float, s, hurst: Hurst):
     _check_ts(t, s)
     H = hurst.H
     scalar = np.ndim(s) == 0
-    if hurst.is_brownian:
-        out = np.ones_like(np.asarray(s, dtype=float))
-        return float(out) if scalar else out
     s = np.atleast_1d(np.asarray(s, dtype=float))
     x, w = opcache.get("jacobi_rule", H, lambda: _jacobi_rule(H))
     # u = s + (t - s) * y, y in (0, 1); integral = (t-s)^(H+1/2) int y^(H-1/2) u^(H-3/2) dy

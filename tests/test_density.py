@@ -348,6 +348,16 @@ def test_far_endpoint_underflows_with_a_finite_log():
     assert far.p_hat == 0.0 and far.log_p_hat == -math.inf and far.log_p_hat_full == -math.inf
 
 
+def test_both_coordinates_far_out_give_a_log_of_minus_infinity():
+    # u^2 and v^2 both overflow at (1e200, 1e200); the quadratic form is inf,
+    # not inf - inf = NaN
+    m = make_model("1", "0", H=0.3, rho=0.3, T=1.0)
+    d = approx_density(m, (1e200, 1e200))
+    assert d.log_p_hat == -math.inf and d.log_p_hat_full == -math.inf
+    assert d.phi == 0.0 and d.p_hat == 0.0 and d.p_hat_full == 0.0
+    assert gaussian_prefactor(1e200, 1e200, m) == 0.0
+
+
 def test_nonfinite_drift_names_the_endpoint_in_a_list():
     # the third endpoint's path reaches x = 800, where exp(x) overflows; the
     # error names that path's first bad node, as the single call does

@@ -342,6 +342,28 @@ def test_classify_general():
     assert model("1/(1+x)", "0").drift_class is DriftClass.GENERAL
 
 
+_TIME_ONLY, _LINEAR, _GENERAL = DriftClass.TIME_ONLY, DriftClass.LINEAR, DriftClass.GENERAL
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("3", _TIME_ONLY), ("t", _TIME_ONLY), ("sin(t)^2/(1+t)", _TIME_ONLY),
+    ("x", _LINEAR), ("y", _LINEAR), ("-x", _LINEAR), ("-(x - y)", _LINEAR),
+    ("x*t", _LINEAR), ("t*x", _LINEAR), ("x*y", _GENERAL), ("t*(2*x)", _LINEAR),
+    ("x*(t*y)", _GENERAL), ("2*x*t", _LINEAR),
+    ("x/t", _LINEAR), ("t/x", _GENERAL), ("x/2/(1+t)", _LINEAR), ("(x+y)/(t+1)", _LINEAR),
+    ("x/(1+y)", _GENERAL), ("(x*y)/2", _GENERAL),
+    ("2^x", _GENERAL), ("x^2", _GENERAL), ("x^t", _GENERAL), ("t^x", _GENERAL),
+    ("t^2*x", _LINEAR), ("exp(t)*y", _LINEAR), ("sin(t)*x + cos(t)", _LINEAR),
+    ("abs(x)", _GENERAL), ("exp(t*x)", _GENERAL), ("x - sin(x)", _GENERAL),
+    ("-sin(y)", _GENERAL), ("sqrt(t)*(x + y)", _LINEAR),
+    ("(x+1)*(t+1)", _LINEAR), ("(x+1)*(y+1)", _GENERAL),
+])
+def test_classification_table(source, expected):
+    # every node kind, and state on either side of *, / and ^, in either drift
+    assert model(source, "0").drift_class is expected
+    assert model("0", source).drift_class is expected
+
+
 def test_classify_drift_function():
     m = model("sin(t)", "1")
     assert classify_drift(m) is DriftClass.TIME_ONLY
