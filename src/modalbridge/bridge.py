@@ -156,7 +156,6 @@ def _build_modal_coeffs(model: ModelSpec, grid: TimeGrid):
         m21 = rho_h / denom * (pow_h / T - r_tT / T ** (H + 0.5))
         m22 = (-rho_h ** 2 * frac ** (H + 0.5) + r_tT / T ** (2.0 * H)) / denom
     stacked = np.block([[m11, m21], [m12, m22]])
-    stacked.flags.writeable = False
     n1 = grid.n + 1
     # the entry is the four views, whose bytes are exactly the stacked array's
     return stacked[0, :n1], stacked[1, :n1], stacked[0, n1:], stacked[1, n1:]

@@ -14,7 +14,8 @@ Subcommands::
     modalbridge validate    [--quick] [--out DIR]           acceptance suite
 
 Each subcommand accepts only the flags it reads; any other flag is a usage
-error.  Exit codes: 0 ok, 1 validation failure, 2 config or usage error,
+error.  Exit codes: 0 ok, 1 validation failure, 2 config or usage error
+(a config too large for memory among them, with nothing written),
 3 numerical error, 4 unsupported parameter.  CSV output is deterministic
 byte-for-byte for a given (config, seed): floats are printed with 17
 significant digits, LF line endings, UTF-8, header row always present.  The
@@ -327,6 +328,7 @@ def _rho_tag(rho: float) -> str:
 def _emit_modal_path(model: ModelSpec, n: int, endpoint, out_dir: str, stem: str):
     grid = TimeGrid(model.T, n)
     mp = modal_path(model, grid, endpoint)
+    os.makedirs(out_dir, exist_ok=True)  # only now, so a failed build leaves nothing behind
     path = os.path.join(out_dir, f"{stem}.csv")
     _write_csv(path, ("t", "x_path", "y_path", "m11", "m12", "m21", "m22"),
                (grid.nodes, mp.x_path, mp.y_path, mp.m11, mp.m12, mp.m21, mp.m22))
@@ -337,7 +339,6 @@ def cmd_modal_path(args) -> int:
     if args.figure_grid and args.config is not None:
         raise ConfigError("--figure-grid reads no config: its presets are fixed")
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     if args.figure_grid:
         emitted = []
         for rho in FIGURE_RHOS:
@@ -512,6 +513,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL_ERROR
     except ValueError as exc:  # ConfigError and ExprSyntaxError among them
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:
+        print(f"config error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

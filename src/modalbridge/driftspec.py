@@ -48,7 +48,7 @@ __all__ = [
 
 _FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs", "tanh")
 _VARIABLES = ("t", "x", "y")
-_MAX_DEPTH = 64
+_MAX_DEPTH = 64  # levels of an expression tree, and of nested parentheses
 
 
 class ExprSyntaxError(ValueError):
@@ -96,16 +96,6 @@ class Call:
 
 
 Node = Union[Num, Var, Neg, BinOp, Call]
-
-
-def _depth(node: Node) -> int:
-    if isinstance(node, (Num, Var)):
-        return 1
-    if isinstance(node, Neg):
-        return 1 + _depth(node.operand)
-    if isinstance(node, Call):
-        return 1 + _depth(node.arg)
-    return 1 + max(_depth(node.left), _depth(node.right))
 
 
 def _free_vars(node: Node, acc: set) -> set:
@@ -212,9 +202,16 @@ def _tokenize(src: str):
 
 
 class _Parser:
+    """Recursive descent that bounds the tree as it grows, so its recursion stays shallow.
+
+    Each rule takes `level`, the number of nodes known to lie above the
+    subtree it parses, and returns the subtree with its depth.
+    """
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.groups = 0  # parentheses open at the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -231,54 +228,65 @@ class _Parser:
                                   off, expected=(op,))
         return self.advance()
 
+    def bounded(self, level: int, depth: int) -> int:
+        """depth, unless level + depth or the open parentheses exceed _MAX_DEPTH."""
+        if level + depth > _MAX_DEPTH or self.groups > _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression tree deeper than {_MAX_DEPTH}", self.peek()[2])
+        return depth
+
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr(0)
         kind, text, off = self.peek()
         if kind != "eof":
             raise ExprSyntaxError(f"trailing input {text!r}", off,
                                   expected=("+", "-", "*", "/", "^", "end of input"))
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self, level: int):
+        node, depth = self.term(level)
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                node = BinOp(text, node, self.term())
+                right, d = self.term(level + 1)
+                node, depth = BinOp(text, node, right), self.bounded(level, 1 + max(depth, d))
             else:
-                return node
+                return node, depth
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self, level: int):
+        node, depth = self.factor(level)
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                node = BinOp(text, node, self.factor())
+                right, d = self.factor(level + 1)
+                node, depth = BinOp(text, node, right), self.bounded(level, 1 + max(depth, d))
             else:
-                return node
+                return node, depth
 
-    def factor(self) -> Node:
+    def factor(self, level: int):
+        self.bounded(level, 1)  # every recursion passes here
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            operand, d = self.factor(level + 1)
+            return Neg(operand), 1 + d
+        return self.power(level)
 
-    def power(self) -> Node:
-        base = self.primary()
+    def power(self, level: int):
+        base, depth = self.primary(level)
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return BinOp("^", base, self.factor())
-        return base
+            exponent, d = self.factor(level + 1)
+            return BinOp("^", base, exponent), self.bounded(level, 1 + max(depth, d))
+        return base, depth
 
-    def primary(self) -> Node:
+    def primary(self, level: int):
         kind, text, off = self.peek()
         if kind == "num":
             self.advance()
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "ident":
             self.advance()
             nk, nt, _ = self.peek()
@@ -286,31 +294,32 @@ class _Parser:
                 if text not in _FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {text!r}", off,
                                           expected=_FUNCTIONS)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(text, arg)
+                arg, d = self.group(level + 1)
+                return Call(text, arg), 1 + d
             if text not in _VARIABLES:
                 raise ExprSyntaxError(f"unknown identifier {text!r}", off,
                                       expected=_VARIABLES)
-            return Var(text)
+            return Var(text), 1
         if kind == "op" and text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            return self.group(level)
         raise ExprSyntaxError(f"unexpected token {text or 'end of input'!r}", off,
                               expected=("number", "identifier", "("))
+
+    def group(self, level: int):
+        """The expression in the parentheses that open at the current token."""
+        self.advance()
+        self.groups += 1
+        node, depth = self.expr(level)
+        self.expect_op(")")
+        self.groups -= 1
+        return node, depth
 
 
 def parse_drift(source: str) -> DriftExpr:
     """Parse a drift expression over the variables t, x, y."""
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0)
-    ast = _Parser(_tokenize(source)).parse()
-    if _depth(ast) > _MAX_DEPTH:
-        raise ExprSyntaxError(f"expression tree deeper than {_MAX_DEPTH}", 0)
-    return DriftExpr(ast, source)
+    return DriftExpr(_Parser(_tokenize(source)).parse(), source)
 
 
 # -- evaluation -----------------------------------------------------------------

@@ -35,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import opcache
 from .kernel import Hurst, TimeGrid, kernel_profile
-from .profiles import SingularProfile, _product_rows, product_integrate
+from .profiles import _BLOCK, SingularProfile, _product_rows, product_integrate
 from .special import gamma_fn
 
 __all__ = [
@@ -280,9 +280,6 @@ def invert_KH(h: GridFunction, hurst: Hurst, integrand=None) -> GridFunction:
 
 # -- the inverse transform as a matrix ---------------------------------------------
 
-_BLOCK = 64  # rows of the inverse-transform matrix built per pass
-
-
 def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
     """Read-only view T with T[i, k] = c[i - k] for k <= i and 0 above the diagonal."""
     m = len(c)
@@ -303,12 +300,8 @@ def inverse_operator_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
     the bridge estimator and invert_KH share one matrix per grid.
     """
     _check_hurst_supported(hurst)
-
-    def build():
-        op = _build_inverse_operator(grid, hurst)
-        op.flags.writeable = False
-        return op
-    return opcache.get("inverse_operator", (hurst.H, grid.T, grid.n), build)
+    return opcache.get("inverse_operator", (hurst.H, grid.T, grid.n),
+                       lambda: _build_inverse_operator(grid, hurst))
 
 
 def _build_inverse_operator(grid: TimeGrid, hurst: Hurst) -> np.ndarray:

@@ -108,7 +108,6 @@ def _nodes_and_weights(T: float, n: int):
         both[0] = np.linspace(0.0, T, n + 1)
         both[1] = T / n
         both[1, [0, -1]] *= 0.5
-        both.flags.writeable = False
         return both[0], both[1]  # the views' bytes are exactly the array's
     return opcache.get("nodes", (T, n), build)
 
@@ -131,34 +130,27 @@ def kernel_hyp(t: float, s, hurst: Hurst):
     return float(out) if np.ndim(out) == 0 else out
 
 
-_JACOBI_ORDER = 80  # Gauss-Jacobi nodes of kernel_alt's inner integral
-
-
-def _jacobi_rule(H: float):
-    """kernel_alt's read-only Gauss-Jacobi rule, one per H (a build takes about 1 ms)."""
-    x, w = gauss_jacobi(_JACOBI_ORDER, 0.0, H - 0.5)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+_JACOBI_ORDER = 80  # Gauss-Jacobi nodes of kernel_alt's inner integral (a rule takes about 1 ms)
 
 
 def kernel_alt(t: float, s, hurst: Hurst):
-    """K_H(t, s) via the integral form, for a scalar or 1-D s in (0, t).
+    """K_H(t, s) via the integral form; vectorized over s in (0, t).
 
     The inner integral int_s^t u^(H-3/2) (u-s)^(H-1/2) du is computed with a
     Gauss-Jacobi rule whose weight absorbs the (u-s)^(H-1/2) endpoint factor.
     """
     _check_ts(t, s)
     H = hurst.H
-    scalar = np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    x, w = opcache.get("jacobi_rule", H, lambda: _jacobi_rule(H))
+    shape = np.shape(s)
+    s = np.asarray(s, dtype=float).ravel()
+    x, w = opcache.get("jacobi_rule", H, lambda: gauss_jacobi(_JACOBI_ORDER, 0.0, H - 0.5))
     # u = s + (t - s) * y, y in (0, 1); integral = (t-s)^(H+1/2) int y^(H-1/2) u^(H-3/2) dy
     y = 0.5 * (x + 1.0)
     u = s[:, None] + (t - s)[:, None] * y[None, :]
     inner = (t - s) ** (H + 0.5) * 0.5 ** (H + 0.5) * (w[None, :] * u ** (H - 1.5)).sum(axis=1)
     out = hurst.c_H * ((t / s) ** (H - 0.5) * (t - s) ** (H - 0.5)
                        - (H - 0.5) * s ** (0.5 - H) * inner)
-    return float(out[0]) if scalar else out
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def autocovariance(s, t, hurst: Hurst):
@@ -182,7 +174,7 @@ def kernel_total_integral(t: float, hurst: Hurst) -> float:
 # -- unit kernel profile ------------------------------------------------------
 
 def _leading_coef(hurst: Hurst) -> float:
-    """A_H with K_H(1, v) ~ A_H v^(-|H-1/2|) as v -> 0."""
+    """A_H with K_H(1, v) ~ A_H v^(-|H-1/2|) as v -> 0 (the tests' reference for that limit)."""
     H = hurst.H
     if H < 0.5:
         return hurst.c_H * gamma_fn(H + 0.5) * gamma_fn(1.0 - 2.0 * H) / gamma_fn(0.5 - H)
@@ -192,10 +184,7 @@ def _leading_coef(hurst: Hurst) -> float:
 
 def _unit_kernel(v: np.ndarray, hurst: Hurst) -> np.ndarray:
     """k(v) = K_H(1, v) for 0 < v < 1."""
-    H = hurst.H
-    v = np.asarray(v, dtype=float)
-    z = 1.0 - 1.0 / v
-    return hurst.c_H * (1.0 - v) ** (H - 0.5) * hyp2f1(H - 0.5, 0.5 - H, H + 0.5, z)
+    return kernel_hyp(1.0, v, hurst)
 
 
 def kernel_profile(hurst: Hurst):
@@ -207,16 +196,9 @@ def _build_kernel_profile(hurst: Hurst):
     H = hurst.H
     b0 = -abs(H - 0.5)
     a1 = H - 0.5
-    A = _leading_coef(hurst)
 
-    def resid0(v):
-        v = np.asarray(v, dtype=float)
-        out = np.empty_like(v)
-        tiny = v < 1e-270
-        out[tiny] = A
-        rest = ~tiny
-        out[rest] = _unit_kernel(v[rest], hurst) * v[rest] ** (-b0)
-        return out
+    def resid0(v):  # the profile passes no point below profiles._TINY
+        return _unit_kernel(v, hurst) * v ** (-b0)
 
     def resid1(v):
         v = np.asarray(v, dtype=float)

@@ -367,9 +367,7 @@ def _forward_factor(grid: TimeGrid, model: ModelSpec) -> np.ndarray:
         cov = joint_cov_matrix(grid, model.hurst)
         cov[:n, n:] *= model.rho
         cov[n:, :n] *= model.rho
-        factor = cholesky_with_jitter(cov)
-        factor.flags.writeable = False
-        return factor
+        return cholesky_with_jitter(cov)
     return opcache.get("forward_factor", (model.H, model.rho, grid.T, grid.n), build)
 
 
@@ -411,7 +409,7 @@ def estimate_density_at(ensemble: PathEnsemble, point, estimator: Estimator) -> 
 # -- bridge-measure estimator ---------------------------------------------------------
 
 class _BridgeLevel:
-    """The bridge estimator's operators on one grid of n steps, read-only.
+    """The bridge estimator's operators on one grid of n steps, read-only once stored.
 
     Before conditioning, the 2n increments [dB, dW] are iid N(0, dt).  The
     terminal point imposes two linear constraints a @ incr = v, with rows
@@ -431,8 +429,6 @@ class _BridgeLevel:
         self.g_inv = np.linalg.inv(self.a @ self.a.T)
         self.inv_op_t = np.ascontiguousarray(
             inverse_operator_matrix(self.grid, model.hurst)[:n].T)
-        for op in (self.w_full, self.a, self.g_inv, self.inv_op_t):
-            op.flags.writeable = False
 
     def condition(self, incr: np.ndarray, v: np.ndarray) -> None:
         """Pathwise (Matheron) conditioning in place: a row s ~ N(0, dt I) maps to

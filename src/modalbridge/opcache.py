@@ -1,11 +1,13 @@
 """One byte-budgeted store for operators that are built once and reused.
 
 get(partition, key, build) returns the value stored under (partition, key),
-built by build() on a miss.  All partitions share BUDGET_BYTES: storing a
-value evicts the least recently used entries, of any partition, until it
-fits, and a value larger than the budget is returned but not kept.  The lock
-guards only the dict operations: a build runs outside it, so a build may call
-get itself, and when two threads build one key both return the value stored
+built by build() on a miss, and makes every value it hands out read-only: it
+freezes the arrays of a value it builds, and the base of each view, before it
+returns or keeps it.  All partitions share BUDGET_BYTES: storing a value
+evicts the least recently used entries, of any partition, until it fits, and
+a value larger than the budget is returned but not kept.  The lock guards
+only the dict operations: a build runs outside it, so a build may call get
+itself, and when two threads build one key both return the value stored
 first.  A lookup reorders the entries, so estimators fetch their operators on
 the calling thread, never in pool tasks.  This module imports nothing from
 the package, so every module that owns an operator can import it.
@@ -31,12 +33,17 @@ _entries: OrderedDict = OrderedDict()  # (partition, key) -> value, least recent
 _counts: dict = {}  # partition -> [builds, hits, evictions, bytes held]
 
 
-def _nbytes(value) -> int:
-    """Bytes of an array, of the arrays in a tuple, or of an object's array attributes."""
+def _arrays(value) -> list:
+    """The arrays of a value: itself, those in a tuple, or an object's array attributes."""
     if isinstance(value, np.ndarray):
-        return value.nbytes
+        return [value]
     parts = value if isinstance(value, tuple) else vars(value).values()
-    return sum(part.nbytes for part in parts if isinstance(part, np.ndarray))
+    return [part for part in parts if isinstance(part, np.ndarray)]
+
+
+def _nbytes(value) -> int:
+    """Bytes of the arrays of a value."""
+    return sum(part.nbytes for part in _arrays(value))
 
 
 def get(partition: str, key, build: Callable):
@@ -49,6 +56,10 @@ def get(partition: str, key, build: Callable):
             _counts[partition][1] += 1
             return value
     value = build()
+    for part in _arrays(value):  # the pool's threads share it, so nothing may change it
+        part.flags.writeable = False
+        if isinstance(part.base, np.ndarray):
+            part.base.flags.writeable = False
     size = _nbytes(value)
     with _lock:
         counts = _counts.setdefault(partition, [0, 0, 0, 0])

@@ -253,13 +253,12 @@ def _product_matrix(profile: SingularProfile, n: int) -> np.ndarray:
 
     (terms with j = i or j - 1 < 0 absent).  The grid spacing cancels, so one
     matrix serves every horizon.  Rows are built in blocks of ``_BLOCK`` so
-    the transient arrays stay near the size of one block.  P is read-only.
+    the transient arrays stay near the size of one block.
     """
     p = np.zeros((n, n + 1))
     for lo in range(1, n + 1, _BLOCK):
         hi = min(lo + _BLOCK, n + 1)
         p[lo - 1:hi - 1, :hi] = _product_rows(profile, lo, hi)
-    p.flags.writeable = False
     return p
 
 
@@ -290,7 +289,7 @@ def moment_increments(moment, lo: int, hi: int) -> np.ndarray:
     return d
 
 
-_BLOCK = 64  # rows of a product-integration matrix built per pass
+_BLOCK = 64  # rows of a product-integration or inverse-transform matrix built per pass
 
 
 def product_integrate(profile: SingularProfile, t: np.ndarray, f: np.ndarray,

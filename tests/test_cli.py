@@ -160,6 +160,27 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert "bogus" in proc.stderr
 
 
+@pytest.mark.parametrize("command,block,h1,message", [
+    ("density", {"density": {"endpoints": [[0.1, 0.0]]}}, "+".join(["x"] * 3000),
+     "expression tree deeper than 64"),
+    ("density", {"density": {"endpoints": [[0.1, 0.0]]}}, "(" * 500 + "x" + ")" * 500,
+     "expression tree deeper than 64"),
+    ("density", {"density": {"n": 10 ** 12, "endpoints": [[0.1, 0.0]]}}, "0.2",
+     "config error: not enough memory"),
+    ("modal-path", {"modal_path": {"n": 10 ** 12, "endpoint": [0.1, 0.0]}}, "0.2",
+     "config error: not enough memory"),
+])
+def test_deep_drift_or_grid_beyond_memory_exits_2_and_writes_nothing(
+        tmp_path, capsys, command, block, h1, message):
+    # 10**12 steps need 16 TB: the allocation fails at once, never granted
+    cfg = write_config(tmp_path, {"model": dict(MODEL, h1=h1), **block})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_malformed_drift_exits_2(tmp_path):
     model = dict(MODEL, h1="x + * y")
     cfg = write_config(tmp_path, {"model": model,

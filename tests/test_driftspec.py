@@ -57,6 +57,28 @@ def test_empty_and_trailing():
         parse_drift("1 2")
 
 
+@pytest.mark.parametrize("deepest,too_deep", [
+    ("-" * 63 + "x", "-" * 64 + "x"),
+    ("+".join(["x"] * 64), "+".join(["x"] * 65)),
+    ("^".join(["x"] * 64), "^".join(["x"] * 65)),
+    ("sin(" * 63 + "x" + ")" * 63, "sin(" * 64 + "x" + ")" * 64),
+    ("(" * 64 + "x" + ")" * 64, "(" * 65 + "x" + ")" * 65),
+])
+def test_depth_bound_is_64(deepest, too_deep):
+    # 64 levels (nodes, or nested parentheses) parse, and print to a source that parses back
+    expr = parse_drift(deepest)
+    assert parse_drift(expr.to_source()).ast == expr.ast
+    with pytest.raises(ExprSyntaxError, match="expression tree deeper than 64"):
+        parse_drift(too_deep)
+
+
+@pytest.mark.parametrize("source", [
+    "+".join(["x"] * 3000), "(" * 500 + "x" + ")" * 500, "-" * 2000 + "x"])
+def test_a_long_source_fails_at_the_bound_not_the_recursion_limit(source):
+    with pytest.raises(ExprSyntaxError, match="expression tree deeper than 64"):
+        parse_drift(source)
+
+
 def test_whitespace_insensitive():
     a = parse_drift("1+2 * x")
     b = parse_drift(" 1 + 2*x ")

@@ -90,6 +90,19 @@ def test_kernel_alt_examples():
     assert kernel_alt(2.0, 1.0, h) == pytest.approx(kernel_hyp(2.0, 1.0, h), rel=1e-8)
 
 
+@pytest.mark.parametrize("H", (0.3, 0.5, 0.7))
+def test_kernel_alt_takes_s_of_any_shape(H):
+    # like kernel_hyp: the result has the shape of s, and a scalar s gives a float
+    h = Hurst(H)
+    s = np.array([[0.2, 0.5], [0.7, 0.9]])
+    a = kernel_alt(1.0, s, h)
+    assert a.shape == s.shape
+    np.testing.assert_allclose(a, kernel_hyp(1.0, s, h), rtol=1e-8, atol=0.0)
+    assert np.array_equal(a.ravel(), kernel_alt(1.0, s.ravel(), h))
+    assert kernel_alt(1.0, s[..., None], h).shape == (2, 2, 1)
+    assert isinstance(kernel_alt(1.0, 0.5, h), float)
+
+
 def test_autocovariance_values():
     for H in (0.2, 0.5, 0.8):
         h = Hurst(H)

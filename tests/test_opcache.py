@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 
 from modalbridge import opcache
+from modalbridge.density import approx_density
+from modalbridge.driftspec import ModelSpec, parse_drift
+from modalbridge.fraccalc import GridFunction, apply_KH
+from modalbridge.kernel import Hurst, TimeGrid, kernel_alt, kernel_profile
+from modalbridge.mc import SimConfig, bridge_mc_density, simulate_forward
 
 
 @pytest.fixture(autouse=True)
@@ -181,3 +186,39 @@ def test_counters_count_every_call_under_contention(monkeypatch):
     assert errors == []
     stats = opcache.stats()["p"]
     assert stats["builds"] + stats["hits"] == 8 * calls
+
+
+def _refuses_writes(value):
+    """Assert that each array of a stored value, and the base of each view, is read-only."""
+    if isinstance(value, np.ndarray):
+        parts = (value,)
+    else:
+        parts = value if isinstance(value, tuple) else tuple(vars(value).values())
+    arrays = [part for part in parts if isinstance(part, np.ndarray)]
+    assert arrays
+    for array in arrays:
+        for target in (array, array.base) if array.base is not None else (array,):
+            with pytest.raises(ValueError, match="read-only"):
+                target[...] = target
+
+
+def test_every_operator_the_store_hands_out_refuses_writes(monkeypatch):
+    # the store, not each builder, freezes what the pool's threads share
+    model = ModelSpec(Hurst(0.7), 0.4, 0.0, 0.0, 1.0, parse_drift("0.3*t"), parse_drift("0.2"))
+    cfg = SimConfig(n_paths=64, n_steps=8, seed=1)
+    approx_density(model, (0.1, 0.2), n=16)
+    apply_KH(GridFunction(TimeGrid(1.0, 8), np.linspace(0.0, 1.0, 9)), model.hurst)
+    kernel_alt(1.0, 0.5, model.hurst)
+    bridge_mc_density(model, (0.1, 0.2), cfg)
+    simulate_forward(model, cfg)
+    assert set(opcache.stats()) == {
+        "nodes", "jacobi_rule", "kernel_profile", "psi_profile", "product_matrix",
+        "inverse_operator", "modal_coeffs", "bridge_level", "forward_factor"}
+    for value in opcache._entries.values():
+        _refuses_writes(value)
+    # a value too large to keep is returned frozen as well
+    monkeypatch.setattr(opcache, "BUDGET_BYTES", 0)
+    opcache.clear()
+    profile = kernel_profile(Hurst(0.35))
+    assert opcache.stats()["kernel_profile"]["bytes"] == 0
+    _refuses_writes(profile)

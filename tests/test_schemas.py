@@ -137,7 +137,8 @@ _SMALLEST = {
                    "bridge_mc": {"n_paths": 8, "n_steps": 4, "endpoint": [0.1, 0.0],
                                  "seed": 1}}, "bridge_mc.json"),
 }
-_SWEEP_VALUES = (None, True, "s", [], {}, float("nan"), float("inf"), -1, 1.5, 1e30)
+_SWEEP_VALUES = (None, True, "s", [], {}, float("nan"), float("inf"), -1, 1.5, 1e30,
+                 "+".join(["x"] * 3000), "(" * 500 + "x" + ")" * 500, 10 ** 12)
 
 
 def _key_paths(block, prefix=()):
