@@ -321,10 +321,6 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def _rho_tag(rho: float) -> str:
-    return f"{rho:g}"
-
-
 def _emit_modal_path(model: ModelSpec, n: int, endpoint, out_dir: str, stem: str):
     grid = TimeGrid(model.T, n)
     mp = modal_path(model, grid, endpoint)
@@ -335,28 +331,35 @@ def _emit_modal_path(model: ModelSpec, n: int, endpoint, out_dir: str, stem: str
     return path, mp
 
 
+def write_figure_grid(out_dir: str, svg: bool = True) -> list:
+    """Write the 16-curve preset to out_dir and return the paths written, in order.
+
+    One CSV per (rho, H) in FIGURE_RHOS x FIGURE_HS, each the zero-drift modal
+    path to (1, 1) at T = 1 on FIGURE_GRID_N steps, and with svg one chart of
+    the y paths per rho.
+    """
+    emitted = []
+    for rho in FIGURE_RHOS:
+        series = []
+        for H in FIGURE_HS:
+            model = ModelSpec(Hurst(H), rho, 0.0, 0.0, 1.0, _ZERO_EXPR, _ZERO_EXPR)
+            path, mp = _emit_modal_path(model, FIGURE_GRID_N, (1.0, 1.0), out_dir,
+                                        f"modal_path_rho{rho:g}_H{H:g}")
+            emitted.append(path)
+            series.append((f"H={H:g}", mp.grid.nodes, mp.y_path))
+        if svg:
+            chart = os.path.join(out_dir, f"modal_paths_rho{rho:g}.svg")
+            _svg_line_chart(chart, f"modal paths, rho={rho:g}", series, "t", "y path")
+            emitted.append(chart)
+    return emitted
+
+
 def cmd_modal_path(args) -> int:
     if args.figure_grid and args.config is not None:
         raise ConfigError("--figure-grid reads no config: its presets are fixed")
     out_dir = args.out or "."
     if args.figure_grid:
-        emitted = []
-        for rho in FIGURE_RHOS:
-            series = []
-            for H in FIGURE_HS:
-                model = ModelSpec(Hurst(H), rho, 0.0, 0.0, 1.0,
-                                  _ZERO_EXPR, _ZERO_EXPR)
-                stem = f"modal_path_rho{_rho_tag(rho)}_H{H:g}"
-                path, mp = _emit_modal_path(model, FIGURE_GRID_N, (1.0, 1.0),
-                                            out_dir, stem)
-                emitted.append(path)
-                series.append((f"H={H:g}", mp.grid.nodes, mp.y_path))
-            if args.format in ("svg", None):
-                svg = os.path.join(out_dir, f"modal_paths_rho{_rho_tag(rho)}.svg")
-                _svg_line_chart(svg, f"modal paths, rho={rho:g}", series,
-                                "t", "y path")
-                emitted.append(svg)
-        for p in emitted:
+        for p in write_figure_grid(out_dir, svg=args.format in ("svg", None)):
             print(p)
         return EXIT_OK
     model, block = _model_and_block(args, "modal_path", ("n", "endpoint"), ("endpoint",))

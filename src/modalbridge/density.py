@@ -118,35 +118,21 @@ def _trapz(values: np.ndarray, dt: float) -> float:
     return dt * (float(values.sum()) - 0.5 * float(values[0] + values[-1]))
 
 
-def _drifts_along(model: ModelSpec, path: ModalPath):
-    """bar_h1 and bar_h2: the drifts on the modal path, required to be finite.
-
-    A sum is finite only when every value is, so the values are scanned one by
-    one only when a sum is not (a sum of finite values may also overflow).
-    """
-    t, x, y = path.grid.nodes, path.x_path, path.y_path
-    bars = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, expr in (("h1", model.h1), ("h2", model.h2)):
-            vals = eval_drift(expr, t, x, y)  # an array: x and y are arrays of the nodes' shape
-            if not math.isfinite(vals.sum()) and not np.isfinite(vals).all():
-                bad = int(np.argmin(np.isfinite(vals)))
-                raise DriftDomainError(
-                    f"drift {name} = {expr.to_source()} is not finite along the modal path "
-                    f"(t={t[bad]:g}, x={x[bad]:g}, y={y[bad]:g})")
-            bars.append(vals)
-    return bars
-
-
 def drift_functionals(model: ModelSpec, path: ModalPath) -> DriftFunctionals:
     """Evaluate the drifts along the modal path and solve for hat_h1, hat_h2.
 
     hat_h2 is the inverse kernel transform of the running integral of
     bar_h2 (the integrand is passed directly, no differencing), and
-    hat_h1 = (bar_h1 - rho hat_h2) / rho_bar.
+    hat_h1 = (bar_h1 - rho hat_h2) / rho_bar.  A drift that is not finite
+    somewhere on the path is the DriftDomainError that approx_densities
+    raises for the same path.
     """
     grid = path.grid
-    bar1, bar2 = _drifts_along(model, path)
+    t, weights = _nodes_and_weights(grid.T, grid.n)
+    x, y = path.x_path[None], path.y_path[None]  # the modal path as a one-row batch
+    with np.errstate(over="ignore", invalid="ignore"):
+        (bar1,), _ = _drift_integrals("h1", model.h1, t, x, y, weights)
+        (bar2,), _ = _drift_integrals("h2", model.h2, t, x, y, weights)
     bar_h1 = GridFunction(grid, bar1)
     bar_h2 = GridFunction(grid, bar2)
     running = np.concatenate([[0.0], np.cumsum((bar2[1:] + bar2[:-1]) * 0.5) * grid.dt])
@@ -269,8 +255,8 @@ def approx_densities(model: ModelSpec, endpoints, n: int = 512) -> list:
             x += model.x0
             y += model.y0
         with np.errstate(over="ignore", invalid="ignore"):
-            ints1 = _drift_integrals("h1", model.h1, t, x, y, weights)
-            ints2 = _drift_integrals("h2", model.h2, t, x, y, weights)
+            _, ints1 = _drift_integrals("h1", model.h1, t, x, y, weights)
+            _, ints2 = _drift_integrals("h2", model.h2, t, x, y, weights)
         for (dx, dy), int1, int2 in zip(block, ints1, ints2):
             quad = scales.quad(dx, dy)
             linear, quadratic = scales.omega_parts(int1, int2, dx, dy)
@@ -289,8 +275,8 @@ def approx_densities(model: ModelSpec, endpoints, n: int = 512) -> list:
     return results
 
 
-def _drift_integrals(name: str, expr, t, x, y, weights) -> list:
-    """The trapezoid integral of the drift along each row of the (k, n+1) paths.
+def _drift_integrals(name: str, expr, t, x, y, weights):
+    """The drift along each row of the (k, n+1) paths, and its trapezoid integrals.
 
     Every weight is positive, so an integral is finite whenever its row is;
     only a row whose integral is not finite is scanned, for the first node
@@ -304,7 +290,7 @@ def _drift_integrals(name: str, expr, t, x, y, weights) -> list:
             raise DriftDomainError(
                 f"drift {name} = {expr.to_source()} is not finite along the modal path "
                 f"(t={t[bad]:g}, x={x[row, bad]:g}, y={y[row, bad]:g})")
-    return ints
+    return vals, ints
 
 
 def _exp(v: float) -> float:

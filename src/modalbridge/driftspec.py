@@ -132,9 +132,6 @@ class DriftExpr:
     def free_vars(self) -> frozenset:
         return frozenset(_free_vars(self.ast, set()))
 
-    def references_state(self) -> bool:
-        return bool(self.free_vars() & {"x", "y"})
-
     def to_source(self) -> str:
         return _print(self.ast)
 
@@ -462,7 +459,7 @@ def _is_linear(node: Node) -> bool:
 
 
 def classify_exprs(h1: DriftExpr, h2: DriftExpr) -> DriftClass:
-    if not h1.references_state() and not h2.references_state():
+    if _stateless(h1.ast) and _stateless(h2.ast):
         return DriftClass.TIME_ONLY
     if _is_linear(h1.ast) and _is_linear(h2.ast):
         return DriftClass.LINEAR

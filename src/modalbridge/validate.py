@@ -309,13 +309,11 @@ def crit_figure_grid(quick: bool) -> tuple:
     """10: the CLI figure grid emits 16 continuous, pinned, near-straight curves."""
     import tempfile
 
-    from .cli import FIGURE_HS, FIGURE_RHOS, main as cli_main
+    from .cli import FIGURE_HS, FIGURE_RHOS, write_figure_grid
 
     issues = []
     with tempfile.TemporaryDirectory() as tmp:
-        code = cli_main(["modal-path", "--figure-grid", "--out", tmp])
-        if code != 0:
-            return False, f"figure-grid command exited with {code}"
+        write_figure_grid(tmp)
         for rho in FIGURE_RHOS:
             svg = os.path.join(tmp, f"modal_paths_rho{rho:g}.svg")
             if not os.path.exists(svg):

@@ -482,11 +482,11 @@ def test_csv_float_format_17_digits(tmp_path):
 
 # -- validate -------------------------------------------------------------------------
 
-def test_validate_quick_passes(tmp_path):
-    out = str(tmp_path / "v")
-    code = main(["validate", "--quick", "--out", out])
+def test_validate_quick_passes(capsys):
+    # without --out the report is the whole of stdout
+    code = main(["validate", "--quick"])
     assert code == 0
-    payload = json.loads((tmp_path / "v" / "validation.json").read_text())
+    payload = json.loads(capsys.readouterr().out)
     assert payload["all_passed"] is True
     assert len(payload["criteria"]) == 11
 

@@ -360,7 +360,8 @@ def test_both_coordinates_far_out_give_a_log_of_minus_infinity():
 
 def test_nonfinite_drift_names_the_endpoint_in_a_list():
     # the third endpoint's path reaches x = 800, where exp(x) overflows; the
-    # error names that path's first bad node, as the single call does
+    # error names that path's first bad node, as the single call and the
+    # reference route do
     m = make_model("exp(x)", "0", H=0.3, rho=0.3, T=0.25)
     with pytest.raises(DriftDomainError) as single:
         approx_density(m, (800.0, 0.0), 64)
@@ -368,6 +369,9 @@ def test_nonfinite_drift_names_the_endpoint_in_a_list():
     with pytest.raises(DriftDomainError) as batch:
         approx_densities(m, [(0.1, 0.0), (0.5, 0.2), (800.0, 0.0), (0.3, 0.1)], 64)
     assert str(batch.value) == str(single.value)
+    with pytest.raises(DriftDomainError) as reference:
+        drift_functionals(m, modal_path(m, TimeGrid(m.T, 64), (800.0, 0.0)))
+    assert str(reference.value) == str(single.value)
 
 
 def test_density_does_not_depend_on_openblas_threads():

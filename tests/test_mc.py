@@ -301,7 +301,7 @@ def test_blocked_estimators_equal_per_block_reference(H):
 
 @pytest.mark.parametrize("H", [0.3, 0.5])
 @pytest.mark.parametrize("n_steps", [64, 256])
-def test_bridge_tiles_are_invisible(n_steps, H):
+def test_bridge_blocks_match_per_block_reference_on_fine_grids(n_steps, H):
     # at fine grids the bridge still runs 256-row blocks, the last taking the
     # remainder; a path's weight depends on its own normals only, so the
     # blocked run must reproduce one pass over each block's draws
