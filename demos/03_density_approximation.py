@@ -34,8 +34,7 @@ for i, T in enumerate((0.4, 0.2, 0.1)):
     sx, sy = math.sqrt(T), T ** 0.4
     endpoint = (sx, sy)
     d = approx_density(m, endpoint, n=512)
-    ens = simulate_forward(m, SimConfig(n_paths=100_000, n_steps=128, seed=10 + i),
-                           warn_horizon=False)
+    ens = simulate_forward(m, SimConfig(n_paths=100_000, n_steps=128, seed=10 + i))
     est = estimate_density_at(ens, endpoint, KdeEstimator(0.08 * sx, 0.08 * sy))
     print(f"{T:4}   {d.p_hat:10.5f}   {est.value:10.5f} ± {est.std_err:.5f}"
           f"     {abs(est.value/d.p_hat-1):.4f}")

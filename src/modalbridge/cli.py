@@ -419,6 +419,8 @@ def cmd_simulate(args) -> int:
     emit_terminals = block.get("emit_terminals", False)
     if not isinstance(emit_terminals, bool):
         raise ConfigError(f"emit_terminals must be true or false, got {emit_terminals!r}")
+    if emit_terminals and not args.out:
+        raise ConfigError("emit_terminals needs --out, the directory of terminals.csv")
     ensemble = simulate_forward(model, config)
     est = estimate_density_at(ensemble, point, estimator)
     payload = {
@@ -428,7 +430,7 @@ def cmd_simulate(args) -> int:
         "seed": config.seed,
     }
     _write_json(payload, args.out, "simulate.json")
-    if args.out and emit_terminals:
+    if emit_terminals:
         _write_csv(os.path.join(args.out, "terminals.csv"),
                    ("terminal_x", "terminal_y"),
                    (ensemble.terminal_x, ensemble.terminal_y))

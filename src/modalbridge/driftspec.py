@@ -588,7 +588,8 @@ def validate_assumptions(model: ModelSpec, sample_box=None) -> AssumptionReport:
     reported as warnings and never rejected.  A Lipschitz quotient that keeps
     growing as the probe spacing shrinks (e.g. sqrt-type drifts) is flagged,
     as is T at or beyond the contraction horizon 1/(2 L), and (for H > 1/2)
-    a sampled t-Hoelder quotient of h2 exceeding the declared envelope.
+    a sampled t-Hoelder quotient of h2 exceeding the declared envelope.  A
+    drift undefined somewhere on the sample box raises DriftDomainError.
     """
     if sample_box is None:
         sample_box = default_sample_box(model)

@@ -294,24 +294,25 @@ def _run_blocks(config: SimConfig, block_rows: int, kernel, workers: Optional[in
 # -- forward simulation ----------------------------------------------------------
 
 def simulate_forward(model: ModelSpec, config: SimConfig,
-                     workers: Optional[int] = None,
-                     warn_horizon: bool = True) -> PathEnsemble:
+                     workers: Optional[int] = None) -> PathEnsemble:
     """Simulate (X_T, Y_T) under the drifted law.
 
     The noise pair (rho B + rho_bar W, B^H) is drawn exactly at the nodes, as
     one factor of its 2n-dimensional covariance times 2n normals per path;
     the drift integrals are left-point Euler sums added to it (the noise
-    itself carries no discretization error).  A non-finite terminal value
-    raises NumericalConditioningError naming its block.
+    itself carries no discretization error).  A state-dependent drift's
+    :func:`validate_assumptions` violations, or its being undefined on the
+    report's sample box, are RuntimeWarnings and never stop the run; a drift
+    undefined on the paths raises DriftDomainError, and a non-finite terminal
+    value NumericalConditioningError, naming its block.
     """
-    if warn_horizon and model.drift_class is DriftClass.GENERAL:
-        report = validate_assumptions(model)
-        if model.T >= report.contraction_horizon:
-            warnings.warn(
-                f"T = {model.T:g} reaches the sampled contraction horizon "
-                f"{report.contraction_horizon:.4g}; forward paths may be unreliable",
-                RuntimeWarning,
-            )
+    if model.drift_class is not DriftClass.TIME_ONLY:
+        try:
+            violations = validate_assumptions(model).violations
+        except DriftDomainError as exc:
+            violations = (f"assumption check skipped, drift undefined on its sample box: {exc}",)
+        for v in violations:
+            warnings.warn(v, RuntimeWarning, stacklevel=2)
     grid = TimeGrid(model.T, config.n_steps)
     t = grid.nodes
     dt = grid.dt

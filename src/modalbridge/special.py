@@ -4,10 +4,8 @@ Gamma and Beta come from the standard library's ``math.gamma`` and
 ``math.lgamma``.  The kernel formulas only ever evaluate 2F1 at arguments
 z <= 0 (z = 1 - t/s for 0 < s <= t), so positive z is rejected outright
 rather than half-supported; and they only use the family
-F(a, -a; a + 1; z) with a = H - 1/2, which :func:`hyp2f1` sums itself from
-two power series with arguments of at most 3/4.  Any other (a, b, c) goes to
-``scipy.special``, imported on that call only, so importing this package and
-building its operators needs numpy alone.
+F(a, -a; a + 1; z) with a = H - 1/2, the only one :func:`hyp2f1` evaluates,
+summed in numpy from two power series with arguments of at most 3/4.
 """
 
 from __future__ import annotations
@@ -131,11 +129,11 @@ def _kernel_family(a: float, c: float, z: np.ndarray) -> np.ndarray:
 
 
 def hyp2f1(a, b, c, z):
-    """Gauss hypergeometric function F(a, b, c; z) for z <= 0.
+    """Gauss hypergeometric function F(a, b, c; z) for z <= 0, on the kernel's family.
 
-    Exactly 1.0 when a == 0, b == 0, or z == 0.  Vectorized over z.  The
-    kernel's family b = -a, c = a + 1 with |a| < 1/2 is summed here; other
-    parameters are passed to ``scipy.special.hyp2f1``.
+    Exactly 1.0 when a == 0 or b == 0.  Otherwise (a, b, c) must be the
+    kernel's b = -a, c = a + 1 with |a| < 1/2, or ValueError is raised; there
+    it is vectorized over z and exactly 1.0 at z == 0.
     """
     _check_c(c)
     z = np.asarray(z, dtype=float)
@@ -144,10 +142,9 @@ def hyp2f1(a, b, c, z):
     if a == 0.0 or b == 0.0:
         out = np.ones_like(z)
         return float(out) if out.ndim == 0 else out
-    if b == -a and abs(a) < 0.5 and abs(c - (a + 1.0)) <= 4.0 * _EPS:
-        out = _kernel_family(float(a), float(c), np.atleast_1d(z)).reshape(z.shape)
-    else:
-        from scipy import special as sp
-        out = sp.hyp2f1(a, b, c, z)
+    if not (b == -a and abs(a) < 0.5 and abs(c - (a + 1.0)) <= 4.0 * _EPS):
+        raise ValueError(f"hyp2f1 supports only F(a, -a; a + 1; z) with |a| < 1/2, "
+                         f"got a={a}, b={b}, c={c}")
+    out = _kernel_family(float(a), float(c), np.atleast_1d(z)).reshape(z.shape)
     out = np.where(z == 0.0, 1.0, out)
     return float(out) if out.ndim == 0 else out

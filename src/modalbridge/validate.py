@@ -291,8 +291,7 @@ def crit_asymptotic_trend(quick: bool) -> tuple:
         model = model_of(T)
         sx, sy = math.sqrt(T), T ** 0.4
         endpoint = (sx, sy)
-        ens = simulate_forward(model, SimConfig(n_paths=n_paths, n_steps=128,
-                                                seed=31415 + i), warn_horizon=False)
+        ens = simulate_forward(model, SimConfig(n_paths=n_paths, n_steps=128, seed=31415 + i))
         est = estimate_density_at(ens, endpoint, KdeEstimator(0.05 * sx, 0.05 * sy))
         p_hat = approx_density(model, endpoint, n=512).p_hat
         dev = abs(est.value / p_hat - 1.0)

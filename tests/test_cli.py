@@ -152,6 +152,20 @@ def test_emit_terminals_must_be_a_boolean(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_emit_terminals_without_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # terminals.csv has nowhere to go: a config error before any path is drawn
+    monkeypatch.setattr("modalbridge.cli.simulate_forward",
+                        lambda *args, **kwargs: pytest.fail("paths drawn"))
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"model": MODEL, "simulate": dict(
+        _SIMULATE, n_paths=512, emit_terminals=True)})
+    assert main(["simulate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "config error: emit_terminals needs --out" in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"model": MODEL, "bogus": {},
                                   "density": {"endpoints": [[0.0, 0.0]]}})

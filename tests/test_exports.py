@@ -1,13 +1,10 @@
 import importlib
 import importlib.util
-import math
 import os
 import pathlib
 import pkgutil
 import subprocess
 import sys
-
-import pytest
 
 import modalbridge
 
@@ -47,22 +44,23 @@ for H in (0.3, 0.7):
     assert kernel_alt(1.0, [0.2, 0.7], model.hurst).shape == (2,)
     config = mb.SimConfig(n_paths=256, n_steps=16, seed=1)
     assert mb.bridge_mc_density(model, (0.1, 0.05), config, workers=1).value > 0.0
-    ensemble = mb.simulate_forward(model, config, workers=1, warn_horizon=False)
+    ensemble = mb.simulate_forward(model, config, workers=1)
     mb.estimate_density_at(ensemble, (0.1, 0.05), mb.KdeEstimator(0.05, 0.05))
+try:
+    mb.hyp2f1(1.0, 1.0, 2.0, -1.0)
+except ValueError as exc:
+    print(type(exc).__name__)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-print(mb.hyp2f1(1.0, 1.0, 2.0, -150.0))
 """
 
 
 def test_import_builds_and_estimators_load_no_scipy():
-    # numpy is the only import-time dependency: scipy is loaded only by a
-    # hyp2f1 call outside the kernel's family
+    # numpy is the only runtime dependency: a hyp2f1 call outside the
+    # kernel's family raises instead of loading scipy
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(pathlib.Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    loaded, log_value = proc.stdout.splitlines()
-    assert loaded == "[]"
-    assert float(log_value) == pytest.approx(math.log(151.0) / 150.0, rel=1e-12)
+    assert proc.stdout.splitlines() == ["ValueError", "[]"]

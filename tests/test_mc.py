@@ -6,13 +6,14 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from modalbridge.bridge import GaussianConditioner, condition_gaussian
 from modalbridge.density import exact_timeonly_density, gaussian_prefactor
-from modalbridge.driftspec import ModelSpec, parse_drift
+from modalbridge.driftspec import ModelSpec, parse_drift, validate_assumptions
 from modalbridge.kernel import Hurst, NumericalConditioningError, TimeGrid
 from modalbridge import mc, opcache
 from modalbridge.mc import (BinEstimator, DensityEstimate, KdeEstimator, PathEnsemble,
@@ -173,8 +174,7 @@ def test_forward_time_major_loop_matches_column_reference():
         m = _state_model(H)
         n, count = 16, 300
         grid = TimeGrid(m.T, n)
-        ens = simulate_forward(m, SimConfig(n_paths=count, n_steps=n, seed=8),
-                               warn_horizon=False)
+        ens = simulate_forward(m, SimConfig(n_paths=count, n_steps=n, seed=8))
         rng = mc._block_rng(8, 0)
         noise = _node_noise(m, grid, [rng.standard_normal((count, 2 * n))])
         x, y = _column_euler(m, grid, noise)
@@ -274,7 +274,7 @@ def _per_block_bridge(m, endpoint, cfg, streams):
 def _assert_forward_matches(m, cfg, streams, workers_list):
     x, y = _per_block_forward(m, cfg, streams)
     for workers in workers_list:
-        ens = simulate_forward(m, cfg, workers=workers, warn_horizon=False)
+        ens = simulate_forward(m, cfg, workers=workers)
         assert np.array_equal(ens.terminal_x, x[:, -1])
         assert np.array_equal(ens.terminal_y, y[:, -1])
 
@@ -351,10 +351,10 @@ def test_block_error_is_the_same_at_any_worker_count():
     cfg = SimConfig(n_paths=4 * 2048, n_steps=32, seed=4)
     baseline = threading.active_count()
     for error, run in (
-            (DriftDomainError, lambda w: simulate_forward(m, cfg, workers=w, warn_horizon=False)),
+            (DriftDomainError, lambda w: simulate_forward(m, cfg, workers=w)),
             (DriftDomainError, lambda w: bridge_mc_density(m, (-0.1, 0.0), cfg, workers=w)),
             (NumericalConditioningError,
-             lambda w: simulate_forward(blowup, cfg, workers=w, warn_horizon=False))):
+             lambda w: simulate_forward(blowup, cfg, workers=w))):
         messages = []
         for workers in (1, 2):
             with pytest.raises(error) as info:
@@ -378,7 +378,7 @@ def test_store_lookups_run_on_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(opcache, "get", recording)
     bridge_mc_density(m, (0.1, 0.05), cfg, workers=2)
-    simulate_forward(m, cfg, workers=2, warn_horizon=False)
+    simulate_forward(m, cfg, workers=2)
     assert {p for p, _ in lookups} >= {"bridge_level", "forward_factor", "nodes"}
     assert {ident for _, ident in lookups} == {threading.get_ident()}
 
@@ -405,14 +405,14 @@ def test_blas_thread_count_is_one_inside_and_restored_after():
         assert get_threads() == 2
         m = _state_model(0.3)
         cfg = SimConfig(n_paths=4 * 2048, n_steps=8, seed=4)
-        simulate_forward(m, cfg, workers=2, warn_horizon=False)
+        simulate_forward(m, cfg, workers=2)
         assert get_threads() == 2
         bridge_mc_density(m, (0.1, 0.05), cfg, workers=1)
         assert get_threads() == 2
         bad = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 1.0, parse_drift("log(x + 0.2)"), ZERO)
         with pytest.raises(DriftDomainError):
             simulate_forward(bad, SimConfig(n_paths=4 * 2048, n_steps=32, seed=4),
-                             workers=2, warn_horizon=False)
+                             workers=2)
         assert get_threads() == 2
     finally:
         set_threads(before)
@@ -463,8 +463,7 @@ def test_forward_output_does_not_depend_on_openblas_threads():
         "    m = ModelSpec(Hurst(H), 0.3, 0.0, 0.0, 0.25, parse_drift('0.5*sin(x)'),\n"
         "                  parse_drift('0.5*cos(y)'), holder_gamma=0.3)\n"
         "    for workers in (1, None):\n"
-        "        e = simulate_forward(m, SimConfig(16384, 128, 3), workers=workers,\n"
-        "                             warn_horizon=False)\n"
+        "        e = simulate_forward(m, SimConfig(16384, 128, 3), workers=workers)\n"
         "        print(hashlib.sha256(e.terminal_x.tobytes() + e.terminal_y.tobytes()).hexdigest())\n"
         "        b = bridge_mc_density(m, (0.1, 0.05), SimConfig(16384, 256, 3), workers=workers)\n"
         "        print(repr((b.value, b.std_err, b.discretization_bias)))\n"
@@ -496,12 +495,38 @@ def test_one_worker_leaves_the_blas_thread_count():
             _run_blocks(cfg, 2048, lambda k, rng, rows: seen.append(get_threads()), workers)
         assert seen == [2, 2, 1, 1]
         m = _state_model(0.3)
-        forward = simulate_forward(m, cfg, workers=1, warn_horizon=False)
+        forward = simulate_forward(m, cfg, workers=1)
         assert get_threads() == 2
         assert np.array_equal(forward.terminal_x,
-                              simulate_forward(m, cfg, workers=2, warn_horizon=False).terminal_x)
+                              simulate_forward(m, cfg, workers=2).terminal_x)
     finally:
         set_threads(before)
+
+
+def _forward_warnings(m, cfg):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ens = simulate_forward(m, cfg)
+    return ens, [str(w.message) for w in caught if w.category is RuntimeWarning]
+
+
+def test_forward_runs_past_a_drift_undefined_on_the_check_box():
+    # the assumption check samples x within 15 sd of x0 = 0 and meets x < -1,
+    # where sqrt(x + 1) is undefined; no path at T = 0.01 goes below -0.31
+    m = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 0.01, parse_drift("sqrt(x + 1)"), ZERO)
+    ens, messages = _forward_warnings(m, SimConfig(n_paths=4096, n_steps=32, seed=1))
+    assert ens.n_paths == 4096 and np.isfinite(ens.terminal_x).all()
+    assert len(messages) == 1
+    assert "assumption check skipped" in messages[0] and "sqrt of negative" in messages[0]
+
+
+def test_forward_relays_the_report_for_a_linear_drift():
+    # 3 x is Linear: its report's contraction horizon 1/6 is below T = 1
+    m = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 1.0, parse_drift("3*x"), ZERO)
+    report = validate_assumptions(m)
+    assert any("contraction horizon" in v for v in report.violations)
+    _, messages = _forward_warnings(m, SimConfig(n_paths=2048, n_steps=16, seed=1))
+    assert messages == list(report.violations)
 
 
 def test_forward_brownian_covariance():
@@ -678,8 +703,7 @@ def test_bridge_general_rough_drifts_vs_forward():
     endpoint = (0.2, 0.15)
     bridge = bridge_mc_density(m, endpoint,
                                SimConfig(n_paths=40_000, n_steps=128, seed=77))
-    ens = simulate_forward(m, SimConfig(n_paths=400_000, n_steps=128, seed=78),
-                           warn_horizon=False)
+    ens = simulate_forward(m, SimConfig(n_paths=400_000, n_steps=128, seed=78))
     sx, sy = math.sqrt(m.T), m.T ** m.H
     forward = estimate_density_at(ens, endpoint,
                                   KdeEstimator(0.06 * sx, 0.06 * sy))

@@ -104,6 +104,22 @@ def test_simulate_output_schema(tmp_path):
     check(payload, load_schema("simulate.schema.json"))
 
 
+def test_simulate_past_an_undefined_assumption_check_is_schema_valid(tmp_path):
+    # the check's sample box reaches x < -1, where sqrt(x + 1) is undefined,
+    # but no path does: the run warns and writes its estimate
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": {"H": 0.3, "rho": 0.3, "x0": 0.0, "y0": 0.0, "T": 0.01,
+                  "h1": "sqrt(x + 1)", "h2": "0"},
+        "simulate": {"n_paths": 4096, "n_steps": 32, "point": [0.0, 0.0],
+                     "estimator": {"type": "kde", "bandwidth_x": 0.01, "bandwidth_y": 0.01}},
+    }))
+    with pytest.warns(RuntimeWarning, match="assumption check skipped"):
+        payload = run_to_json(tmp_path, ["simulate", "--config", str(cfg), "--seed", "1"],
+                              "simulate.json")
+    check(payload, load_schema("simulate.schema.json"))
+
+
 def test_bridge_mc_output_schema(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
