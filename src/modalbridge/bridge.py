@@ -15,13 +15,15 @@ straight line; at rho = 0 the two components decouple exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import opcache
 from .driftspec import ModelSpec
-from .kernel import TimeGrid, autocovariance, cholesky_with_jitter, kernel_partial_integral
+from .kernel import (TimeGrid, _nodes_and_weights, autocovariance, cholesky_with_jitter,
+                     kernel_partial_integral)
 
 __all__ = [
     "GaussianConditioner",
@@ -117,7 +119,8 @@ def modal_coeffs(model: ModelSpec, grid: TimeGrid):
     per (H, rho, model T, grid T, n) and returned as cached read-only views of
     one stacked array, modal_coeff_matrix.
     """
-    return _modal_coeffs(model, grid.T, grid.n)
+    entry = _modal_entry(model, grid.T, grid.n)
+    return entry.m11, entry.m12, entry.m21, entry.m22
 
 
 def modal_coeff_matrix(model: ModelSpec, T: float, n: int) -> np.ndarray:
@@ -127,12 +130,72 @@ def modal_coeff_matrix(model: ModelSpec, T: float, n: int) -> np.ndarray:
     [x - x0, y - y0] on the nodes, so k displacements give k paths in one
     product.  It is the base of modal_coeffs' views: the store holds it once.
     """
-    return _modal_coeffs(model, T, n)[0].base
+    return _modal_entry(model, T, n).matrix
 
 
-def _modal_coeffs(model: ModelSpec, T: float, n: int):
+class _Scales:
+    """A model's Gaussian scales of Sigma(T), computed once for any number of endpoints.
+
+    quad(dx, dy) is the exponent of the driftless Gaussian phi = e^-quad / norm,
+    and log_norm is log(norm); omega_parts gives the two pieces of omega from
+    the drift integrals.
+    """
+
+    __slots__ = ("sqrt_t", "t_h", "rho_h", "bar_sq", "norm", "log_norm")
+
+    def __init__(self, model: ModelSpec) -> None:
+        T, H = model.T, model.H
+        self.sqrt_t = math.sqrt(T)
+        self.t_h = T ** H
+        self.rho_h = model.rho_H
+        self.bar_sq = model.rho_bar_H_sq
+        self.norm = 2.0 * math.pi * T ** (H + 0.5) * math.sqrt(self.bar_sq)
+        self.log_norm = math.log(self.norm)
+
+    def quad(self, dx: float, dy: float) -> float:
+        u = dx / self.sqrt_t
+        v = dy / self.t_h
+        r = u - self.rho_h * v  # no inf - inf where u^2 and v^2 overflow
+        return r * r / (2.0 * self.bar_sq) + 0.5 * v * v
+
+    def omega_parts(self, int_bar_h1: float, int_bar_h2: float, dx: float, dy: float):
+        """The two pieces of omega: 1' D Sigma^-1 Delta and (1/2) 1' D Sigma^-1 D' 1,
+        from the time integrals of bar_h1 and bar_h2."""
+        sqrt_t, t_h, rho_h, bar_sq = self.sqrt_t, self.t_h, self.rho_h, self.bar_sq
+        # A = <bar h1>/sqrt(T) - rho_H <bar h2>/T^H,
+        # where <bar h1> = rho_bar <hat h1> + rho <hat h2>
+        a = int_bar_h1 / sqrt_t - rho_h * int_bar_h2 / t_h
+        u2 = int_bar_h2 / t_h
+        linear = (a * (dx / sqrt_t) - rho_h * a * (dy / t_h)) / bar_sq + u2 * (dy / t_h)
+        quadratic = 0.5 * (a * a / bar_sq + u2 * u2)
+        return linear, quadratic
+
+
+class _ModalEntry:
+    """The store's one modal_coeffs entry per (H, rho, model T, grid T, n).
+
+    m11..m22 are the read-only views of the stacked coefficient array
+    (matrix); nodes and weights are the grid's nodes and trapezoid weights,
+    the views of the nodes entry (so the store counts their bytes under both
+    partitions); scales are the model's Sigma(T) scales.  A warm density call
+    reads all of it in one lookup.
+    """
+
+    def __init__(self, model: ModelSpec, T: float, n: int) -> None:
+        grid = TimeGrid(T, n)  # checks T and n, so an invalid grid stores nothing
+        self.m11, self.m12, self.m21, self.m22 = _build_modal_coeffs(model, grid)
+        self.nodes, self.weights = _nodes_and_weights(T, n)
+        self.scales = _Scales(model)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.m11.base
+
+
+def _modal_entry(model: ModelSpec, T: float, n: int) -> _ModalEntry:
+    """The modal_coeffs entry on TimeGrid(T, n), built on a miss: one lookup."""
     key = (model.H, model.rho, model.T, T, n)
-    return opcache.get("modal_coeffs", key, lambda: _build_modal_coeffs(model, TimeGrid(T, n)))
+    return opcache.get("modal_coeffs", key, lambda: _ModalEntry(model, T, n))
 
 
 def _build_modal_coeffs(model: ModelSpec, grid: TimeGrid):
@@ -157,7 +220,7 @@ def _build_modal_coeffs(model: ModelSpec, grid: TimeGrid):
         m22 = (-rho_h ** 2 * frac ** (H + 0.5) + r_tT / T ** (2.0 * H)) / denom
     stacked = np.block([[m11, m21], [m12, m22]])
     n1 = grid.n + 1
-    # the entry is the four views, whose bytes are exactly the stacked array's
+    # four views whose bytes are exactly the stacked array's
     return stacked[0, :n1], stacked[1, :n1], stacked[0, n1:], stacked[1, n1:]
 
 

@@ -25,9 +25,12 @@ approx_densities evaluates a list of endpoints at once; approx_density is
 its one-endpoint case.  The modal path is affine in the endpoint, so the k
 paths are one (k, 2) @ (2, 2(n+1)) product with the stacked coefficients of
 bridge.modal_coeff_matrix; each compiled drift plan runs once over the
-(k, n+1) paths, and the two integrals are products with the cached trapezoid
-weights.  The scalar tail works in log space, log p = log phi + omega, and
-exponentiates last, so a density that underflows is 0.0 with a finite log.
+(k, n+1) paths, and the two integrals are products with the trapezoid
+weights.  Coefficients, nodes, weights and the Gaussian scales are one
+store entry (bridge's modal_coeffs entry), read in one lookup per call; see
+approx_densities for where the checks run.  The scalar tail works in
+log space, log p = log phi + omega, and exponentiates last, so a density
+that underflows is 0.0 with a finite log.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import ModalPath, modal_coeff_matrix, terminal_cov
+from .bridge import ModalPath, _modal_entry, _Scales, terminal_cov
 from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift
 from .fraccalc import GridFunction, UnsupportedHurstError, _check_hurst_supported, invert_KH
-from .kernel import NumericalConditioningError, _nodes_and_weights
+from .kernel import NumericalConditioningError
 
 __all__ = [
     "DriftFunctionals",
@@ -57,42 +60,6 @@ __all__ = [
 ]
 
 ALPHA_EXACT = math.inf  # sentinel: the TimeOnly representation is exact
-
-
-class _Scales:
-    """A model's Gaussian scales, computed once for any number of endpoints.
-
-    quad(dx, dy) is the exponent of the driftless Gaussian phi = e^-quad / norm;
-    omega_parts gives the two pieces of omega from the drift integrals.
-    """
-
-    __slots__ = ("sqrt_t", "t_h", "rho_h", "bar_sq", "norm")
-
-    def __init__(self, model: ModelSpec) -> None:
-        T, H = model.T, model.H
-        self.sqrt_t = math.sqrt(T)
-        self.t_h = T ** H
-        self.rho_h = model.rho_H
-        self.bar_sq = model.rho_bar_H_sq
-        self.norm = 2.0 * math.pi * T ** (H + 0.5) * math.sqrt(self.bar_sq)
-
-    def quad(self, dx: float, dy: float) -> float:
-        u = dx / self.sqrt_t
-        v = dy / self.t_h
-        r = u - self.rho_h * v  # no inf - inf where u^2 and v^2 overflow
-        return r * r / (2.0 * self.bar_sq) + 0.5 * v * v
-
-    def omega_parts(self, int_bar_h1: float, int_bar_h2: float, dx: float, dy: float):
-        """The two pieces of omega: 1' D Sigma^-1 Delta and (1/2) 1' D Sigma^-1 D' 1,
-        from the time integrals of bar_h1 and bar_h2."""
-        sqrt_t, t_h, rho_h, bar_sq = self.sqrt_t, self.t_h, self.rho_h, self.bar_sq
-        # A = <bar h1>/sqrt(T) - rho_H <bar h2>/T^H,
-        # where <bar h1> = rho_bar <hat h1> + rho <hat h2>
-        a = int_bar_h1 / sqrt_t - rho_h * int_bar_h2 / t_h
-        u2 = int_bar_h2 / t_h
-        linear = (a * (dx / sqrt_t) - rho_h * a * (dy / t_h)) / bar_sq + u2 * (dy / t_h)
-        quadratic = 0.5 * (a * a / bar_sq + u2 * u2)
-        return linear, quadratic
 
 
 def gaussian_prefactor(dx: float, dy: float, model: ModelSpec) -> float:
@@ -128,7 +95,8 @@ def drift_functionals(model: ModelSpec, path: ModalPath) -> DriftFunctionals:
     raises for the same path.
     """
     grid = path.grid
-    t, weights = _nodes_and_weights(grid.T, grid.n)
+    entry = _modal_entry(model, grid.T, grid.n)  # the path's own entry
+    t, weights = entry.nodes, entry.weights
     x, y = path.x_path[None], path.y_path[None]  # the modal path as a one-row batch
     with np.errstate(over="ignore", invalid="ignore"):
         (bar1,), _ = _drift_integrals("h1", model.h1, t, x, y, weights)
@@ -237,23 +205,27 @@ def approx_densities(model: ModelSpec, endpoints, n: int = 512) -> list:
     bar_h2, so no inverse transform is applied (see drift_functionals for the
     transformed drifts).  A drift that is not finite somewhere on an
     endpoint's modal path is a DriftDomainError naming the first such node.
+
+    The drift-class and H checks run on every call, warm or cold, before
+    the one store lookup; an invalid n fails in the entry's build, and a
+    build that raises stores nothing.
     """
     alpha = alpha_exponent(model)  # raises for General with H >= 3/4
     # omega needs no transformed drift, but it is only defined where they are
     _check_hurst_supported(model.hurst)
-    coeffs = modal_coeff_matrix(model, model.T, n)  # builds, and checks n, on a miss
-    t, weights = _nodes_and_weights(model.T, n)
-    scales = _Scales(model)
-    log_norm = math.log(scales.norm)
-    disp = [(float(e[0]) - model.x0, float(e[1]) - model.y0) for e in endpoints]
+    entry = _modal_entry(model, model.T, n)  # the one lookup; checks n on a miss
+    coeffs, t, weights, scales = entry.matrix, entry.nodes, entry.weights, entry.scales
+    norm, log_norm = scales.norm, scales.log_norm
+    x0, y0 = model.x0, model.y0
+    disp = [(float(e[0]) - x0, float(e[1]) - y0) for e in endpoints]
     results = []
     for start in range(0, len(disp), _ENDPOINT_BLOCK):
         block = disp[start:start + _ENDPOINT_BLOCK]
         paths = np.array(block) @ coeffs
         x, y = paths[:, :n + 1], paths[:, n + 1:]
-        if model.x0 or model.y0:  # the product gives the paths less (x0, y0)
-            x += model.x0
-            y += model.y0
+        if x0 or y0:  # the product gives the paths less (x0, y0)
+            x += x0
+            y += y0
         with np.errstate(over="ignore", invalid="ignore"):
             _, ints1 = _drift_integrals("h1", model.h1, t, x, y, weights)
             _, ints2 = _drift_integrals("h2", model.h2, t, x, y, weights)
@@ -262,15 +234,16 @@ def approx_densities(model: ModelSpec, endpoints, n: int = 512) -> list:
             linear, quadratic = scales.omega_parts(int1, int2, dx, dy)
             wf = linear - quadratic
             log_phi = -quad - log_norm
+            log_p, log_p_full = log_phi + linear, log_phi + wf
             results.append(DensityApprox(
-                phi=math.exp(-quad) / scales.norm,
+                phi=math.exp(-quad) / norm,
                 omega_full=wf,
                 omega_1=linear,
                 alpha=alpha,
-                p_hat=_exp(log_phi + linear),
-                p_hat_full=_exp(log_phi + wf),
-                log_p_hat=log_phi + linear,
-                log_p_hat_full=log_phi + wf,
+                p_hat=_exp(log_p),
+                p_hat_full=_exp(log_p_full),
+                log_p_hat=log_p,
+                log_p_hat_full=log_p_full,
             ))
     return results
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -401,12 +402,7 @@ def _compile_call(fn: str, arg):
     return checked
 
 
-def _spans(v, shape) -> bool:
-    """True when v broadcasts to shape without widening it: a numpy array whose
-    shape is a trailing part of shape (a scalar's (), or the nodes under a batch
-    of paths)."""
-    vshape = getattr(v, "shape", None)
-    return vshape is not None and vshape == shape[len(shape) - len(vshape):]
+_FLOAT64 = np.dtype(np.float64)
 
 
 def eval_drift(expr: DriftExpr, t, x, y):
@@ -417,9 +413,18 @@ def eval_drift(expr: DriftExpr, t, x, y):
     read-only view, so callers never write into it.
     """
     out = expr.plan(t, x, y)
-    if (type(out) is np.ndarray and out.dtype == np.float64 and out.ndim
-            and _spans(t, out.shape) and _spans(x, out.shape) and _spans(y, out.shape)):
-        return out
+    if type(out) is np.ndarray and out.dtype is _FLOAT64 and out.ndim:
+        # returned as is when no input widens it: each input's shape is a
+        # trailing part of the result's (a numpy scalar's (), or the nodes
+        # under a batch of paths)
+        shape = out.shape
+        nd = len(shape)
+        try:
+            if (shape[nd - t.ndim:] == t.shape and shape[nd - x.ndim:] == x.shape
+                    and shape[nd - y.ndim:] == y.shape):
+                return out
+        except AttributeError:  # an input that is not a numpy array or scalar
+            pass
     shape = np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(y))
     if shape == ():
         return float(out)
@@ -518,6 +523,18 @@ class ModelSpec:
     @property
     def rho_bar_H_sq(self) -> float:
         return 1.0 - self.rho_H ** 2
+
+    @cached_property
+    def _assumption_warnings(self) -> tuple:
+        """The forward simulation's warnings for this model: the violations of
+        validate_assumptions, or one naming the DriftDomainError that ends the
+        check on its sample box.  The report depends only on the model, so it
+        is computed once per instance (kept in the instance's __dict__, outside
+        the fields, so equality and hashing are unchanged)."""
+        try:
+            return validate_assumptions(self).violations
+        except DriftDomainError as exc:
+            return (f"assumption check skipped, drift undefined on its sample box: {exc}",)
 
 
 def model_from_dict(cfg: dict) -> ModelSpec:

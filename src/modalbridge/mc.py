@@ -54,7 +54,7 @@ import numpy as np
 
 from . import opcache
 from .density import gaussian_prefactor
-from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift, validate_assumptions
+from .driftspec import DriftClass, DriftDomainError, ModelSpec, eval_drift
 from .fraccalc import inverse_operator_matrix
 from .kernel import (NumericalConditioningError, TimeGrid, cholesky_with_jitter,
                      joint_cov_matrix, volterra_weight_matrix)
@@ -302,16 +302,13 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     the drift integrals are left-point Euler sums added to it (the noise
     itself carries no discretization error).  A state-dependent drift's
     :func:`validate_assumptions` violations, or its being undefined on the
-    report's sample box, are RuntimeWarnings and never stop the run; a drift
+    report's sample box, are RuntimeWarnings on every call (the check runs
+    once per model) and never stop the run; a drift
     undefined on the paths raises DriftDomainError, and a non-finite terminal
     value NumericalConditioningError, naming its block.
     """
     if model.drift_class is not DriftClass.TIME_ONLY:
-        try:
-            violations = validate_assumptions(model).violations
-        except DriftDomainError as exc:
-            violations = (f"assumption check skipped, drift undefined on its sample box: {exc}",)
-        for v in violations:
+        for v in model._assumption_warnings:  # checked once per model
             warnings.warn(v, RuntimeWarning, stacklevel=2)
     grid = TimeGrid(model.T, config.n_steps)
     t = grid.nodes

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from modalbridge.bridge import modal_path, terminal_cov
+from modalbridge.bridge import modal_coeffs, modal_path, terminal_cov
 from modalbridge.density import (UnsupportedHurstError, alpha_exponent, approx_densities,
                                  approx_density, drift_functionals,
                                  exact_timeonly_density, gaussian_prefactor,
@@ -243,6 +243,48 @@ def test_exported_unsupported_hurst_error_catches_both_rejections():
         with pytest.raises(modalbridge.UnsupportedHurstError):
             approx_density(model, (0.1, 0.1), 64)
     assert UnsupportedHurstError is modalbridge.UnsupportedHurstError
+
+
+def _modal_keys():
+    return [key for partition, key in opcache._entries if partition == "modal_coeffs"]
+
+
+def test_rejections_hold_on_every_call():
+    general = make_model("sin(x)", "cos(y)", H=0.8, holder_gamma=0.4)
+    beyond = make_model("sin(t)", "1", H=0.96)
+    opcache.clear()
+    for model in (general, beyond):
+        for _ in range(2):  # cold, and again once a call has been made
+            with pytest.raises(UnsupportedHurstError):
+                approx_density(model, (0.1, 0.1), 64)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at least 2 steps"):
+            approx_density(make_model("sin(x)", "cos(y)"), (0.1, 0.1), 1)
+    assert _modal_keys() == []  # a rejected call stores no entry
+    # warm: the entries of the same (H, rho, T, n), built by an accepted
+    # time-only model and by the modal path, leave both rejections in place
+    approx_density(make_model("sin(t)", "1", H=0.8), (0.1, 0.1), 64)
+    modal_coeffs(beyond, TimeGrid(beyond.T, 64))
+    assert sorted(key[0] for key in _modal_keys()) == [0.8, 0.96]
+    for model in (general, beyond):
+        with pytest.raises(UnsupportedHurstError):
+            approx_density(model, (0.1, 0.1), 64)
+
+
+def test_warm_density_makes_one_store_lookup():
+    m = make_model("0.5*sin(x)", "0.5*cos(y)", rho=0.3)
+    approx_density(m, (0.1, 0.1), 64)
+
+    def totals():  # hits and builds over every partition
+        parts = opcache.stats().values()
+        return sum(p["hits"] for p in parts), sum(p["builds"] for p in parts)
+
+    hits, builds = totals()
+    for i in range(5):
+        approx_density(m, (0.1 * i, -0.05 * i), 64)
+    assert totals() == (hits + 5, builds)
+    approx_densities(m, [(0.01 * i, 0.02 * i) for i in range(300)], 64)
+    assert totals() == (hits + 6, builds)
 
 
 @pytest.mark.parametrize("H", [0.3, 0.7])

@@ -301,9 +301,12 @@ def test_result_types_broadcasting_and_aliasing():
     np.testing.assert_array_equal(timed, np.broadcast_to(np.sin(t), (3, 4)))
     # the drift x returns its input, as the tree walk did: callers must not write into it
     assert eval_drift(parse_drift("x"), 0.1, x, y) is x
-    # a narrower input is broadcast into a new array
-    wide = eval_drift(parse_drift("x"), np.zeros((2, 6)), x, y)
-    assert wide.shape == (2, 6) and not np.shares_memory(wide, x)
+    # a narrower input is broadcast into a new array, whichever input widens it
+    t0, grid = np.float64(0.1), np.zeros((2, 6))
+    for wide, narrow in ((eval_drift(parse_drift("x"), grid, x, y), x),
+                         (eval_drift(parse_drift("y"), t0, grid, y), y),
+                         (eval_drift(parse_drift("x"), t0, x, grid), x)):
+        assert wide.shape == (2, 6) and not np.shares_memory(wide, narrow)
 
 
 def test_plan_is_not_part_of_equality_and_survives_pickling():

@@ -13,6 +13,7 @@ import pytest
 
 from modalbridge.bridge import GaussianConditioner, condition_gaussian
 from modalbridge.density import exact_timeonly_density, gaussian_prefactor
+from modalbridge import driftspec
 from modalbridge.driftspec import ModelSpec, parse_drift, validate_assumptions
 from modalbridge.kernel import Hurst, NumericalConditioningError, TimeGrid
 from modalbridge import mc, opcache
@@ -527,6 +528,28 @@ def test_forward_relays_the_report_for_a_linear_drift():
     assert any("contraction horizon" in v for v in report.violations)
     _, messages = _forward_warnings(m, SimConfig(n_paths=2048, n_steps=16, seed=1))
     assert messages == list(report.violations)
+
+
+def test_forward_checks_assumptions_once_per_model(monkeypatch):
+    # the report depends only on the model, so a second call relays the same
+    # warnings without sampling again; a check the drift's domain ends, too
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return validate_assumptions(model)
+
+    monkeypatch.setattr(driftspec, "validate_assumptions", counted)
+    cfg = SimConfig(n_paths=2048, n_steps=16, seed=1)
+    for h1, T in (("3*x", 1.0), ("sqrt(x + 1)", 0.01)):
+        m = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, T, parse_drift(h1), ZERO)
+        calls.clear()
+        _, first = _forward_warnings(m, cfg)
+        _, second = _forward_warnings(m, cfg)
+        assert len(first) == 1 and second == first
+        assert calls == [m]
+        same = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, T, parse_drift(h1), ZERO)
+        assert same == m and hash(same) == hash(m) and repr(same) == repr(m)
 
 
 def test_forward_brownian_covariance():
