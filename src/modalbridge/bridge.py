@@ -29,7 +29,6 @@ __all__ = [
     "GaussianConditioner",
     "condition_gaussian",
     "modal_coeffs",
-    "modal_coeff_matrix",
     "modal_path",
     "ModalPath",
 ]
@@ -117,20 +116,10 @@ def modal_coeffs(model: ModelSpec, grid: TimeGrid):
 
     They do not depend on the endpoint or the drifts, so they are built once
     per (H, rho, model T, grid T, n) and returned as cached read-only views of
-    one stacked array, modal_coeff_matrix.
+    one stacked array, the store entry's matrix.
     """
     entry = _modal_entry(model, grid.T, grid.n)
     return entry.m11, entry.m12, entry.m21, entry.m22
-
-
-def modal_coeff_matrix(model: ModelSpec, T: float, n: int) -> np.ndarray:
-    """The read-only (2, 2(n+1)) array [[m11, m21], [m12, m22]] on TimeGrid(T, n).
-
-    An endpoint displacement (dx, dy) times it is the displaced modal path
-    [x - x0, y - y0] on the nodes, so k displacements give k paths in one
-    product.  It is the base of modal_coeffs' views: the store holds it once.
-    """
-    return _modal_entry(model, T, n).matrix
 
 
 class _Scales:

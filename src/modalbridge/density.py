@@ -23,8 +23,8 @@ the cached inverse-transform matrix of fraccalc.inverse_operator_matrix.
 
 approx_densities evaluates a list of endpoints at once; approx_density is
 its one-endpoint case.  The modal path is affine in the endpoint, so the k
-paths are one (k, 2) @ (2, 2(n+1)) product with the stacked coefficients of
-bridge.modal_coeff_matrix; each compiled drift plan runs once over the
+paths are one (k, 2) @ (2, 2(n+1)) product with the stacked coefficients
+[[m11, m21], [m12, m22]]; each compiled drift plan runs once over the
 (k, n+1) paths, and the two integrals are products with the trapezoid
 weights.  Coefficients, nodes, weights and the Gaussian scales are one
 store entry (bridge's modal_coeffs entry), read in one lookup per call; see
@@ -118,12 +118,9 @@ def drift_functionals(model: ModelSpec, path: ModalPath) -> DriftFunctionals:
     )
 
 
-def _int_bar_h1(f: DriftFunctionals, model: ModelSpec) -> float:
-    return model.rho_bar * f.int_hat_h1 + model.rho * f.int_hat_h2
-
-
 def _omega_parts(f: DriftFunctionals, model: ModelSpec, endpoint):
-    return _Scales(model).omega_parts(_int_bar_h1(f, model), f.int_bar_h2,
+    int_bar_h1 = model.rho_bar * f.int_hat_h1 + model.rho * f.int_hat_h2
+    return _Scales(model).omega_parts(int_bar_h1, f.int_bar_h2,
                                       endpoint[0] - model.x0, endpoint[1] - model.y0)
 
 

@@ -6,14 +6,14 @@ first half is a Brownian motion), drawn as one cached Cholesky factor of its
 covariance times 2n normals per path, time-major; only the drift integrals are
 discretized (Euler, left point, over the precomputed noise rows).
 
-The bridge estimator conditions iid N(0, dt) driving increments on the
-terminal point by a pathwise (Matheron) rank-2 correction, reconstructs paths
-with Volterra weights, applies the inverse kernel transform to the sampled
-drift integrand, and averages the Girsanov exponential; multiplied by the
-Gaussian prefactor this estimates the exact joint density.  The same noise,
+The bridge estimator runs a grid level's stages: condition pins iid N(0, dt)
+driving increments to the terminal point in place by a pathwise (Matheron)
+rank-2 correction, paths rebuilds x and y with Volterra weights, and
+log_weights applies the inverse kernel transform to the sampled drift
+integrand and returns the Girsanov exponents; their mean exponential times
+the Gaussian prefactor estimates the exact joint density.  The same noise,
 summed over adjacent step pairs, also runs on the grid of half the step
-count; that coupled fine-minus-half-grid difference is the reported
-discretization-bias estimate.
+count; that coupled difference is the discretization-bias estimate.
 
 Both estimators run through one block runner.  A run with seed s is cut into
 row blocks of its estimator's own size, the last one taking the remainder:
@@ -413,7 +413,10 @@ class _BridgeLevel:
     terminal point imposes two linear constraints a @ incr = v, with rows
     [rho, rho_bar] (for X_T) and [w_last, 0] (for Y_T, Volterra weights).
     The operators depend on (H, rho, T, n) only, so one level serves every
-    drift and start point, and the pool's threads share it.
+    drift and start point, and the pool's threads share it.  Its stages:
+    condition pins the rows of incr in place, the only stage that writes its
+    input; paths reads them into new arrays x and y; log_weights reads them,
+    drops its paths before the inverse transform and returns the exponents.
     """
 
     def __init__(self, model: ModelSpec, n: int):
@@ -449,10 +452,9 @@ class _BridgeLevel:
         db += c0 * self.rho + c1 * w_last
         dw += c0 * self.rho_bar
 
-    def weights(self, model: ModelSpec, incr: np.ndarray, v: np.ndarray, b: int) -> np.ndarray:
-        """Girsanov weights of the rows of incr, conditioned here in place."""
-        n, dt = self.n, self.grid.dt
-        self.condition(incr, v)
+    def paths(self, model: ModelSpec, incr: np.ndarray) -> tuple:
+        """The (rows, n+1) paths x and y of the rows of incr, which it only reads."""
+        n = self.n
         db, dw = incr[:, :n], incr[:, n:]
         x = np.zeros((len(incr), n + 1))
         np.multiply(db, self.rho, out=x[:, 1:])
@@ -462,6 +464,13 @@ class _BridgeLevel:
         y = np.zeros_like(x)
         np.matmul(db, self.w_full.T, out=y[:, 1:])
         y += model.y0
+        return x, y
+
+    def log_weights(self, model: ModelSpec, incr: np.ndarray, b: int) -> np.ndarray:
+        """Girsanov exponents of the rows of incr, which it only reads."""
+        n, dt = self.n, self.grid.dt
+        db, dw = incr[:, :n], incr[:, n:]
+        x, y = self.paths(model, incr)
         tt = np.broadcast_to(self.nodes, x.shape)
         try:
             g2 = np.asarray(eval_drift(model.h2, tt, x, y), dtype=float)
@@ -475,7 +484,12 @@ class _BridgeLevel:
         h1t /= self.rho_bar
         del g1, g2
         dot = lambda p, q: np.einsum("ij,ij->i", p, q)
-        expo = dot(h1t, dw) + dot(h2t, db) - 0.5 * dt * (dot(h1t, h1t) + dot(h2t, h2t))
+        return dot(h1t, dw) + dot(h2t, db) - 0.5 * dt * (dot(h1t, h1t) + dot(h2t, h2t))
+
+    def weights(self, model: ModelSpec, incr: np.ndarray, v: np.ndarray, b: int) -> np.ndarray:
+        """Girsanov weights of the rows of incr: condition, then exp of log_weights."""
+        self.condition(incr, v)
+        expo = self.log_weights(model, incr, b)
         with np.errstate(over="ignore"):
             return np.exp(expo)
 

@@ -922,3 +922,63 @@ def test_bridge_overflow_raises_instead_of_nan():
     m = ModelSpec(Hurst(0.3), 0.4, 0.0, 0.0, 1.0, parse_drift("60"), ZERO)
     with pytest.raises(NumericalConditioningError):
         bridge_mc_density(m, (60.0, 0.0), SimConfig(n_paths=2000, n_steps=32, seed=0))
+
+
+@pytest.mark.parametrize("H", [0.3, 0.7])
+@pytest.mark.parametrize("n", [15, 64])
+def test_bridge_stages_compose_to_weights(H, n):
+    # weights is condition, then exp of log_weights, bit for bit; paths and
+    # log_weights only read the conditioned rows, and the paths end at the endpoint
+    m = ModelSpec(Hurst(H), 0.3, 0.1, -0.2, 0.25, parse_drift("0.5*sin(x) + y"),
+                  parse_drift("cos(y) - x"), holder_gamma=0.3 if H > 0.5 else None)
+    level = _BridgeLevel(m, n)
+    endpoint = (0.2, -0.1)
+    v = np.array([endpoint[0] - m.x0, endpoint[1] - m.y0])
+    incr = math.sqrt(level.grid.dt) * np.random.default_rng(7).standard_normal((300, 2 * n))
+    fresh = incr.copy()
+    level.condition(incr, v)
+    conditioned = incr.copy()
+    x, y = level.paths(m, incr)
+    np.testing.assert_allclose(x[:, -1], endpoint[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(y[:, -1], endpoint[1], rtol=0, atol=1e-12)
+    log_w = level.log_weights(m, incr, 0)
+    assert np.array_equal(incr, conditioned)
+    assert np.array_equal(np.exp(log_w), level.weights(m, fresh, v, 0))
+    assert np.array_equal(fresh, conditioned)
+
+
+def test_bridge_log_weights_stay_finite_where_the_weights_overflow():
+    # the overflow config: exponents near 2100, beyond exp's double range
+    m = ModelSpec(Hurst(0.3), 0.4, 0.0, 0.0, 1.0, parse_drift("60"), ZERO)
+    n = 32
+    level = _BridgeLevel(m, n)
+    v = np.array([60.0, 0.0])
+    incr = math.sqrt(level.grid.dt) * np.random.default_rng(0).standard_normal((2000, 2 * n))
+    fresh = incr.copy()
+    level.condition(incr, v)
+    log_w = level.log_weights(m, incr, 0)
+    assert np.isfinite(log_w).all() and log_w.min() > 709.8
+    assert np.isinf(level.weights(m, fresh, v, 0)).all()
+
+
+def test_bridge_paths_die_before_the_transform():
+    # log_weights holds x and y only until the drifts are evaluated, so one
+    # 256-row block at n = 256 peaks near 4.1 arrays of the paths' (256, 257)
+    # size (its increments exist before tracing starts); a stage taking x and
+    # y as arguments would keep them through the inverse-transform product,
+    # about 6.1 arrays.  The level and the drift plans are warmed first.
+    m = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 0.25, parse_drift("0.5*sin(x)"),
+                  parse_drift("0.5*cos(y)"))
+    n, rows = 256, 256
+    level = _BridgeLevel(m, n)
+    v = np.array([0.1, 0.05])
+    rng = np.random.default_rng(3)
+    level.weights(m, math.sqrt(level.grid.dt) * rng.standard_normal((rows, 2 * n)), v, 0)
+    incr = math.sqrt(level.grid.dt) * rng.standard_normal((rows, 2 * n))
+    tracemalloc.start()
+    try:
+        level.weights(m, incr, v, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * rows * (n + 1) * 8
