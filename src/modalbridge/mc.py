@@ -2,8 +2,9 @@
 
 Forward simulation reads the noise only through the pair (rho B + rho_bar W,
 B^H) at the grid nodes.  That pair is an exact 2n-dimensional Gaussian (its
-first half is a Brownian motion), drawn as one cached Cholesky factor of its
-covariance times 2n normals per path, time-major; only the drift integrals are
+first half is a Brownian motion), drawn time-major as one cached Cholesky
+factor of its covariance times 2n normals per path, a block's normals drawn in
+row order in chunks of _NOISE_ROWS paths; only the drift integrals are
 discretized (Euler, left point, over the precomputed noise rows).
 
 The bridge estimator runs a grid level's stages: condition pins iid N(0, dt)
@@ -17,23 +18,25 @@ count; that coupled difference is the discretization-bias estimate.
 
 Both estimators run through one block runner.  A run with seed s is cut into
 row blocks of its estimator's own size, the last one taking the remainder:
-_FORWARD_BLOCK_ROWS paths for the forward, and fewer, _BRIDGE_BLOCK_ROWS, for
-the bridge, whose block's arrays all exist at once.  Block b draws its own
-numbers in one call, inside its pool task, from an SFC64 stream seeded by
-child b of the SeedSequence of s, SeedSequence(s, spawn_key=(b,)), numpy's
-way to make independent parallel streams.  A run small enough to be one
-block draws block 0's stream in one whole-run pass.  Each block returns its
-own results (the forward's terminal points, the bridge's centred weight
-sums), and the run joins them in block order, so the output depends on the
-fixed block partition but is bit-identical at any worker count.  While a
-pool of several workers runs the blocks, OpenBLAS runs one thread, so its
-threads do not compete with the pool's; one worker leaves OpenBLAS its own
-thread count: the bridge's path-major products give the same bits at any
-count.  The forward's Cholesky factor and its time-major noise product do
-not, so the forward runs OpenBLAS on one thread at any worker count, and no
-output depends on OPENBLAS_NUM_THREADS.  The worker count is the ``workers``
-argument, else MODALBRIDGE_THREADS, else the number of usable cores;
-MODALBRIDGE_THREADS=1 runs every block on the calling thread.
+_FORWARD_BLOCK_ROWS paths for the forward, and fewer, _BRIDGE_BLOCK_ROWS,
+for the bridge, whose block's arrays all exist at once.  Block b draws its
+own numbers inside its pool task, from an SFC64 stream seeded by child b of
+the SeedSequence of s, SeedSequence(s, spawn_key=(b,)), numpy's way to make
+independent parallel streams: the bridge in one call, the forward in chunks
+of _NOISE_ROWS paths in row order, which read the stream exactly as one call
+would.  A run small enough to be one block draws block 0's stream in one
+whole-run pass.  Each block returns its own results (the forward's terminal
+points, the bridge's centred weight sums), and the run joins them in block
+order, so the output depends on the fixed block partition but is
+bit-identical at any worker count.  While a pool of several workers runs the
+blocks, OpenBLAS runs one thread, so its threads do not compete with the
+pool's; one worker leaves OpenBLAS its own thread count: the bridge's
+path-major products give the same bits at any count.  The forward's Cholesky
+factor and its time-major noise product do not, so the forward runs OpenBLAS
+on one thread at any worker count, and no output depends on
+OPENBLAS_NUM_THREADS.  The worker count is the ``workers`` argument, else
+MODALBRIDGE_THREADS, else the number of usable cores; MODALBRIDGE_THREADS=1
+runs every block on the calling thread.
 """
 
 from __future__ import annotations
@@ -78,6 +81,9 @@ _MAX_VALUES = 200_000_000  # n_steps * n_paths guard
 _FORWARD_BLOCK_ROWS = 2048
 # small, as a bridge block's arrays all exist at once (about 4 MB at n = 256)
 _BRIDGE_BLOCK_ROWS = 256
+# forward paths per noise draw and product; _row_counts keeps each chunk this
+# wide, as OpenBLAS can round a narrower product differently
+_NOISE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -298,7 +304,8 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     """Simulate (X_T, Y_T) under the drifted law.
 
     The noise pair (rho B + rho_bar W, B^H) is drawn exactly at the nodes, as
-    one factor of its 2n-dimensional covariance times 2n normals per path;
+    one factor of its 2n-dimensional covariance times 2n normals per path (a
+    block holds its noise and the normals of one chunk of _NOISE_ROWS paths);
     the drift integrals are left-point Euler sums added to it (the noise
     itself carries no discretization error).  A state-dependent drift's
     :func:`validate_assumptions` violations, or its being undefined on the
@@ -317,12 +324,15 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     x0, y0 = float(model.x0), float(model.y0)
 
     def run_block(b, rng, m):
-        z = rng.standard_normal((m, 2 * n))
         # time-major: row i (n + i) holds every path's X (Y) noise at node i + 1
-        noise = factor @ z.T
-        del z
-        noise[:n] += x0
-        noise[n:] += y0
+        noise = np.empty((2 * n, m))
+        lo = 0
+        for rows in _row_counts(m, _NOISE_ROWS):
+            part = noise[:, lo:lo + rows]
+            np.matmul(factor, rng.standard_normal((rows, 2 * n)).T, out=part)
+            part[:n] += x0
+            part[n:] += y0
+            lo += rows
         x, y = np.full(m, x0), np.full(m, y0)
         drift1, drift2 = np.zeros(m), np.zeros(m)
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite terminals raise below

@@ -296,6 +296,10 @@ def test_blocked_estimators_equal_per_block_reference(H):
     m = _state_model(H)
     _assert_forward_matches(m, SimConfig(n_paths=11000, n_steps=8, seed=17), _substreams,
                             (1, 2, 4))
+    # at n = 128, as the benchmark runs it, each forward block is filled in
+    # 512-path chunks (the block of 2808 ends in one of 760)
+    _assert_forward_matches(m, SimConfig(n_paths=11000, n_steps=128, seed=17), _substreams,
+                            (1, 2))
     _assert_bridge_matches(m, SimConfig(n_paths=11000, n_steps=8, seed=17), _substreams,
                            (1, 2, 4))
 
@@ -314,12 +318,26 @@ def test_bridge_blocks_match_per_block_reference_on_fine_grids(n_steps, H):
 def test_single_block_run_draws_the_seed_stream():
     # a run of fewer than two blocks' rows (4095 forward paths, 511 bridge
     # paths) is one block: the output equals one whole-run draw from block
-    # 0's stream, child 0 of the seed's SeedSequence
+    # 0's stream, child 0 of the seed's SeedSequence, also where the block is
+    # filled in 512-path chunks (1025 paths: 512 and 513; 4095: 512 x 6 and 1023)
     m = _state_model(0.3)
     _assert_forward_matches(m, SimConfig(n_paths=4095, n_steps=8, seed=17), _single_stream,
                             (1, 2))
+    for count in (1025, 4095):
+        _assert_forward_matches(m, SimConfig(n_paths=count, n_steps=128, seed=17),
+                                _single_stream, (1, 2))
     _assert_bridge_matches(m, SimConfig(n_paths=511, n_steps=8, seed=17), _single_stream,
                            (1, 2))
+
+
+def _traced_peak(run):
+    """Peak bytes traced by tracemalloc while run() runs (numpy reports its buffers)."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_bridge_block_working_set_is_bounded():
@@ -332,13 +350,22 @@ def test_bridge_block_working_set_is_bounded():
     # per-block work) are built before tracing starts.
     m = _state_model(0.3)
     bridge_mc_density(m, (0.1, 0.05), SimConfig(16, 256, 3), workers=1)
-    tracemalloc.start()
-    try:
-        bridge_mc_density(m, (0.1, 0.05), SimConfig(8192, 256, 3), workers=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(
+        lambda: bridge_mc_density(m, (0.1, 0.05), SimConfig(8192, 256, 3), workers=1))
     assert peak <= 8e6
+
+
+def test_forward_block_working_set_is_bounded():
+    # a forward block holds its time-major noise, (2n, 2048) floats (4.19 MB at
+    # n = 128), and the normals of one 512-path chunk (1.05 MB): 5.35 MB traced
+    # at the peak over four blocks.  Drawing the block's normals whole would
+    # hold them beside the noise, twice its size (8.49 MB).  The factor (a
+    # cached operator, not per-block work) is built before tracing starts.
+    m = _state_model(0.3)
+    n = 128
+    simulate_forward(m, SimConfig(16, n, 3), workers=1)
+    peak = _traced_peak(lambda: simulate_forward(m, SimConfig(8192, n, 3), workers=1))
+    assert peak <= 1.5 * (2 * n * 2048 * 8)
 
 
 def test_block_error_is_the_same_at_any_worker_count():
@@ -748,18 +775,11 @@ def test_bridge_transformed_drift_solves_defining_system():
     level = _BridgeLevel(m, n)
     grid = level.grid
     t = grid.nodes
-    w = level.w_full
     inv_op = inverse_operator_matrix(grid, m.hurst)
     rng = np.random.Generator(npr.Philox(key=42))
     incr = math.sqrt(grid.dt) * rng.standard_normal((4, 2 * n))
     level.condition(incr, np.array([0.3, -0.2]))
-    db, dw = incr[:, :n], incr[:, n:]
-    x = np.empty((4, n + 1))
-    x[:, 0] = m.x0
-    x[:, 1:] = m.x0 + np.cumsum(m.rho * db + m.rho_bar * dw, axis=1)
-    y = np.empty((4, n + 1))
-    y[:, 0] = m.y0
-    y[:, 1:] = m.y0 + db @ w.T
+    x, y = level.paths(m, incr)
     from modalbridge.driftspec import eval_drift
     tt = np.broadcast_to(t, (4, n + 1))
     g2 = np.asarray(eval_drift(m.h2, tt, x, y))
@@ -975,10 +995,5 @@ def test_bridge_paths_die_before_the_transform():
     rng = np.random.default_rng(3)
     level.weights(m, math.sqrt(level.grid.dt) * rng.standard_normal((rows, 2 * n)), v, 0)
     incr = math.sqrt(level.grid.dt) * rng.standard_normal((rows, 2 * n))
-    tracemalloc.start()
-    try:
-        level.weights(m, incr, v, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: level.weights(m, incr, v, 0))
     assert peak < 4.5 * rows * (n + 1) * 8
