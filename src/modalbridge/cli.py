@@ -22,9 +22,8 @@ significant digits, LF line endings, UTF-8, header row always present.  The
 Monte Carlo estimators cut the paths into fixed blocks, 2048 rows for
 simulate and 256 for bridge-mc, each on its own SFC64 stream spawned from
 the seed's SeedSequence, and run them on as many worker threads as there
-are usable cores, or on MODALBRIDGE_THREADS of them (1 runs serially); the
-worker count never changes results, which are byte-identical for a fixed
-BLAS thread setting.
+are usable cores, or on MODALBRIDGE_THREADS of them; neither the worker
+count nor the BLAS thread setting changes results.
 """
 
 from __future__ import annotations

@@ -28,15 +28,13 @@ would.  A run small enough to be one block draws block 0's stream in one
 whole-run pass.  Each block returns its own results (the forward's terminal
 points, the bridge's centred weight sums), and the run joins them in block
 order, so the output depends on the fixed block partition but is
-bit-identical at any worker count.  While a pool of several workers runs the
-blocks, OpenBLAS runs one thread, so its threads do not compete with the
-pool's; one worker leaves OpenBLAS its own thread count: the bridge's
-path-major products give the same bits at any count.  The forward's Cholesky
-factor and its time-major noise product do not, so the forward runs OpenBLAS
-on one thread at any worker count, and no output depends on
-OPENBLAS_NUM_THREADS.  The worker count is the ``workers`` argument, else
-MODALBRIDGE_THREADS, else the number of usable cores; MODALBRIDGE_THREADS=1
-runs every block on the calling thread.
+bit-identical at any worker count.  Every block, at every worker count, runs
+on a pool thread, under numpy's default error state, with OpenBLAS on one
+thread, so its threads do not compete with the pool's.  Beyond the blocks
+only the forward's Cholesky factor is built with OpenBLAS pinned, as its bits
+depend on the thread count, so no output depends on OPENBLAS_NUM_THREADS.
+The worker count is the ``workers`` argument, else MODALBRIDGE_THREADS, else
+the number of usable cores.
 """
 
 from __future__ import annotations
@@ -269,26 +267,20 @@ def _run_blocks(config: SimConfig, block_rows: int, kernel, workers: Optional[in
     """kernel(b, rng, rows) over the run's blocks of block_rows rows; the results in block order.
 
     Each block gets its own generator (_block_rng) and draws its numbers in
-    the kernel.  One worker runs the blocks in order on the calling thread,
-    with OpenBLAS free to thread its matmuls.  Otherwise the calling thread
-    submits the blocks in order to a pool with at most 2 x workers blocks in
-    flight, with OpenBLAS on one thread.  A failing block raises in block
-    order, after the pool has shut down, so the error is the same at any
-    worker count.
+    the kernel.  The calling thread submits the blocks in order to a pool of
+    one thread per worker, with at most 2 x workers blocks in flight; every
+    block, at every worker count, runs on a pool thread, under numpy's
+    default error state, with OpenBLAS on one thread.  A failing block
+    raises in block order, after the pool has shut down, so the error is the
+    same at any worker count.
     """
-    def jobs():
-        for b, rows in enumerate(_row_counts(config.n_paths, block_rows)):
-            yield b, _block_rng(config.seed, b), rows
-
     nw = _worker_count(workers)
-    if nw == 1:
-        return [kernel(b, rng, rows) for b, rng, rows in jobs()]
     done, pending = [], deque()
     with _one_blas_thread():
         pool = ThreadPoolExecutor(max_workers=nw)
         try:
-            for job in jobs():
-                pending.append(pool.submit(kernel, *job))
+            for b, rows in enumerate(_row_counts(config.n_paths, block_rows)):
+                pending.append(pool.submit(kernel, b, _block_rng(config.seed, b), rows))
                 if len(pending) == 2 * nw:
                     done.append(pending.popleft().result())
             done.extend(future.result() for future in pending)
@@ -298,6 +290,11 @@ def _run_blocks(config: SimConfig, block_rows: int, kernel, workers: Optional[in
 
 
 # -- forward simulation ----------------------------------------------------------
+
+# one block's Euler loop at a time: its small numpy calls each release and
+# retake the GIL, so two loops at once convoy and run slower than one
+_euler_lock = threading.Lock()
+
 
 def simulate_forward(model: ModelSpec, config: SimConfig,
                      workers: Optional[int] = None) -> PathEnsemble:
@@ -335,7 +332,8 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
             lo += rows
         x, y = np.full(m, x0), np.full(m, y0)
         drift1, drift2 = np.zeros(m), np.zeros(m)
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite terminals raise below
+        # non-finite terminals raise below
+        with _euler_lock, np.errstate(over="ignore", invalid="ignore"):
             for i in range(n):
                 try:
                     h1v = eval_drift(model.h1, t[i], x, y)
@@ -353,11 +351,8 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
                 f"forward paths overflow (non-finite terminal values) in block {b}")
         return x.copy(), y.copy()  # rows of noise: copies let it go
 
-    # the bits of the factor, and of a time-major product, depend on the BLAS
-    # thread count, so the forward runs OpenBLAS on one thread at any worker count
-    with _one_blas_thread():
-        factor = _forward_factor(grid, model)  # here, so pool tasks never look up the store
-        blocks = _run_blocks(config, _FORWARD_BLOCK_ROWS, run_block, workers)
+    factor = _forward_factor(grid, model)  # here, so pool tasks never look up the store
+    blocks = _run_blocks(config, _FORWARD_BLOCK_ROWS, run_block, workers)
     xs, ys = (np.concatenate([r[j] for r in blocks]) for j in (0, 1))
     return PathEnsemble(terminal_x=xs, terminal_y=ys)
 
@@ -375,7 +370,8 @@ def _forward_factor(grid: TimeGrid, model: ModelSpec) -> np.ndarray:
         cov = joint_cov_matrix(grid, model.hurst)
         cov[:n, n:] *= model.rho
         cov[n:, :n] *= model.rho
-        return cholesky_with_jitter(cov)
+        with _one_blas_thread():  # the factor's bits depend on the BLAS thread count
+            return cholesky_with_jitter(cov)
     return opcache.get("forward_factor", (model.H, model.rho, grid.T, grid.n), build)
 
 

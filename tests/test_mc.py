@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -477,10 +478,11 @@ def test_blas_thread_count_restored_after_concurrent_estimators():
 
 
 def test_forward_output_does_not_depend_on_openblas_threads():
-    # the forward's factor and noise product run on one BLAS thread; one
-    # worker leaves the bridge's path-major products to the BLAS thread count,
-    # whose bits do not depend on it: both outputs are the same whatever
-    # OPENBLAS_NUM_THREADS says, with one worker and with the default count
+    # every block runs on one BLAS thread, and the forward's factor is built
+    # on one; the bridge's levels are built with the caller's count, and the
+    # bits of their products do not depend on it: both outputs are the same
+    # whatever OPENBLAS_NUM_THREADS says, with one worker and with the default
+    # count
     _blas_threads()
     script = (
         "import hashlib\n"
@@ -510,9 +512,9 @@ def test_forward_output_does_not_depend_on_openblas_threads():
     assert outputs[0] == outputs[1]
 
 
-def test_one_worker_leaves_the_blas_thread_count():
-    # a pool of workers runs its blocks on one BLAS thread; one worker runs
-    # the bridge's blocks with the caller's count, and the forward's with one
+def test_blocks_run_on_one_blas_thread_at_any_worker_count():
+    # one worker runs its blocks as a pool of several does, on one BLAS
+    # thread, and the caller's count is restored after each run
     set_threads, get_threads = _blas_threads()
     before = get_threads()
     set_threads(2)
@@ -521,7 +523,8 @@ def test_one_worker_leaves_the_blas_thread_count():
         cfg = SimConfig(n_paths=2 * 2048, n_steps=2, seed=0)
         for workers in (1, 2):
             _run_blocks(cfg, 2048, lambda k, rng, rows: seen.append(get_threads()), workers)
-        assert seen == [2, 2, 1, 1]
+            assert get_threads() == 2
+        assert seen == [1, 1, 1, 1]
         m = _state_model(0.3)
         forward = simulate_forward(m, cfg, workers=1)
         assert get_threads() == 2
@@ -529,6 +532,60 @@ def test_one_worker_leaves_the_blas_thread_count():
                               simulate_forward(m, cfg, workers=2).terminal_x)
     finally:
         set_threads(before)
+
+
+def test_forward_euler_loops_run_one_at_a_time(monkeypatch):
+    # two blocks' Euler loops at once convoy on the GIL, so they take turns: a
+    # block's 2n drift evaluations run without another block's between them
+    n = 32
+    idents = []
+    evaluate = mc.eval_drift
+
+    def recording(expr, t, x, y):
+        idents.append(threading.get_ident())
+        return evaluate(expr, t, x, y)
+
+    monkeypatch.setattr(mc, "eval_drift", recording)
+    simulate_forward(_state_model(0.3), SimConfig(n_paths=8 * 2048, n_steps=n, seed=2),
+                     workers=2)
+    runs = [len(list(calls)) for _, calls in itertools.groupby(idents)]
+    assert sum(runs) == 8 * 2 * n
+    assert all(r % (2 * n) == 0 for r in runs)
+
+
+_OVERFLOWING = "exp(3000*x)"
+
+
+def test_bridge_error_does_not_depend_on_the_callers_error_state():
+    # blocks run on pool threads under numpy's default error state at any
+    # worker count, so a caller's raising state changes no error type
+    m = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 0.5, parse_drift(_OVERFLOWING), ZERO)
+    for workers in (1, 2):
+        with pytest.raises(NumericalConditioningError), \
+                np.errstate(over="raise", invalid="raise"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            bridge_mc_density(m, (0.5, 0.0), SimConfig(512, 16, 1), workers=workers)
+
+
+def test_forward_assumption_report_neither_raises_nor_leaks_numpy_warnings():
+    # the report's samples of exp(3000 x) overflow: under a raising error
+    # state the run fails on its own non-finite terminals, and under the
+    # default one the relayed violations are its only RuntimeWarnings
+    def model():  # a new instance samples its report again
+        return ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 0.5, parse_drift(_OVERFLOWING), ZERO)
+
+    cfg = SimConfig(n_paths=2048, n_steps=16, seed=1)
+    with pytest.raises(NumericalConditioningError), \
+            np.errstate(over="raise", invalid="raise"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        simulate_forward(model(), cfg)
+    m = model()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalConditioningError):
+            simulate_forward(m, cfg)
+    messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+    assert messages and messages == list(validate_assumptions(m).violations)
 
 
 def _forward_warnings(m, cfg):
