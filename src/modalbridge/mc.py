@@ -29,9 +29,10 @@ whole-run pass.  Each block returns its own results (the forward's terminal
 points, the bridge's centred weight sums), and the run joins them in block
 order, so the output depends on the fixed block partition but is
 bit-identical at any worker count.  Every block, at every worker count, runs
-on a pool thread, under numpy's default error state, with OpenBLAS on one
-thread, so its threads do not compete with the pool's.  Beyond the blocks
-only the forward's Cholesky factor is built with OpenBLAS pinned, as its bits
+on a pool thread with numpy's overflow and invalid warnings off (the forward
+checks its block's terminals, the bridge its run's sums) and OpenBLAS on one
+thread, so its threads do not compete with the pool's.  Beyond the blocks only
+the forward's Cholesky factor is built with OpenBLAS pinned, as its bits
 depend on the thread count, so no output depends on OPENBLAS_NUM_THREADS.
 The worker count is the ``workers`` argument, else MODALBRIDGE_THREADS, else
 the number of usable cores.
@@ -264,23 +265,30 @@ def _one_blas_thread():
 
 
 def _run_blocks(config: SimConfig, block_rows: int, kernel, workers: Optional[int]) -> list:
-    """kernel(b, rng, rows) over the run's blocks of block_rows rows; the results in block order.
+    """kernel(rng, rows) over the run's blocks of block_rows rows; the results in block order.
 
     Each block gets its own generator (_block_rng) and draws its numbers in
     the kernel.  The calling thread submits the blocks in order to a pool of
     one thread per worker, with at most 2 x workers blocks in flight; every
-    block, at every worker count, runs on a pool thread, under numpy's
-    default error state, with OpenBLAS on one thread.  A failing block
-    raises in block order, after the pool has shut down, so the error is the
-    same at any worker count.
+    block runs on a pool thread with OpenBLAS on one thread and numpy's
+    overflow and invalid warnings off.  A block's DriftDomainError or
+    NumericalConditioningError gets "in block b" added and raises in block
+    order after the pool has shut down, so it is the same at any worker count.
     """
+    def task(b, rng, rows):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return kernel(rng, rows)
+        except (DriftDomainError, NumericalConditioningError) as exc:
+            raise type(exc)(f"{exc} in block {b}") from exc
+
     nw = _worker_count(workers)
     done, pending = [], deque()
     with _one_blas_thread():
         pool = ThreadPoolExecutor(max_workers=nw)
         try:
             for b, rows in enumerate(_row_counts(config.n_paths, block_rows)):
-                pending.append(pool.submit(kernel, b, _block_rng(config.seed, b), rows))
+                pending.append(pool.submit(task, b, _block_rng(config.seed, b), rows))
                 if len(pending) == 2 * nw:
                     done.append(pending.popleft().result())
             done.extend(future.result() for future in pending)
@@ -320,7 +328,7 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     n = config.n_steps
     x0, y0 = float(model.x0), float(model.y0)
 
-    def run_block(b, rng, m):
+    def run_block(rng, m):
         # time-major: row i (n + i) holds every path's X (Y) noise at node i + 1
         noise = np.empty((2 * n, m))
         lo = 0
@@ -332,23 +340,21 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
             lo += rows
         x, y = np.full(m, x0), np.full(m, y0)
         drift1, drift2 = np.zeros(m), np.zeros(m)
-        # non-finite terminals raise below
-        with _euler_lock, np.errstate(over="ignore", invalid="ignore"):
+        with _euler_lock:  # non-finite terminals raise below
             for i in range(n):
                 try:
                     h1v = eval_drift(model.h1, t[i], x, y)
                     h2v = eval_drift(model.h2, t[i], x, y)
                 except DriftDomainError as exc:
                     raise DriftDomainError(
-                        f"drift evaluation failed at step {i} (t={t[i]:g}) in block {b}: {exc}"
+                        f"drift evaluation failed at step {i} (t={t[i]:g}): {exc}"
                     ) from exc
                 drift1 += np.asarray(h1v) * dt
                 drift2 += np.asarray(h2v) * dt
                 x = np.add(noise[i], drift1, out=noise[i])
                 y = np.add(noise[n + i], drift2, out=noise[n + i])
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise NumericalConditioningError(
-                f"forward paths overflow (non-finite terminal values) in block {b}")
+            raise NumericalConditioningError("forward paths overflow (non-finite terminal values)")
         return x.copy(), y.copy()  # rows of noise: copies let it go
 
     factor = _forward_factor(grid, model)  # here, so pool tasks never look up the store
@@ -472,17 +478,14 @@ class _BridgeLevel:
         y += model.y0
         return x, y
 
-    def log_weights(self, model: ModelSpec, incr: np.ndarray, b: int) -> np.ndarray:
+    def log_weights(self, model: ModelSpec, incr: np.ndarray) -> np.ndarray:
         """Girsanov exponents of the rows of incr, which it only reads."""
         n, dt = self.n, self.grid.dt
         db, dw = incr[:, :n], incr[:, n:]
         x, y = self.paths(model, incr)
         tt = np.broadcast_to(self.nodes, x.shape)
-        try:
-            g2 = np.asarray(eval_drift(model.h2, tt, x, y), dtype=float)
-            g1 = np.asarray(eval_drift(model.h1, tt, x, y), dtype=float)
-        except DriftDomainError as exc:
-            raise DriftDomainError(f"bridge drift evaluation failed in block {b}: {exc}") from exc
+        g2 = np.asarray(eval_drift(model.h2, tt, x, y), dtype=float)
+        g1 = np.asarray(eval_drift(model.h1, tt, x, y), dtype=float)
         del x, y
         h2t = g2 @ self.inv_op_t
         h1t = np.multiply(h2t, -self.rho)
@@ -492,12 +495,10 @@ class _BridgeLevel:
         dot = lambda p, q: np.einsum("ij,ij->i", p, q)
         return dot(h1t, dw) + dot(h2t, db) - 0.5 * dt * (dot(h1t, h1t) + dot(h2t, h2t))
 
-    def weights(self, model: ModelSpec, incr: np.ndarray, v: np.ndarray, b: int) -> np.ndarray:
+    def weights(self, model: ModelSpec, incr: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Girsanov weights of the rows of incr: condition, then exp of log_weights."""
         self.condition(incr, v)
-        expo = self.log_weights(model, incr, b)
-        with np.errstate(over="ignore"):
-            return np.exp(expo)
+        return np.exp(self.log_weights(model, incr))
 
 
 def _bridge_level(model: ModelSpec, n: int) -> _BridgeLevel:
@@ -529,18 +530,17 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
     fine, coarse = _bridge_level(model, n), _bridge_level(model, nc)
     v = np.array([endpoint[0] - model.x0, endpoint[1] - model.y0])
 
-    def run_block(b, rng, m):
+    def run_block(rng, m):
         incr = rng.standard_normal((m, 2 * n))
         incr *= math.sqrt(fine.grid.dt)
         # pairs within the dB and the dW half; an odd n leaves each half's last unpaired
         pairs = incr.reshape(m, 2, n)[:, :, :2 * nc].reshape(m, 2, nc, 2)
         coarse_incr = (pairs[..., 0] + pairs[..., 1]).reshape(m, 2 * nc)
         coarse_incr *= math.sqrt(coarse.grid.dt / (2.0 * fine.grid.dt))
-        w = fine.weights(model, incr, v, b)
-        wc = coarse.weights(model, coarse_incr, v, b)
-        with np.errstate(over="ignore", invalid="ignore"):  # the run raises on non-finite sums
-            mean = float(w.mean())
-            return m, mean, float(np.square(w - mean).sum()), float(wc.sum())
+        w = fine.weights(model, incr, v)
+        wc = coarse.weights(model, coarse_incr, v)
+        mean = float(w.mean())  # the run raises on non-finite sums
+        return m, mean, float(np.square(w - mean).sum()), float(wc.sum())
 
     count, mean, m2, sc = 0, 0.0, 0.0, 0.0
     blocks = _run_blocks(config, _BRIDGE_BLOCK_ROWS, run_block, workers)

@@ -398,6 +398,20 @@ def test_bridge_mc_overflow_exits_3_without_nan(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_bridge_mc_overflow_exits_3_without_numpy_warnings(tmp_path):
+    # weights under exp(3000 x) overflow in every block: a clean numerical
+    # error, with no numpy RuntimeWarning printed from the pool's threads
+    model = dict(MODEL, T=0.25, rho=0.3, h1="exp(3000*x)", h2="0")
+    cfg = write_config(tmp_path, {"model": model, "bridge_mc": {
+        "n_paths": 512, "n_steps": 16, "endpoint": [0.5, 0.0]}})
+    out = tmp_path / "out"
+    proc = run_cli(["bridge-mc", "--config", cfg, "--seed", "1", "--out", str(out)])
+    assert proc.returncode == 3
+    assert "numerical error" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
 def test_simulate_overflow_exits_3_and_writes_nothing(tmp_path, capsys):
     # forward paths under 50 x^2 + 1 overflow to inf: a numerical error, not
     # an estimate that counts the exploded paths as far-away samples
