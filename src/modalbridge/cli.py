@@ -38,7 +38,7 @@ import numpy as np
 
 from .density import approx_densities
 from .fraccalc import UnsupportedHurstError
-from .driftspec import DriftDomainError, ModelSpec, model_from_dict, parse_drift
+from .driftspec import DriftDomainError, ModelSpec, json_number, model_from_dict, parse_drift
 from .kernel import (Hurst, NumericalConditioningError, TimeGrid, kernel_alt,
                      kernel_hyp)
 from .bridge import modal_path
@@ -154,14 +154,8 @@ def _require(block: dict, keys, where: str) -> None:
 def _model_from_config(cfg: dict) -> ModelSpec:
     if "model" not in cfg:
         raise ConfigError("config must contain a 'model' block")
-    block = cfg["model"]
-    if isinstance(block, dict):
-        # a missing key is model_from_dict's to report; holder_gamma may be null
-        for key in ("H", "rho", "x0", "y0", "T", "holder_gamma"):
-            if key in block and (block[key] is not None or key != "holder_gamma"):
-                _number(block[key], f"model {key}")
     try:
-        return model_from_dict(block)
+        return model_from_dict(cfg["model"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model: {exc}") from None
 
@@ -177,38 +171,19 @@ def _model_and_block(args, name: str, allowed, required):
     return model, block
 
 
-def _is_number(value) -> bool:
-    """True for a JSON number: an int or float, not a boolean or a string."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number(value, where: str, kind=float):
-    """A config value as kind; any JSON value but a number is a ConfigError,
-    and so is a value with a fractional part where kind is int."""
-    if not _is_number(value):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    try:
-        number = kind(value)
-    except OverflowError:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
-    if kind is int and number != value:
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return number
-
-
 def _numbers(value, where: str) -> list:
     """A config list of numbers as floats."""
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
-    return [_number(v, where) for v in value]
+    return [json_number(v, where) for v in value]
 
 
 def _point(value, where: str) -> tuple:
     """A config point [x, y] of two JSON numbers as two floats."""
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
+    if isinstance(value, (list, tuple)) and len(value) == 2:
         try:
-            return float(value[0]), float(value[1])
-        except OverflowError:
+            return json_number(value[0], where), json_number(value[1], where)
+        except ValueError:
             pass
     raise ConfigError(f"{where} must be a pair of numbers [x, y], got {value!r}")
 
@@ -219,12 +194,12 @@ def _estimator_from_config(block: dict):
     kind = block.get("type")
     if kind == "bin":
         _require(block, ("width_x", "width_y"), "bin estimator")
-        return BinEstimator(_number(block["width_x"], "width_x"),
-                            _number(block["width_y"], "width_y"))
+        return BinEstimator(json_number(block["width_x"], "width_x"),
+                            json_number(block["width_y"], "width_y"))
     if kind == "kde":
         _require(block, ("bandwidth_x", "bandwidth_y"), "kde estimator")
-        return KdeEstimator(_number(block["bandwidth_x"], "bandwidth_x"),
-                            _number(block["bandwidth_y"], "bandwidth_y"))
+        return KdeEstimator(json_number(block["bandwidth_x"], "bandwidth_x"),
+                            json_number(block["bandwidth_y"], "bandwidth_y"))
     raise ConfigError(f"estimator type must be 'bin' or 'kde', got {kind!r}")
 
 
@@ -290,10 +265,7 @@ def cmd_kernel(args) -> int:
     block = cfg["kernel"]
     _check_keys(block, ("H", "t_values", "s_fractions"), "kernel block")
     _require(block, ("H",), "kernel block")
-    try:
-        hurst = Hurst(_number(block["H"], "H"))
-    except ValueError as exc:
-        raise ConfigError(f"invalid H: {exc}") from None
+    hurst = Hurst(json_number(block["H"], "H"))
     t_values = _numbers(block.get("t_values", [0.1, 0.5, 1.0, 2.0]), "t_values")
     fracs = _numbers(block.get("s_fractions", np.linspace(0.05, 0.95, 19).tolist()),
                      "s_fractions")
@@ -362,7 +334,7 @@ def cmd_modal_path(args) -> int:
             print(p)
         return EXIT_OK
     model, block = _model_and_block(args, "modal_path", ("n", "endpoint"), ("endpoint",))
-    n = _number(block.get("n", 512), "modal_path n", int)
+    n = json_number(block.get("n", 512), "modal_path n", int)
     endpoint = _point(block["endpoint"], "modal_path endpoint")
     path, mp = _emit_modal_path(model, n, endpoint, out_dir, "modal_path")
     print(path)
@@ -377,7 +349,7 @@ def cmd_modal_path(args) -> int:
 
 def cmd_density(args) -> int:
     model, block = _model_and_block(args, "density", ("n", "endpoints"), ("endpoints",))
-    n = _number(block.get("n", 512), "density n", int)
+    n = json_number(block.get("n", 512), "density n", int)
     if not isinstance(block["endpoints"], list):
         raise ConfigError(f"density endpoints must be a list of [x, y] pairs, "
                           f"got {block['endpoints']!r}")
@@ -403,9 +375,9 @@ def cmd_density(args) -> int:
 
 def _sim_config(block: dict, seed_flag) -> SimConfig:
     """The SimConfig of a simulate or bridge_mc block; --seed overrides its seed."""
-    seed = seed_flag if seed_flag is not None else _number(block.get("seed", 0), "seed", int)
-    return SimConfig(n_paths=_number(block["n_paths"], "n_paths", int),
-                     n_steps=_number(block["n_steps"], "n_steps", int), seed=seed)
+    seed = seed_flag if seed_flag is not None else json_number(block.get("seed", 0), "seed", int)
+    return SimConfig(n_paths=json_number(block["n_paths"], "n_paths", int),
+                     n_steps=json_number(block["n_steps"], "n_steps", int), seed=seed)
 
 
 def cmd_simulate(args) -> int:

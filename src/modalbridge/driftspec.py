@@ -475,7 +475,12 @@ def classify_exprs(h1: DriftExpr, h2: DriftExpr) -> DriftClass:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full problem instance for the coupled Brownian / fBm system."""
+    """Full problem instance for the coupled Brownian / fBm system.
+
+    A ValueError unless rho lies in (-1, 1) with 1 - (rho kappa_H)^2 >= 1e-10,
+    x0 and y0 are finite, T is positive and finite, and holder_gamma is None or
+    in (0, 1/2), and in (H - 1/2, 1/2) for a state-dependent drift with H > 1/2.
+    """
 
     hurst: Hurst
     rho: float
@@ -490,8 +495,10 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
-        if not self.T > 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not (math.isfinite(self.x0) and math.isfinite(self.y0)):
+            raise ValueError(f"x0 and y0 must be finite, got {self.x0}, {self.y0}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         rho_h = self.rho * self.hurst.kappa_H
         if 1.0 - rho_h ** 2 < 1e-10:
             raise ValueError(
@@ -537,10 +544,27 @@ class ModelSpec:
             return (f"assumption check skipped, drift undefined on its sample box: {exc}",)
 
 
+def json_number(value, where: str, kind=float):
+    """A JSON number as kind (float or int); a ValueError naming where for a
+    boolean, a string, null, an int too large for a float, or a fraction as int."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
+        number = kind(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{where} must be a number, got {value!r}") from None
+    if kind is int and number != value:
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return number
+
+
 def model_from_dict(cfg: dict) -> ModelSpec:
-    """Build a ModelSpec from a plain dict (the CLI config 'model' block)."""
-    known = {"H", "rho", "x0", "y0", "T", "h1", "h2", "holder_gamma"}
-    unknown = set(cfg) - known
+    """Build a ModelSpec from a plain dict: the reader of the CLI config's 'model' block.
+
+    An unknown or missing key is a ValueError; h1 and h2 must be strings, and
+    each number (holder_gamma may also be null) is read by json_number.
+    """
+    unknown = set(cfg) - {"H", "rho", "x0", "y0", "T", "h1", "h2", "holder_gamma"}
     if unknown:
         raise ValueError(f"unknown model keys: {sorted(unknown)}")
     missing = {"H", "rho", "x0", "y0", "T", "h1", "h2"} - set(cfg)
@@ -549,16 +573,10 @@ def model_from_dict(cfg: dict) -> ModelSpec:
     for key in ("h1", "h2"):
         if not isinstance(cfg[key], str):
             raise ValueError(f"{key} must be a drift expression string, got {cfg[key]!r}")
-    return ModelSpec(
-        hurst=Hurst(float(cfg["H"])),
-        rho=float(cfg["rho"]),
-        x0=float(cfg["x0"]),
-        y0=float(cfg["y0"]),
-        T=float(cfg["T"]),
-        h1=parse_drift(cfg["h1"]),
-        h2=parse_drift(cfg["h2"]),
-        holder_gamma=None if cfg.get("holder_gamma") is None else float(cfg["holder_gamma"]),
-    )
+    H, rho, x0, y0, T = (json_number(cfg[key], key) for key in ("H", "rho", "x0", "y0", "T"))
+    gamma = cfg.get("holder_gamma")
+    return ModelSpec(Hurst(H), rho, x0, y0, T, parse_drift(cfg["h1"]), parse_drift(cfg["h2"]),
+                     None if gamma is None else json_number(gamma, "holder_gamma"))
 
 
 def classify_drift(model: ModelSpec) -> DriftClass:

@@ -77,16 +77,17 @@ class Hurst:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid 0 = t_0 < t_1 < ... < t_n = T."""
+    """Uniform grid 0 = t_0 < t_1 < ... < t_n = T of n >= 2 steps, whose step
+    T/n is positive and finite (so a T so small that T/n is 0 is refused)."""
 
     T: float
     n: int
 
     def __post_init__(self) -> None:
-        if not self.T > 0.0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
         if self.n < 2:
             raise ValueError(f"grid needs at least 2 steps, got n={self.n}")
+        if not 0.0 < self.T / self.n < math.inf:
+            raise ValueError(f"grid step T/n must be positive and finite, got {self.T}/{self.n}")
 
     @property
     def dt(self) -> float:

@@ -29,13 +29,13 @@ whole-run pass.  Each block returns its own results (the forward's terminal
 points, the bridge's centred weight sums), and the run joins them in block
 order, so the output depends on the fixed block partition but is
 bit-identical at any worker count.  Every block, at every worker count, runs
-on a pool thread with numpy's overflow and invalid warnings off (the forward
-checks its block's terminals, the bridge its run's sums) and OpenBLAS on one
-thread, so its threads do not compete with the pool's.  Beyond the blocks only
-the forward's Cholesky factor is built with OpenBLAS pinned, as its bits
-depend on the thread count, so no output depends on OPENBLAS_NUM_THREADS.
-The worker count is the ``workers`` argument, else MODALBRIDGE_THREADS, else
-the number of usable cores.
+on a pool thread with numpy's overflow and invalid warnings off and OpenBLAS
+on one thread, as the pool supplies the parallelism; a block whose results are
+not finite raises, naming its block, and the bridge also checks its merged
+sums.  Beyond the blocks only the forward's Cholesky factor is built with
+OpenBLAS pinned, as its bits depend on the thread count, so no output depends
+on OPENBLAS_NUM_THREADS.  The worker count is the ``workers`` argument, else
+MODALBRIDGE_THREADS, else the number of usable cores.
 """
 
 from __future__ import annotations
@@ -271,9 +271,10 @@ def _run_blocks(config: SimConfig, block_rows: int, kernel, workers: Optional[in
     the kernel.  The calling thread submits the blocks in order to a pool of
     one thread per worker, with at most 2 x workers blocks in flight; every
     block runs on a pool thread with OpenBLAS on one thread and numpy's
-    overflow and invalid warnings off.  A block's DriftDomainError or
-    NumericalConditioningError gets "in block b" added and raises in block
-    order after the pool has shut down, so it is the same at any worker count.
+    overflow and invalid warnings off: a kernel raises on non-finite results.
+    Its DriftDomainError or NumericalConditioningError gets "in block b" added
+    and raises in block order after the pool has shut down, so it is the same
+    at any worker count; blocks not yet started by then never run.
     """
     def task(b, rng, rows):
         try:
@@ -315,9 +316,9 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     itself carries no discretization error).  A state-dependent drift's
     :func:`validate_assumptions` violations, or its being undefined on the
     report's sample box, are RuntimeWarnings on every call (the check runs
-    once per model) and never stop the run; a drift
-    undefined on the paths raises DriftDomainError, and a non-finite terminal
-    value NumericalConditioningError, naming its block.
+    once per model) and never stop the run.  A block whose drift is undefined
+    on its paths raises DriftDomainError, and one whose terminal values are
+    not finite NumericalConditioningError, naming its block.
     """
     if model.drift_class is not DriftClass.TIME_ONLY:
         for v in model._assumption_warnings:  # checked once per model
@@ -389,7 +390,7 @@ def estimate_density_at(ensemble: PathEnsemble, point, estimator: Estimator) -> 
     Bin: hits / (n * area) with binomial standard error; a zero-hit bin
     returns value 0 with the documented one-hit upper bound 1 / (n * area) as
     its standard error.  KDE: product-Gaussian kernel mean with the sample
-    standard error of the kernel values.
+    standard error of the kernel values, each 0 where it underflows.
     """
     if ensemble.n_paths == 0:
         raise ValueError("ensemble is empty")
@@ -407,9 +408,10 @@ def estimate_density_at(ensemble: PathEnsemble, point, estimator: Estimator) -> 
         return DensityEstimate(p / area, math.sqrt(p * (1.0 - p) / n) / area, n)
     if isinstance(estimator, KdeEstimator):
         bx, by = estimator.bandwidth_x, estimator.bandwidth_y
-        ux = (ensemble.terminal_x - px) / bx
-        uy = (ensemble.terminal_y - py) / by
-        vals = np.exp(-0.5 * (ux * ux + uy * uy)) / (2.0 * math.pi * bx * by)
+        with np.errstate(over="ignore"):  # a far terminal's squared distance is inf
+            ux = (ensemble.terminal_x - px) / bx
+            uy = (ensemble.terminal_y - py) / by
+            vals = np.exp(-0.5 * (ux * ux + uy * uy)) / (2.0 * math.pi * bx * by)
         return DensityEstimate(float(vals.mean()),
                                float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
                                n)
@@ -506,6 +508,13 @@ def _bridge_level(model: ModelSpec, n: int) -> _BridgeLevel:
                         lambda: _BridgeLevel(model, n))
 
 
+def _finite_sums(*sums) -> tuple:
+    """sums, or NumericalConditioningError if one of these weight sums is not finite."""
+    if not all(map(math.isfinite, sums)):
+        raise NumericalConditioningError("bridge Girsanov weights overflow (non-finite sums)")
+    return sums
+
+
 def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
                       workers: Optional[int] = None) -> BridgeDensityEstimate:
     """Bridge-measure Monte Carlo estimate of the exact joint density.
@@ -520,8 +529,8 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
     that mean and the sum of its half-grid w, each a pairwise sum over the
     block's own arrays; the run merges them in block order by the pairwise
     update of Chan, Golub & LeVeque (1983), so the variance never comes from
-    the cancelling difference of raw sums.  Non-finite weight sums raise
-    NumericalConditioningError.
+    the cancelling difference of raw sums.  A block whose sums are not finite
+    raises NumericalConditioningError naming it; non-finite merged sums too.
     """
     n = config.n_steps
     nc = n // 2
@@ -539,8 +548,8 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
         coarse_incr *= math.sqrt(coarse.grid.dt / (2.0 * fine.grid.dt))
         w = fine.weights(model, incr, v)
         wc = coarse.weights(model, coarse_incr, v)
-        mean = float(w.mean())  # the run raises on non-finite sums
-        return m, mean, float(np.square(w - mean).sum()), float(wc.sum())
+        mean = float(w.mean())
+        return (m, *_finite_sums(mean, float(np.square(w - mean).sum()), float(wc.sum())))
 
     count, mean, m2, sc = 0, 0.0, 0.0, 0.0
     blocks = _run_blocks(config, _BRIDGE_BLOCK_ROWS, run_block, workers)
@@ -551,8 +560,7 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
         mean += delta * (m / total)
         m2 += block_m2 + delta * delta * (count * m / total)
         count, sc = total, sc + block_sc
-    if not all(math.isfinite(q) for q in (mean, m2, sc)):
-        raise NumericalConditioningError("bridge Girsanov weights overflow (non-finite sums)")
+    _finite_sums(mean, m2, sc)  # finite blocks can still overflow when merged
     var = m2 / max(count - 1, 1)
     phi = gaussian_prefactor(endpoint[0] - model.x0, endpoint[1] - model.y0, model)
     return BridgeDensityEstimate(value=phi * mean, std_err=phi * math.sqrt(var / count),

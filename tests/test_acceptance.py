@@ -1,4 +1,4 @@
-"""Full-scale acceptance suite: one test per shipped criterion.
+"""Full-scale acceptance suite: one test per shipped criterion, made from V.CRITERIA.
 
 Each test runs its criterion at the stated tolerance and prints a pass/fail
 line (visible with ``pytest -s`` or in the captured output of a failure).
@@ -12,58 +12,23 @@ import pytest
 from modalbridge import validate as V
 
 
-def _run(number, name, fn):
-    start = time.time()
-    out = fn(False)
-    passed, details = out[0], out[1]
-    elapsed = time.time() - start
-    status = "PASS" if passed else "FAIL"
-    print(f"criterion {number:2d} [{status}] {name} ({elapsed:.1f}s): {details}")
-    assert passed, f"criterion {number} ({name}) failed: {details}"
+def _criterion_test(number, name, fn):
+    def test():
+        start = time.time()
+        out = fn(False)
+        passed, details = out[0], out[1]
+        elapsed = time.time() - start
+        status = "PASS" if passed else "FAIL"
+        print(f"criterion {number:2d} [{status}] {name} ({elapsed:.1f}s): {details}")
+        assert passed, f"criterion {number} ({name}) failed: {details}"
+    return test
 
 
-def test_criterion_01_kernel_integral_identity():
-    _run(1, "kernel integral identity", V.crit_kernel_integral_identity)
-
-
-def test_criterion_02_kernel_form_equivalence():
-    _run(2, "kernel form equivalence", V.crit_kernel_form_equivalence)
-
-
-def test_criterion_03_operator_round_trip():
-    _run(3, "operator round trip", V.crit_operator_round_trip)
-
-
-def test_criterion_04_modal_path_structure():
-    _run(4, "modal path structure", V.crit_modal_path_structure)
-
-
-def test_criterion_05_conditional_gaussian():
-    _run(5, "conditional Gaussian lemma", V.crit_conditional_gaussian)
-
-
-def test_criterion_06_timeonly_exactness():
-    _run(6, "time-only exactness", V.crit_timeonly_exactness)
-
-
-def test_criterion_07_forward_mc_vs_prefactor():
-    _run(7, "forward MC vs prefactor", V.crit_forward_mc_vs_prefactor)
-
-
-def test_criterion_08_bridge_mc_vs_exact():
-    _run(8, "bridge MC vs exact density", V.crit_bridge_mc_vs_exact)
-
-
-def test_criterion_09_asymptotic_trend():
-    _run(9, "asymptotic trend", V.crit_asymptotic_trend)
-
-
-def test_criterion_10_figure_grid():
-    _run(10, "figure grid reproduction", V.crit_figure_grid)
-
-
-def test_criterion_11_determinism():
-    _run(11, "determinism", V.crit_determinism)
+# one test per entry of V.CRITERIA, named after its number and function, as
+# test_criterion_01_kernel_integral_identity for crit_kernel_integral_identity
+for _number, _name, _fn in V.CRITERIA:
+    globals()[f"test_criterion_{_number:02d}_{_fn.__name__.removeprefix('crit_')}"] = \
+        _criterion_test(_number, _name, _fn)
 
 
 def test_criterion_07_bin_check_gives_zero_hits_a_poisson_bound():

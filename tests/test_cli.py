@@ -412,6 +412,14 @@ def test_bridge_mc_overflow_exits_3_without_numpy_warnings(tmp_path):
     assert proc.stdout == "" and not out.exists()
 
 
+def test_bridge_mc_with_a_horizon_too_small_for_its_grid_exits_2(tmp_path):
+    # T = 5e-324 is positive, but its grid step T/n underflows to 0
+    cfg = write_config(tmp_path, {"model": dict(MODEL, T=5e-324), "bridge_mc": _BRIDGE})
+    proc = run_cli(["bridge-mc", "--config", cfg])
+    assert proc.returncode == 2
+    assert "config error: grid step T/n" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_simulate_overflow_exits_3_and_writes_nothing(tmp_path, capsys):
     # forward paths under 50 x^2 + 1 overflow to inf: a numerical error, not
     # an estimate that counts the exploded paths as far-away samples
@@ -420,7 +428,9 @@ def test_simulate_overflow_exits_3_and_writes_nothing(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "simulate": dict(
         _SIMULATE, n_paths=200, n_steps=32, emit_terminals=True)})
     out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--seed", "1", "--out", str(out)]) == 3
+    # T = 1 also lies beyond the drift's sampled contraction horizon, a warning
+    with pytest.warns(RuntimeWarning, match="contraction horizon"):
+        assert main(["simulate", "--config", cfg, "--seed", "1", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "numerical error: forward paths overflow" in err and "Traceback" not in err
     assert not (out / "simulate.json").exists() and not (out / "terminals.csv").exists()

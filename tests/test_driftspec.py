@@ -410,6 +410,11 @@ def test_model_invariants():
         ModelSpec(Hurst(0.3), 1.0, 0, 0, 1.0, ZERO, ZERO)
     with pytest.raises(ValueError):
         ModelSpec(Hurst(0.3), 0.0, 0, 0, -1.0, ZERO, ZERO)
+    for x0, y0, T in ((math.nan, 0, 1.0), (math.inf, 0, 1.0), (-math.inf, 0, 1.0),
+                      (0, math.nan, 1.0), (0, math.inf, 1.0), (0, -math.inf, 1.0),
+                      (0, 0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(Hurst(0.3), 0.0, x0, y0, T, ZERO, ZERO)
 
 
 def test_holder_gamma_required_for_rough_state_drifts():
@@ -432,6 +437,12 @@ def test_model_from_dict_strict():
         model_from_dict({**cfg, "bogus": 1})
     with pytest.raises(ValueError):
         model_from_dict({k: v for k, v in cfg.items() if k != "T"})
+    # each number is a JSON number: true is not 1.0, "0.5" is not 0.5, and
+    # 10**400 has no float
+    for key in ("H", "rho", "x0", "y0", "T"):
+        for value in (True, "0.5", None, 10 ** 400):
+            with pytest.raises(ValueError, match=f"^{key} must be a number"):
+                model_from_dict({**cfg, key: value})
 
 
 # -- assumption report ------------------------------------------------------------------

@@ -35,6 +35,9 @@ def test_time_grid():
         TimeGrid(-1.0, 4)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 1)
+    for T in (5e-324, math.inf, math.nan):  # a step T/n of 0, inf or NaN
+        with pytest.raises(ValueError, match="step"):
+            TimeGrid(T, 16)
 
 
 def test_time_grid_nodes_are_one_cached_read_only_array():

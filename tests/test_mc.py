@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -375,8 +376,9 @@ def test_block_error_is_the_same_at_any_worker_count():
     # log(x + 0.2) fails once a path passes below -0.2, and forward paths under
     # 50 x^2 + 1 overflow, in every block at its own step: the error raised
     # must be the first block's, after the pool ends.  Bridge weights under
-    # exp(3000 x) overflow in every block, and the run's sums report it with
-    # no numpy warning leaving a block.
+    # exp(3000 x) overflow in every block, and block 0's sums report it with
+    # no numpy warning leaving a block.  The forward's models also break its
+    # assumption check, which warns.
     from modalbridge.driftspec import DriftDomainError
 
     m = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 1.0, parse_drift("log(x + 0.2)"), ZERO)
@@ -384,23 +386,44 @@ def test_block_error_is_the_same_at_any_worker_count():
     overflow = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 0.25, parse_drift(_OVERFLOWING), ZERO)
     cfg = SimConfig(n_paths=4 * 2048, n_steps=32, seed=4)
     baseline = threading.active_count()
-    for error, run, label in (
-            (DriftDomainError, lambda w: simulate_forward(m, cfg, workers=w), "in block 0"),
+    for error, run, labels, warning in (
+            (DriftDomainError, lambda w: simulate_forward(m, cfg, workers=w), ("in block 0",),
+             "drift undefined on its sample box"),
             (DriftDomainError, lambda w: bridge_mc_density(m, (-0.1, 0.0), cfg, workers=w),
-             "in block 0"),
+             ("in block 0",), None),
             (NumericalConditioningError,
-             lambda w: simulate_forward(blowup, cfg, workers=w), "in block 0"),
+             lambda w: simulate_forward(blowup, cfg, workers=w), ("in block 0",),
+             "contraction horizon"),
             (NumericalConditioningError,
              lambda w: bridge_mc_density(overflow, (0.5, 0.0), cfg, workers=w),
-             "non-finite sums")):
+             ("non-finite sums", "in block 0"), None)):
         messages = []
         for workers in (1, 2):
-            with pytest.raises(error) as info:
+            warns = (pytest.warns(RuntimeWarning, match=warning) if warning
+                     else contextlib.nullcontext())
+            with pytest.raises(error) as info, warns:
                 run(workers)
             messages.append(str(info.value))
             assert threading.active_count() == baseline
         assert messages[0] == messages[1]
-        assert label in messages[0]
+        for label in labels:
+            assert label in messages[0]
+
+
+def test_bridge_overflow_ends_the_run_with_the_blocks_in_flight(monkeypatch):
+    # block 0's weights overflow, so the run stops with the blocks then in
+    # flight, at most 2 x workers of its 32; each weighs two drifts on each of
+    # its two grid levels
+    overflow = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 0.25, parse_drift(_OVERFLOWING), ZERO)
+    cfg = SimConfig(n_paths=4 * 2048, n_steps=32, seed=4)
+    calls = []
+    eval_drift = mc.eval_drift
+    monkeypatch.setattr(mc, "eval_drift", lambda *args: calls.append(1) or eval_drift(*args))
+    for workers in (1, 2):
+        calls.clear()
+        with pytest.raises(NumericalConditioningError, match="in block 0"):
+            bridge_mc_density(overflow, (0.5, 0.0), cfg, workers=workers)
+        assert 4 <= len(calls) <= 4 * 2 * workers
 
 
 def test_store_lookups_run_on_the_calling_thread(monkeypatch):
@@ -448,7 +471,7 @@ def test_blas_thread_count_is_one_inside_and_restored_after():
         bridge_mc_density(m, (0.1, 0.05), cfg, workers=1)
         assert get_threads() == 2
         bad = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 1.0, parse_drift("log(x + 0.2)"), ZERO)
-        with pytest.raises(DriftDomainError):
+        with pytest.raises(DriftDomainError), pytest.warns(RuntimeWarning, match="sample box"):
             simulate_forward(bad, SimConfig(n_paths=4 * 2048, n_steps=32, seed=4),
                              workers=2)
         assert get_threads() == 2
@@ -714,6 +737,16 @@ def test_kde_estimator_standard_normal_peak():
     est = estimate_density_at(ens, (0.0, 0.0), KdeEstimator(0.05, 0.05))
     peak = 1.0 / (2 * math.pi)
     assert abs(est.value - peak) <= 3.0 * est.std_err + 0.01 * peak
+
+
+def test_kde_at_a_far_point_is_zero_without_warnings():
+    # the squared distance to every terminal overflows to inf, so each kernel
+    # value is exp(-inf) = 0, and numpy's overflow warning stays inside
+    ens = PathEnsemble(terminal_x=np.array([1e300, 2e300]), terminal_y=np.zeros(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_density_at(ens, (0.0, 0.0), KdeEstimator(0.05, 0.05))
+    assert (est.value, est.std_err) == (0.0, 0.0)
 
 
 def test_drift_free_forward_agreement_endpoint_grid():
