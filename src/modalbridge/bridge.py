@@ -215,14 +215,12 @@ def _build_modal_coeffs(model: ModelSpec, grid: TimeGrid):
 
 def modal_path(model: ModelSpec, grid: TimeGrid, endpoint) -> ModalPath:
     """Modal (conditional mean) path from (x0, y0) to the given endpoint."""
-    x, y = float(endpoint[0]), float(endpoint[1])
+    dx, dy = model.displacement(endpoint)
     m11, m12, m21, m22 = modal_coeffs(model, grid)
-    dx = x - model.x0
-    dy = y - model.y0
     return ModalPath(
         grid=grid,
         m11=m11, m12=m12, m21=m21, m22=m22,
         x_path=model.x0 + m11 * dx + m12 * dy,
         y_path=model.y0 + m21 * dx + m22 * dy,
-        endpoint=(x, y),
+        endpoint=(float(endpoint[0]), float(endpoint[1])),
     )

@@ -154,6 +154,8 @@ def _require(block: dict, keys, where: str) -> None:
 def _model_from_config(cfg: dict) -> ModelSpec:
     if "model" not in cfg:
         raise ConfigError("config must contain a 'model' block")
+    if not isinstance(cfg["model"], dict):
+        raise ConfigError(f"model block must be a JSON object, got {cfg['model']!r}")
     try:
         return model_from_dict(cfg["model"])
     except (TypeError, ValueError) as exc:

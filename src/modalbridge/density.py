@@ -120,8 +120,7 @@ def drift_functionals(model: ModelSpec, path: ModalPath) -> DriftFunctionals:
 
 def _omega_parts(f: DriftFunctionals, model: ModelSpec, endpoint):
     int_bar_h1 = model.rho_bar * f.int_hat_h1 + model.rho * f.int_hat_h2
-    return _Scales(model).omega_parts(int_bar_h1, f.int_bar_h2,
-                                      endpoint[0] - model.x0, endpoint[1] - model.y0)
+    return _Scales(model).omega_parts(int_bar_h1, f.int_bar_h2, *model.displacement(endpoint))
 
 
 def omega_full(f: DriftFunctionals, model: ModelSpec, endpoint) -> float:
@@ -203,18 +202,18 @@ def approx_densities(model: ModelSpec, endpoints, n: int = 512) -> list:
     transformed drifts).  A drift that is not finite somewhere on an
     endpoint's modal path is a DriftDomainError naming the first such node.
 
-    The drift-class and H checks run on every call, warm or cold, before
-    the one store lookup; an invalid n fails in the entry's build, and a
-    build that raises stores nothing.
+    The drift-class and H checks and ModelSpec.displacement of each endpoint
+    run on every call, warm or cold, before the one store lookup; an invalid
+    n fails in the entry's build, and a build that raises stores nothing.
     """
     alpha = alpha_exponent(model)  # raises for General with H >= 3/4
     # omega needs no transformed drift, but it is only defined where they are
     _check_hurst_supported(model.hurst)
+    disp = [model.displacement(e) for e in endpoints]
     entry = _modal_entry(model, model.T, n)  # the one lookup; checks n on a miss
     coeffs, t, weights, scales = entry.matrix, entry.nodes, entry.weights, entry.scales
     norm, log_norm = scales.norm, scales.log_norm
     x0, y0 = model.x0, model.y0
-    disp = [(float(e[0]) - x0, float(e[1]) - y0) for e in endpoints]
     results = []
     for start in range(0, len(disp), _ENDPOINT_BLOCK):
         block = disp[start:start + _ENDPOINT_BLOCK]

@@ -515,6 +515,16 @@ class ModelSpec:
                     f"(H - 1/2, 1/2) = ({self.hurst.H - 0.5}, 0.5), got {g}"
                 )
 
+    def displacement(self, endpoint) -> tuple:
+        """(x - x0, y - y0) of the endpoint (x, y) as floats; a ValueError
+        naming the endpoint if either is not finite (a NaN endpoint, or one
+        too far from (x0, y0) for a float)."""
+        dx, dy = float(endpoint[0]) - self.x0, float(endpoint[1]) - self.y0
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            raise ValueError(f"endpoint ({endpoint[0]}, {endpoint[1]}) has no finite "
+                             f"displacement from (x0, y0) = ({self.x0}, {self.y0})")
+        return dx, dy
+
     @property
     def H(self) -> float:
         return self.hurst.H
@@ -534,10 +544,16 @@ class ModelSpec:
     @cached_property
     def _assumption_warnings(self) -> tuple:
         """The forward simulation's warnings for this model: the violations of
-        validate_assumptions, or one naming the DriftDomainError that ends the
-        check on its sample box.  The report depends only on the model, so it
-        is computed once per instance (kept in the instance's __dict__, outside
-        the fields, so equality and hashing are unchanged)."""
+        validate_assumptions, or one saying why the check was skipped: the
+        DriftDomainError that ends it, or a default sample box that floats
+        cannot hold (x0 + 15 sqrt(T) rounding to x0, say).  The report depends
+        only on the model, so it is computed once per instance (kept in the
+        instance's __dict__, outside the fields, so equality and hashing are
+        unchanged)."""
+        try:
+            _check_box(default_sample_box(self))
+        except ValueError as exc:
+            return (f"assumption check skipped, default {exc}",)
         try:
             return validate_assumptions(self).violations
         except DriftDomainError as exc:
@@ -613,6 +629,13 @@ def default_sample_box(model: ModelSpec):
     return ((model.x0 - rx, model.x0 + rx), (model.y0 - ry, model.y0 + ry))
 
 
+def _check_box(box) -> None:
+    """A ValueError unless the sample box ((x_lo, x_hi), (y_lo, y_hi)) is finite with lo < hi."""
+    (x_lo, x_hi), (y_lo, y_hi) = box
+    if not (np.isfinite([x_lo, x_hi, y_lo, y_hi]).all() and x_lo < x_hi and y_lo < y_hi):
+        raise ValueError(f"sample_box must be finite with lo < hi, got {box}")
+
+
 _ASSUMPTION_SAMPLES = 400  # points per sampled quotient, from a fixed stream
 
 
@@ -631,9 +654,8 @@ def validate_assumptions(model: ModelSpec, sample_box=None) -> AssumptionReport:
     """
     if sample_box is None:
         sample_box = default_sample_box(model)
+    _check_box(sample_box)
     (x_lo, x_hi), (y_lo, y_hi) = sample_box
-    if not (np.isfinite([x_lo, x_hi, y_lo, y_hi]).all() and x_lo < x_hi and y_lo < y_hi):
-        raise ValueError(f"sample_box must be finite with lo < hi, got {sample_box}")
     rng = np.random.Generator(np.random.Philox(key=0))
     ts = rng.uniform(0.0, model.T, _ASSUMPTION_SAMPLES)
     xs = rng.uniform(x_lo, x_hi, _ASSUMPTION_SAMPLES)

@@ -18,23 +18,23 @@ count; that coupled difference is the discretization-bias estimate.
 
 Both estimators run through one block runner.  A run with seed s is cut into
 row blocks of its estimator's own size, the last one taking the remainder:
-_FORWARD_BLOCK_ROWS paths for the forward, and fewer, _BRIDGE_BLOCK_ROWS,
-for the bridge, whose block's arrays all exist at once.  Block b draws its
-own numbers inside its pool task, from an SFC64 stream seeded by child b of
-the SeedSequence of s, SeedSequence(s, spawn_key=(b,)), numpy's way to make
-independent parallel streams: the bridge in one call, the forward in chunks
-of _NOISE_ROWS paths in row order, which read the stream exactly as one call
+_FORWARD_BLOCK_ROWS paths for the forward, and fewer, _BRIDGE_BLOCK_ROWS, for
+the bridge, whose block's arrays all exist at once.  Block b draws its own
+numbers inside its pool task, from an SFC64 stream seeded by child b of the
+SeedSequence of s, SeedSequence(s, spawn_key=(b,)), numpy's way to make
+independent parallel streams: the bridge in one call, the forward in chunks of
+_NOISE_ROWS paths in row order, which read the stream exactly as one call
 would.  A run small enough to be one block draws block 0's stream in one
-whole-run pass.  Each block returns its own results (the forward's terminal
-points, the bridge's centred weight sums), and the run joins them in block
-order, so the output depends on the fixed block partition but is
-bit-identical at any worker count.  Every block, at every worker count, runs
-on a pool thread with numpy's overflow and invalid warnings off and OpenBLAS
-on one thread, as the pool supplies the parallelism; a block whose results are
-not finite raises, naming its block, and the bridge also checks its merged
-sums.  Beyond the blocks only the forward's Cholesky factor is built with
-OpenBLAS pinned, as its bits depend on the thread count, so no output depends
-on OPENBLAS_NUM_THREADS.  The worker count is the ``workers`` argument, else
+whole-run pass.  The run takes each block's results (the forward's terminal
+points, the bridge's centred weight sums) in block order as they come, and
+holds only its output and the blocks in flight (else MemoryError).  So the
+output depends on the block partition, never on the worker count.  At every
+worker count each block runs on a pool thread with numpy's overflow and
+invalid warnings off and OpenBLAS on one thread; a block whose results are not
+finite raises, naming its block, and the bridge also checks its merged sums.
+Beyond the blocks only the forward's Cholesky factor is built with OpenBLAS
+pinned, as its bits depend on the thread count, so no output depends on
+OPENBLAS_NUM_THREADS.  The worker count is the ``workers`` argument, else
 MODALBRIDGE_THREADS, else the number of usable cores.
 """
 
@@ -74,7 +74,6 @@ __all__ = [
     "volterra_weight_matrix",
 ]
 
-_MAX_VALUES = 200_000_000  # n_steps * n_paths guard
 # paths per pool task, per estimator; each block draws its own substream, so
 # results depend on this fixed partition (never on the worker count)
 _FORWARD_BLOCK_ROWS = 2048
@@ -118,7 +117,7 @@ class SimConfig:
 
     Row block b draws from an SFC64 stream seeded by child b of the seed's
     SeedSequence, so the output is fixed by the seed and the block partition,
-    at any worker count.
+    at any worker count.  A run too large for memory raises MemoryError.
     """
 
     n_paths: int
@@ -132,11 +131,6 @@ class SimConfig:
             raise ValueError("n_steps must be >= 2")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.n_paths * self.n_steps > _MAX_VALUES:
-            raise ValueError(
-                f"n_paths * n_steps = {self.n_paths * self.n_steps} exceeds the "
-                f"memory budget guard {_MAX_VALUES}"
-            )
 
 
 @dataclass(frozen=True)
@@ -264,17 +258,18 @@ def _one_blas_thread():
                 set_threads(_blas_saved)
 
 
-def _run_blocks(config: SimConfig, block_rows: int, kernel, workers: Optional[int]) -> list:
-    """kernel(rng, rows) over the run's blocks of block_rows rows; the results in block order.
+def _run_blocks(config: SimConfig, block_rows: int, kernel, workers: Optional[int]):
+    """Yield kernel(rng, rows) over the run's blocks of block_rows rows, in block order.
 
     Each block gets its own generator (_block_rng) and draws its numbers in
     the kernel.  The calling thread submits the blocks in order to a pool of
-    one thread per worker, with at most 2 x workers blocks in flight; every
-    block runs on a pool thread with OpenBLAS on one thread and numpy's
-    overflow and invalid warnings off: a kernel raises on non-finite results.
-    Its DriftDomainError or NumericalConditioningError gets "in block b" added
-    and raises in block order after the pool has shut down, so it is the same
-    at any worker count; blocks not yet started by then never run.
+    one thread per worker, with at most 2 x workers blocks in flight and no
+    other result kept; every block runs on a pool thread with OpenBLAS (pinned
+    until the generator ends or closes) on one thread and numpy's overflow
+    and invalid warnings off: a kernel raises on non-finite results.  Its
+    DriftDomainError or NumericalConditioningError gets "in block b" added and
+    raises in block order after the pool has shut down, so it is the same at
+    any worker count; blocks not yet started then, or at a close, never run.
     """
     def task(b, rng, rows):
         try:
@@ -284,18 +279,17 @@ def _run_blocks(config: SimConfig, block_rows: int, kernel, workers: Optional[in
             raise type(exc)(f"{exc} in block {b}") from exc
 
     nw = _worker_count(workers)
-    done, pending = [], deque()
+    pending = deque()
     with _one_blas_thread():
         pool = ThreadPoolExecutor(max_workers=nw)
         try:
             for b, rows in enumerate(_row_counts(config.n_paths, block_rows)):
                 pending.append(pool.submit(task, b, _block_rng(config.seed, b), rows))
                 if len(pending) == 2 * nw:
-                    done.append(pending.popleft().result())
-            done.extend(future.result() for future in pending)
+                    yield pending.popleft().result()
+            yield from (future.result() for future in pending)
         finally:
             pool.shutdown(cancel_futures=True)
-    return done
 
 
 # -- forward simulation ----------------------------------------------------------
@@ -314,11 +308,12 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     block holds its noise and the normals of one chunk of _NOISE_ROWS paths);
     the drift integrals are left-point Euler sums added to it (the noise
     itself carries no discretization error).  A state-dependent drift's
-    :func:`validate_assumptions` violations, or its being undefined on the
-    report's sample box, are RuntimeWarnings on every call (the check runs
-    once per model) and never stop the run.  A block whose drift is undefined
-    on its paths raises DriftDomainError, and one whose terminal values are
-    not finite NumericalConditioningError, naming its block.
+    :func:`validate_assumptions` violations, or the report's being skipped,
+    are RuntimeWarnings on every call (the check runs once per model) and
+    never stop the run.  An output too large for memory raises MemoryError
+    before any drift is evaluated.  A block whose drift is undefined on its
+    paths raises DriftDomainError, and one whose terminal values are not
+    finite NumericalConditioningError, naming its block.
     """
     if model.drift_class is not DriftClass.TIME_ONLY:
         for v in model._assumption_warnings:  # checked once per model
@@ -358,9 +353,11 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
             raise NumericalConditioningError("forward paths overflow (non-finite terminal values)")
         return x.copy(), y.copy()  # rows of noise: copies let it go
 
+    xs, ys = np.empty(config.n_paths), np.empty(config.n_paths)
     factor = _forward_factor(grid, model)  # here, so pool tasks never look up the store
     blocks = _run_blocks(config, _FORWARD_BLOCK_ROWS, run_block, workers)
-    xs, ys = (np.concatenate([r[j] for r in blocks]) for j in (0, 1))
+    for lo, (x, y) in zip(range(0, config.n_paths, _FORWARD_BLOCK_ROWS), blocks):
+        xs[lo:lo + len(x)], ys[lo:lo + len(x)] = x, y  # the last block takes the remainder
     return PathEnsemble(terminal_x=xs, terminal_y=ys)
 
 
@@ -527,17 +524,19 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
     levels, so a block in flight holds about 4 MB at n = 256.  Each block
     returns its row count, the mean of its w, the sum of squares of w about
     that mean and the sum of its half-grid w, each a pairwise sum over the
-    block's own arrays; the run merges them in block order by the pairwise
-    update of Chan, Golub & LeVeque (1983), so the variance never comes from
-    the cancelling difference of raw sums.  A block whose sums are not finite
-    raises NumericalConditioningError naming it; non-finite merged sums too.
+    block's own arrays; the run merges them as they come, in block order, by
+    the pairwise update of Chan, Golub & LeVeque (1983), so the variance never
+    comes from the cancelling difference of raw sums.  A block whose sums are
+    not finite raises NumericalConditioningError naming it; non-finite merged
+    sums too.  The endpoint is read first, by ModelSpec.displacement.
     """
+    dx, dy = model.displacement(endpoint)
     n = config.n_steps
     nc = n // 2
     if nc < 2:
         raise ValueError(f"bridge needs n_steps >= 4 for its half grid, got {n}")
     fine, coarse = _bridge_level(model, n), _bridge_level(model, nc)
-    v = np.array([endpoint[0] - model.x0, endpoint[1] - model.y0])
+    v = np.array([dx, dy])
 
     def run_block(rng, m):
         incr = rng.standard_normal((m, 2 * n))
@@ -552,8 +551,8 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
         return (m, *_finite_sums(mean, float(np.square(w - mean).sum()), float(wc.sum())))
 
     count, mean, m2, sc = 0, 0.0, 0.0, 0.0
-    blocks = _run_blocks(config, _BRIDGE_BLOCK_ROWS, run_block, workers)
-    for m, block_mean, block_m2, block_sc in blocks:
+    for m, block_mean, block_m2, block_sc in _run_blocks(config, _BRIDGE_BLOCK_ROWS,
+                                                         run_block, workers):
         # Chan, Golub & LeVeque's pairwise update of the count, mean and centred sum
         total = count + m
         delta = block_mean - mean
@@ -562,7 +561,7 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
         count, sc = total, sc + block_sc
     _finite_sums(mean, m2, sc)  # finite blocks can still overflow when merged
     var = m2 / max(count - 1, 1)
-    phi = gaussian_prefactor(endpoint[0] - model.x0, endpoint[1] - model.y0, model)
+    phi = gaussian_prefactor(dx, dy, model)
     return BridgeDensityEstimate(value=phi * mean, std_err=phi * math.sqrt(var / count),
                                  n_effective=count,
                                  discretization_bias=phi * abs(mean - sc / count))

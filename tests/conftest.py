@@ -13,6 +13,11 @@ with one twelve-point weight call per node interval, that ran before each
 kind of panel was built from one weight call; the profile tests compare the
 tables of the two bit for bit.
 
+``_blas_pin_released`` fails any test that ends with the Monte Carlo block
+runner's process-wide OpenBLAS pin still held: the runner holds it across its
+yields, so a caller that left one open would keep OpenBLAS on one thread for
+the rest of the process.
+
 ``kernel_partial_integral_quad`` (QUADPACK QAWS), ``hyp2f1_series`` with its
 ``PrecisionPolicy``, and ``pair_fractions`` are independent oracles for the
 kernel integrals, the 2F1 route and the product-integration tables; the
@@ -27,6 +32,7 @@ import pytest
 from numpy.polynomial import chebyshev as _cheb
 from scipy.integrate import quad
 
+from modalbridge import mc
 from modalbridge.driftspec import BinOp, Call, DriftDomainError, Neg, Num, Var, _bad_example
 from modalbridge.fraccalc import (_derivative_by_differencing, _marchaud_tail, _psi_profile,
                                   _rl_apply)
@@ -187,6 +193,12 @@ def _reference_invert_KH(h, hurst, integrand=None):
     out[1:] = (a_part[1:] + b_part[1:]) / (norm * gamma_fn(1.5 - H))
     out[0] = 2.0 * out[1] - out[2]
     return out
+
+
+@pytest.fixture(autouse=True)
+def _blas_pin_released():
+    yield
+    assert mc._blas_users == 0, "the test left the OpenBLAS pin of a block runner held"
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -183,16 +184,55 @@ def test_unknown_config_key_exits_2(tmp_path):
      "config error: not enough memory"),
     ("modal-path", {"modal_path": {"n": 10 ** 12, "endpoint": [0.1, 0.0]}}, "0.2",
      "config error: not enough memory"),
+    ("simulate", {"simulate": {"n_paths": 2 ** 45, "n_steps": 8, "point": [0.1, 0.2],
+                               "estimator": {"type": "bin", "width_x": 0.1, "width_y": 0.1}}},
+     "0.2", "config error: not enough memory"),
+    ("bridge-mc", {"bridge_mc": {"n_paths": 100, "n_steps": 10 ** 12, "endpoint": [0.1, 0.2]}},
+     "0.2", "config error: not enough memory"),
 ])
 def test_deep_drift_or_grid_beyond_memory_exits_2_and_writes_nothing(
         tmp_path, capsys, command, block, h1, message):
-    # 10**12 steps need 16 TB: the allocation fails at once, never granted
+    # 10**12 steps need 16 TB, and 2**45 paths two 256 TiB terminal arrays:
+    # the allocation fails at once, never granted
     cfg = write_config(tmp_path, {"model": dict(MODEL, h1=h1), **block})
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,block", [
+    ("modal-path", {"modal_path": {"n": 16, "endpoint": [1e308, 0.0]}}),
+    ("density", {"density": {"n": 16, "endpoints": [[0.1, 0.0], [1e308, 0.0]]}}),
+    ("bridge-mc", {"bridge_mc": {"n_paths": 512, "n_steps": 8, "endpoint": [1e308, 0.0]}}),
+])
+def test_endpoint_without_a_finite_displacement_exits_2_and_writes_nothing(
+        tmp_path, capsys, command, block):
+    # 1e308 - (-1e308) is inf: the endpoint is refused, naming it, before any
+    # work, where modal-path wrote NaN rows and density and bridge-mc exited 3
+    cfg = write_config(tmp_path, {"model": dict(MODEL, x0=-1e308), **block})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: endpoint (1e+308, 0.0) has no finite displacement" in err
+    assert not out.exists()
+
+
+def test_simulate_runs_past_a_sample_box_that_floats_cannot_hold(tmp_path, capsys):
+    # x0 + 15 sqrt(T) rounds to x0 = 1e20: the assumption check is skipped
+    # with one warning, and the run writes its estimate: every path ends within
+    # the bin about x0 (1 + 0.1 T)
+    model = dict(MODEL, x0=1e20, T=1e-10, h1="0.1*x")
+    cfg = write_config(tmp_path, {"model": model, "simulate": {
+        "n_paths": 512, "n_steps": 8, "point": [1.00000000001e20, 0.0],
+        "estimator": {"type": "bin", "width_x": 1e6, "width_y": 0.1}}})
+    with pytest.warns(RuntimeWarning, match="assumption check skipped"):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "simulate.json").read_text())
+    assert payload["n_paths"] == 512 and payload["estimate"] == pytest.approx(1e-5)
 
 
 def test_malformed_drift_exits_2(tmp_path):
@@ -236,12 +276,15 @@ def test_point_that_is_not_a_pair_exits_2(tmp_path, command, block):
     ("bridge-mc", {"model": MODEL, "bridge_mc": 5}),
     ("simulate", {"model": MODEL, "simulate": {"n_paths": 100, "n_steps": 8,
                                                "point": [0.1, 0.2], "estimator": 3}}),
+    ("density", {"model": [1, 2], "density": {"endpoints": [[0.1, 0.2]]}}),
+    ("density", {"model": 5, "density": {"endpoints": [[0.1, 0.2]]}}),
 ])
 def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, command, block):
     cfg = write_config(tmp_path, block)
     proc = run_cli([command, "--config", cfg])
     assert proc.returncode == 2
     assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert " must be a " in proc.stderr  # the block or value names the type it needs
 
 
 _BRIDGE = {"n_paths": 100, "n_steps": 8, "endpoint": [0.1, 0.2]}

@@ -416,6 +416,24 @@ def test_nonfinite_drift_names_the_endpoint_in_a_list():
     assert str(reference.value) == str(single.value)
 
 
+def test_endpoint_without_a_finite_displacement_is_refused_naming_it():
+    # 1e308 - (-1e308) is inf, and a NaN endpoint has a NaN displacement: the
+    # modal path, the batched density and omega refuse both, naming the
+    # endpoint, where they gave NaN and inf paths or blamed a drift
+    far = ModelSpec(Hurst(0.3), 0.5, -1e308, 0.0, 0.5, parse_drift("0.2"), parse_drift("-0.1"))
+    grid = TimeGrid(far.T, 16)
+    f = drift_functionals(far, modal_path(far, grid, (0.0, 0.0)))
+    for model, endpoint in ((far, (1e308, 0.0)), (far, (0.0, -math.inf)),
+                            (make_model("0.2", "-0.1"), (math.nan, 0.0))):
+        for run in (lambda: modal_path(model, grid, endpoint),
+                    lambda: approx_density(model, endpoint, 16),
+                    lambda: approx_densities(model, [(0.0, 0.0), endpoint], 16),
+                    lambda: omega_full(f, model, endpoint),
+                    lambda: omega_1(f, model, endpoint)):
+            with pytest.raises(ValueError, match="endpoint .* has no finite displacement"):
+                run()
+
+
 def test_density_does_not_depend_on_openblas_threads():
     from modalbridge import mc
 

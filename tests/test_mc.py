@@ -41,8 +41,8 @@ def test_sim_config_validation():
         SimConfig(n_paths=0, n_steps=8, seed=1)
     with pytest.raises(ValueError):
         SimConfig(n_paths=10, n_steps=1, seed=1)
-    with pytest.raises(ValueError):
-        SimConfig(n_paths=10 ** 9, n_steps=1000, seed=1)
+    # no product of the fields is bounded: a run too large for memory raises MemoryError
+    assert SimConfig(n_paths=10 ** 6, n_steps=256, seed=1).n_paths == 10 ** 6
     # the seed alone keys the streams: no other field partitions the paths
     assert [f.name for f in dataclasses.fields(SimConfig)] == ["n_paths", "n_steps", "seed"]
 
@@ -87,7 +87,7 @@ def test_block_streams_are_sfc64_children_of_the_seed_sequence():
             assert np.array_equal(rng.standard_normal(16), _stream(seed, b).standard_normal(16))
     # the largest seed runs, and blocks 0 and 1 draw different first rows
     cfg = SimConfig(n_paths=2 * 2048, n_steps=4, seed=2 ** 64 - 1)
-    rows = _run_blocks(cfg, 2048, lambda rng, m: rng.standard_normal(8), 1)
+    rows = list(_run_blocks(cfg, 2048, lambda rng, m: rng.standard_normal(8), 1))
     assert len(rows) == 2 and not np.array_equal(rows[0], rows[1])
 
 
@@ -112,7 +112,7 @@ def test_block_runner_keeps_order_and_bounds_blocks_in_flight(monkeypatch):
             return index[rng], rng.standard_normal(), rows
 
         monkeypatch.setattr(mc, "_block_rng", counting_rng)
-        out = _run_blocks(cfg, 2048, kernel, workers)
+        out = list(_run_blocks(cfg, 2048, kernel, workers))
         assert [(b, r) for b, _, r in out] == [(b, 2048) for b in range(20)]
         # block b draws from SFC64 seeded by child b of the seed's SeedSequence
         assert [z for _, z, _ in out] == [_stream(9, b).standard_normal() for b in range(20)]
@@ -372,6 +372,65 @@ def test_forward_block_working_set_is_bounded():
     assert peak <= 1.5 * (2 * n * 2048 * 8)
 
 
+def test_forward_holds_its_output_and_the_blocks_in_flight():
+    # the output, two float64 terminals per path (4.19 MB at 262144 paths), is
+    # allocated before the first block and each block's terminals are copied
+    # into it; joining the blocks' copies at the end held both, twice the output
+    m = _state_model(0.3)
+    simulate_forward(m, SimConfig(16, 4, 3), workers=1)
+    cfg = SimConfig(262144, 4, 3)
+    peak = _traced_peak(lambda: simulate_forward(m, cfg, workers=1))
+    assert peak <= 1.25 * (2 * cfg.n_paths * 8)
+
+
+def test_bridge_memory_does_not_grow_with_its_paths():
+    # each block's sums are merged as they come: 8 times the paths add no
+    # memory, where keeping one tuple of sums per block added 0.20 MB
+    m = _state_model(0.3)
+
+    def run(paths):
+        return bridge_mc_density(m, (0.1, 0.05), SimConfig(paths, 4, 3), workers=1)
+
+    run(16)
+    small, large = _traced_peak(lambda: run(50_000)), _traced_peak(lambda: run(400_000))
+    assert large - small <= 0.05e6
+
+
+def test_forward_output_beyond_memory_raises_before_any_drift(monkeypatch):
+    # 2**45 paths need two 256 TiB terminal arrays, beyond the 47-bit user
+    # address space and any memory: the output is allocated first, so the
+    # allocation fails before a block evaluates a drift
+    calls = []
+    eval_drift = mc.eval_drift
+    monkeypatch.setattr(mc, "eval_drift", lambda *args: calls.append(1) or eval_drift(*args))
+    with pytest.raises(MemoryError):
+        simulate_forward(zero_model(0.3, 0.4), SimConfig(2 ** 45, 16, 1), workers=1)
+    assert calls == []
+
+
+def test_leaving_the_block_runner_early_unpins_blas_and_runs_no_more_blocks():
+    # the runner yields its results; leaving it after the first closes it,
+    # which shuts the pool down (blocks beyond those in flight never run) and
+    # releases the process-wide OpenBLAS pin
+    cfg = SimConfig(n_paths=20 * 2048, n_steps=2, seed=9)
+    baseline = threading.active_count()
+    pinned = 1 if mc._openblas_threads() else 0
+    for workers in (1, 2):
+        ran = []
+
+        def kernel(rng, rows):
+            time.sleep(0.002)
+            ran.append(rows)
+            return rows
+
+        for rows in _run_blocks(cfg, 2048, kernel, workers):
+            assert rows == 2048 and mc._blas_users == pinned
+            break
+        assert mc._blas_users == 0
+        assert 1 <= len(ran) <= 2 * workers
+        assert threading.active_count() == baseline
+
+
 def test_block_error_is_the_same_at_any_worker_count():
     # log(x + 0.2) fails once a path passes below -0.2, and forward paths under
     # 50 x^2 + 1 overflow, in every block at its own step: the error raised
@@ -554,7 +613,7 @@ def test_blocks_run_on_one_blas_thread_at_any_worker_count():
     try:
         cfg = SimConfig(n_paths=2 * 2048, n_steps=2, seed=0)
         for workers in (1, 2):
-            _run_blocks(cfg, 2048, lambda rng, rows: seen.append(get_threads()), workers)
+            list(_run_blocks(cfg, 2048, lambda rng, rows: seen.append(get_threads()), workers))
             assert get_threads() == 2
         assert seen == [1, 1, 1, 1]
         m = _state_model(0.3)
@@ -635,6 +694,37 @@ def test_forward_runs_past_a_drift_undefined_on_the_check_box():
     assert ens.n_paths == 4096 and np.isfinite(ens.terminal_x).all()
     assert len(messages) == 1
     assert "assumption check skipped" in messages[0] and "sqrt of negative" in messages[0]
+
+
+def test_forward_runs_past_a_sample_box_that_floats_cannot_hold():
+    # x0 +- 15 sqrt(T) rounds to x0: the report cannot sample the model's own
+    # box, so one warning says why, and the run goes on (at x0 = 1.7e308 its
+    # paths then overflow); a box a caller passes is still checked
+    m = ModelSpec(Hurst(0.3), 0.3, 1e20, 0.0, 1e-10, parse_drift("0.1*x"), ZERO)
+    ens, messages = _forward_warnings(m, SimConfig(n_paths=2048, n_steps=16, seed=1))
+    assert ens.n_paths == 2048 and np.isfinite(ens.terminal_x).all()
+    assert len(messages) == 1
+    assert "assumption check skipped" in messages[0] and "lo < hi" in messages[0]
+    top = ModelSpec(Hurst(0.3), 0.3, 1.7e308, 0.0, 1.0, parse_drift("0.1*x"), ZERO)
+    with pytest.warns(RuntimeWarning, match="assumption check skipped"), \
+            pytest.raises(NumericalConditioningError, match="overflow"):
+        simulate_forward(top, SimConfig(n_paths=2048, n_steps=16, seed=1))
+    with pytest.raises(ValueError, match="lo < hi"):
+        validate_assumptions(m)
+
+
+def test_bridge_refuses_an_endpoint_without_a_finite_displacement(monkeypatch):
+    # 1e308 - (-1e308) is inf: the endpoint is refused, naming it, before any
+    # drift is evaluated; a NaN endpoint too
+    far = ModelSpec(Hurst(0.3), 0.5, -1e308, 0.0, 0.5, parse_drift("0.2*x"), ZERO)
+    calls = []
+    eval_drift = mc.eval_drift
+    monkeypatch.setattr(mc, "eval_drift", lambda *args: calls.append(1) or eval_drift(*args))
+    with pytest.raises(ValueError, match=r"endpoint \(1e\+308, 0\.0\)"):
+        bridge_mc_density(far, (1e308, 0.0), SimConfig(512, 8, 1), workers=1)
+    with pytest.raises(ValueError, match="endpoint"):
+        bridge_mc_density(zero_model(0.3, 0.4), (math.nan, 0.0), SimConfig(512, 8, 1))
+    assert calls == []
 
 
 def test_forward_relays_the_report_for_a_linear_drift():
