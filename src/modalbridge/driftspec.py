@@ -544,12 +544,12 @@ class ModelSpec:
     @cached_property
     def _assumption_warnings(self) -> tuple:
         """The forward simulation's warnings for this model: the violations of
-        validate_assumptions, or one saying why the check was skipped: the
-        DriftDomainError that ends it, or a default sample box that floats
-        cannot hold (x0 + 15 sqrt(T) rounding to x0, say).  The report depends
-        only on the model, so it is computed once per instance (kept in the
-        instance's __dict__, outside the fields, so equality and hashing are
-        unchanged)."""
+        validate_assumptions, or one saying why the check was skipped: a drift
+        undefined at every sample (its DriftDomainError), or a default sample
+        box that floats cannot hold (x0 + 15 sqrt(T) rounding to x0, say).  The
+        report depends only on the model, so it is computed once per instance
+        (kept in the instance's __dict__, outside the fields, so equality and
+        hashing are unchanged)."""
         try:
             _check_box(default_sample_box(self))
         except ValueError as exc:
@@ -639,6 +639,28 @@ def _check_box(box) -> None:
 _ASSUMPTION_SAMPLES = 400  # points per sampled quotient, from a fixed stream
 
 
+def _where_defined(drifts, t, x, y, tally: list) -> tuple:
+    """The drifts' values at the points (t, x, y) and the mask of the points
+    where every one is defined, by one vectorised call per drift or, when one
+    fails, point by point.  tally holds the points evaluated, those undefined
+    and the first DriftDomainError, and is updated."""
+    tally[0] += len(x)
+    try:
+        return [eval_drift(h, t, x, y) for h in drifts], np.ones(len(x), dtype=bool)
+    except DriftDomainError as exc:
+        if tally[2] is None:  # kept without the frames of its traceback
+            tally[2] = exc.with_traceback(None)
+    values = np.zeros((len(drifts), len(x)))
+    defined = np.ones(len(x), dtype=bool)
+    for i in range(len(x)):
+        try:
+            values[:, i] = [eval_drift(h, t[i], x[i], y[i]) for h in drifts]
+        except DriftDomainError:
+            defined[i] = False
+    tally[1] += len(x) - np.count_nonzero(defined)
+    return list(values), defined
+
+
 @np.errstate(all="ignore")  # a sample's overflow is a quotient's inf or nan, never an error
 def validate_assumptions(model: ModelSpec, sample_box=None) -> AssumptionReport:
     """Estimate the Lipschitz / linear-growth constants by sampled quotients.
@@ -647,10 +669,12 @@ def validate_assumptions(model: ModelSpec, sample_box=None) -> AssumptionReport:
     reported as warnings and never rejected.  A Lipschitz quotient that keeps
     growing as the probe spacing shrinks (e.g. sqrt-type drifts) is flagged,
     as is T at or beyond the contraction horizon 1/(2 L), and (for H > 1/2)
-    a sampled t-Hoelder quotient of h2 exceeding the declared envelope.  A
-    drift undefined somewhere on the sample box raises DriftDomainError; any
-    other floating-point error on the way neither raises nor warns, whatever
-    the caller's numpy error state.
+    a sampled t-Hoelder quotient of h2 exceeding the declared envelope.  The
+    samples and probes where a drift is undefined are left out, and the first
+    violation says how many of how many points that dropped, with the first
+    drift error; a drift undefined at every sample raises that
+    DriftDomainError.  Any other floating-point error on the way neither
+    raises nor warns, whatever the caller's numpy error state.
     """
     if sample_box is None:
         sample_box = default_sample_box(model)
@@ -661,6 +685,11 @@ def validate_assumptions(model: ModelSpec, sample_box=None) -> AssumptionReport:
     xs = rng.uniform(x_lo, x_hi, _ASSUMPTION_SAMPLES)
     ys = rng.uniform(y_lo, y_hi, _ASSUMPTION_SAMPLES)
     violations = []
+    tally = [0, 0, None]  # points evaluated, points undefined, first drift error
+    (g1, g2), keep = _where_defined((model.h1, model.h2), ts, xs, ys, tally)
+    if not keep.any():
+        raise tally[2]
+    ts, xs, ys, g1, g2 = ts[keep], xs[keep], ys[keep], g1[keep], g2[keep]
 
     # Lipschitz quotients at a ladder of spacings; growth under refinement is a
     # warning.  Each finer level re-probes around the worst points of the
@@ -672,17 +701,19 @@ def validate_assumptions(model: ModelSpec, sample_box=None) -> AssumptionReport:
     for d in spacings:
         dx = rng.uniform(-d, d, len(px))
         dy = rng.uniform(-d, d, len(px))
+        v0s, ok0 = _where_defined((model.h1, model.h2), pt, px, py, tally)
+        v1s, ok1 = _where_defined((model.h1, model.h2), pt, np.clip(px + dx, x_lo, x_hi),
+                                  np.clip(py + dy, y_lo, y_hi), tally)
+        keep = ok0 & ok1
+        px, py, pt, dx, dy = px[keep], py[keep], pt[keep], dx[keep], dy[keep]
         denom = np.abs(dx) + np.abs(dy)
         worst = 0.0
         worst_q = None
-        for h in (model.h1, model.h2):
-            v0 = np.asarray(eval_drift(h, pt, px, py))
-            v1 = np.asarray(eval_drift(h, pt, np.clip(px + dx, x_lo, x_hi),
-                                       np.clip(py + dy, y_lo, y_hi)))
-            q = np.nan_to_num(np.abs(v1 - v0) / denom)
-            if worst_q is None or q.max() > worst_q.max():
+        for v0, v1 in zip(v0s, v1s):
+            q = np.nan_to_num(np.abs(v1[keep] - v0[keep]) / denom)
+            if worst_q is None or q.max(initial=0.0) > worst_q.max(initial=0.0):
                 worst_q = q
-            worst = max(worst, float(q.max()))
+            worst = max(worst, float(q.max(initial=0.0)))
         ladder.append(worst)
         # children of the worst points, perturbed at the current scale
         top = np.argsort(worst_q)[-max(8, len(px) // 10):]
@@ -702,9 +733,8 @@ def validate_assumptions(model: ModelSpec, sample_box=None) -> AssumptionReport:
         )
 
     growth = 0.0
-    for h in (model.h1, model.h2):
-        vals = np.abs(np.asarray(eval_drift(h, ts, xs, ys)))
-        growth = max(growth, float(np.max(vals / (1.0 + np.abs(xs) + np.abs(ys)))))
+    for vals in (g1, g2):
+        growth = max(growth, float(np.max(np.abs(vals) / (1.0 + np.abs(xs) + np.abs(ys)))))
 
     horizon = math.inf if lipschitz == 0.0 else 1.0 / (2.0 * lipschitz)
     if model.T >= horizon:
@@ -720,9 +750,9 @@ def validate_assumptions(model: ModelSpec, sample_box=None) -> AssumptionReport:
         base = None
         for d in dts:
             t2 = np.clip(ts + d, 0.0, model.T)
-            v0 = np.asarray(eval_drift(model.h2, ts, xs, ys))
-            v1 = np.asarray(eval_drift(model.h2, t2, xs, ys))
-            q = float(np.max(np.abs(v1 - v0) / np.maximum(t2 - ts, 1e-300) ** gma))
+            (v1,), ok = _where_defined((model.h2,), t2, xs, ys, tally)
+            q = float(np.max(np.abs(v1[ok] - g2[ok]) / np.maximum(t2[ok] - ts[ok], 1e-300) ** gma,
+                             initial=0.0))
             if base is None:
                 base = q
             worst_ratio = max(worst_ratio, q)
@@ -732,6 +762,10 @@ def validate_assumptions(model: ModelSpec, sample_box=None) -> AssumptionReport:
                 f"refinement (up to {worst_ratio:.3g}); the declared exponent may be too large"
             )
 
+    points, undefined, first = tally
+    if undefined:
+        violations.insert(0, f"drift undefined at {undefined} of {points} points sampled in "
+                             f"its sample box, which the estimates leave out (first: {first})")
     return AssumptionReport(
         lipschitz_estimate=lipschitz,
         linear_growth_estimate=growth,

@@ -276,14 +276,16 @@ def volterra_weight_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:
     Applied to N(0, dt) increments of the driving Brownian motion these weights
     reproduce the exact cross-covariance with B at the nodes.  By homogeneity
     the entry is t_i^(H+1/2) / dt times the profile's M0 increment between the
-    fractions j/i and (j+1)/i.
+    fractions j/i and (j+1)/i.  W is read-only and stored per (H, T, n): the
+    bridge levels and the forward factor's covariance share one per grid.
     """
-    n = grid.n
-    if hurst.is_brownian:
-        return np.tril(np.ones((n, n)))
-    d0 = moment_increments(kernel_profile(hurst).moment0, 1, n + 1)
-    t = grid.nodes[1:, None]
-    return t ** (hurst.H + 0.5) * d0[:, 1:-1] / grid.dt
+    def build():
+        n = grid.n
+        if hurst.is_brownian:
+            return np.tril(np.ones((n, n)))
+        d0 = moment_increments(kernel_profile(hurst).moment0, 1, n + 1)
+        return grid.nodes[1:, None] ** (hurst.H + 0.5) * d0[:, 1:-1] / grid.dt
+    return opcache.get("volterra", (hurst.H, grid.T, grid.n), build)
 
 
 def joint_cov_matrix(grid: TimeGrid, hurst: Hurst) -> np.ndarray:

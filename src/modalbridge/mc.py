@@ -14,7 +14,8 @@ log_weights applies the inverse kernel transform to the sampled drift
 integrand and returns the Girsanov exponents; their mean exponential times
 the Gaussian prefactor estimates the exact joint density.  The same noise,
 summed over adjacent step pairs, also runs on the grid of half the step
-count; that coupled difference is the discretization-bias estimate.
+count; that coupled difference is the discretization-bias estimate.  Each call
+builds its levels, views of the stored Volterra weights and inverse transform.
 
 Both estimators run through one block runner.  A run with seed s is cut into
 row blocks of its estimator's own size, the last one taking the remainder:
@@ -44,6 +45,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import operator
 import os
 import threading
 import warnings
@@ -117,7 +119,9 @@ class SimConfig:
 
     Row block b draws from an SFC64 stream seeded by child b of the seed's
     SeedSequence, so the output is fixed by the seed and the block partition,
-    at any worker count.  A run too large for memory raises MemoryError.
+    at any worker count.  Each field is an integer (a numpy one too, kept as
+    an int; a bool or a float is a ValueError naming it).  A run too large
+    for memory raises MemoryError.
     """
 
     n_paths: int
@@ -125,6 +129,14 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("n_paths", "n_steps", "seed"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.n_steps < 2:
@@ -356,7 +368,8 @@ def simulate_forward(model: ModelSpec, config: SimConfig,
     xs, ys = np.empty(config.n_paths), np.empty(config.n_paths)
     factor = _forward_factor(grid, model)  # here, so pool tasks never look up the store
     blocks = _run_blocks(config, _FORWARD_BLOCK_ROWS, run_block, workers)
-    for lo, (x, y) in zip(range(0, config.n_paths, _FORWARD_BLOCK_ROWS), blocks):
+    # blocks first, so zip runs the runner to its end, which unpins OpenBLAS at once
+    for (x, y), lo in zip(blocks, range(0, config.n_paths, _FORWARD_BLOCK_ROWS)):
         xs[lo:lo + len(x)], ys[lo:lo + len(x)] = x, y  # the last block takes the remainder
     return PathEnsemble(terminal_x=xs, terminal_y=ys)
 
@@ -418,13 +431,13 @@ def estimate_density_at(ensemble: PathEnsemble, point, estimator: Estimator) -> 
 # -- bridge-measure estimator ---------------------------------------------------------
 
 class _BridgeLevel:
-    """The bridge estimator's operators on one grid of n steps, read-only once stored.
+    """The bridge estimator's read-only operators on one grid of n steps.
 
     Before conditioning, the 2n increments [dB, dW] are iid N(0, dt).  The
     terminal point imposes two linear constraints a @ incr = v, with rows
     [rho, rho_bar] (for X_T) and [w_last, 0] (for Y_T, Volterra weights).
-    The operators depend on (H, rho, T, n) only, so one level serves every
-    drift and start point, and the pool's threads share it.  Its stages:
+    Each call builds its own levels, which its pool threads share, read-only:
+    w_full and inv_op_t view the stored W and inverse transform.  Its stages:
     condition pins the rows of incr in place, the only stage that writes its
     input; paths reads them into new arrays x and y; log_weights reads them,
     drops its paths before the inverse transform and returns the exponents.
@@ -439,8 +452,8 @@ class _BridgeLevel:
         self.a[0, :n], self.a[0, n:] = model.rho, model.rho_bar
         self.a[1, :n] = self.w_full[-1]
         self.g_inv = np.linalg.inv(self.a @ self.a.T)
-        self.inv_op_t = np.ascontiguousarray(
-            inverse_operator_matrix(self.grid, model.hurst)[:n].T)
+        self.a.flags.writeable = self.g_inv.flags.writeable = False
+        self.inv_op_t = inverse_operator_matrix(self.grid, model.hurst)[:n].T
 
     def condition(self, incr: np.ndarray, v: np.ndarray) -> None:
         """Pathwise (Matheron) conditioning in place: a row s ~ N(0, dt I) maps to
@@ -500,11 +513,6 @@ class _BridgeLevel:
         return np.exp(self.log_weights(model, incr))
 
 
-def _bridge_level(model: ModelSpec, n: int) -> _BridgeLevel:
-    return opcache.get("bridge_level", (model.H, model.rho, model.T, n),
-                        lambda: _BridgeLevel(model, n))
-
-
 def _finite_sums(*sums) -> tuple:
     """sums, or NumericalConditioningError if one of these weight sums is not finite."""
     if not all(map(math.isfinite, sums)):
@@ -535,7 +543,7 @@ def bridge_mc_density(model: ModelSpec, endpoint, config: SimConfig,
     nc = n // 2
     if nc < 2:
         raise ValueError(f"bridge needs n_steps >= 4 for its half grid, got {n}")
-    fine, coarse = _bridge_level(model, n), _bridge_level(model, nc)
+    fine, coarse = _BridgeLevel(model, n), _BridgeLevel(model, nc)
     v = np.array([dx, dy])
 
     def run_block(rng, m):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import sys
 import threading
 
@@ -463,6 +464,20 @@ def test_linear_drift_lipschitz_estimate():
 def test_sqrt_drift_triggers_refinement_warning():
     r = validate_assumptions(model("1", "sqrt(abs(y))", T=0.1), ((-1, 1), (-1, 1)))
     assert any("spacing shrinks" in v for v in r.violations)
+
+
+def test_report_leaves_out_the_points_where_a_drift_is_undefined():
+    # sqrt(x + 1) is undefined below -1 on the default box, x in (-1.5, 1.5):
+    # the report estimates on the other points, and its first line says how
+    # many it left out; a drift undefined at every sample still raises
+    r = validate_assumptions(model("sqrt(x + 1)", "0", T=0.01))
+    assert all(math.isfinite(v) and v > 0.0 for v in
+               (r.lipschitz_estimate, r.linear_growth_estimate, r.contraction_horizon))
+    assert re.fullmatch(r"drift undefined at [1-9]\d* of \d+ points sampled in its sample box, "
+                        r"which the estimates leave out \(first: sqrt of negative value .+\)",
+                        r.violations[0])
+    with pytest.raises(DriftDomainError, match="log of nonpositive"):
+        validate_assumptions(model("log(-1 - x*x)", "0", T=0.01))
 
 
 def test_horizon_warning():

@@ -47,6 +47,23 @@ def test_sim_config_validation():
     assert [f.name for f in dataclasses.fields(SimConfig)] == ["n_paths", "n_steps", "seed"]
 
 
+@pytest.mark.parametrize("field, value", [("n_paths", 1e6), ("n_steps", 16.0),
+                                          ("seed", 1.5), ("n_paths", True)])
+def test_sim_config_refuses_a_field_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        SimConfig(**{"n_paths": 300, "n_steps": 16, "seed": 1, field: value})
+
+
+def test_sim_config_reads_numpy_integers_as_ints():
+    m = _state_model(0.3)
+    cfg = SimConfig(n_paths=np.int64(300), n_steps=np.int64(16), seed=np.uint64(3))
+    assert cfg == SimConfig(300, 16, 3) and type(cfg.n_paths) is int
+    assert bridge_mc_density(m, (0.1, 0.05), cfg) == bridge_mc_density(m, (0.1, 0.05),
+                                                                        SimConfig(300, 16, 3))
+    assert np.array_equal(simulate_forward(m, cfg).terminal_x,
+                          simulate_forward(m, SimConfig(300, 16, 3)).terminal_x)
+
+
 def test_density_estimate_rejects_nan():
     with pytest.raises(ValueError):
         DensityEstimate(float("nan"), 0.1, 10)
@@ -447,7 +464,7 @@ def test_block_error_is_the_same_at_any_worker_count():
     baseline = threading.active_count()
     for error, run, labels, warning in (
             (DriftDomainError, lambda w: simulate_forward(m, cfg, workers=w), ("in block 0",),
-             "drift undefined on its sample box"),
+             "points sampled in its sample box|Lipschitz quotient grows|contraction horizon"),
             (DriftDomainError, lambda w: bridge_mc_density(m, (-0.1, 0.0), cfg, workers=w),
              ("in block 0",), None),
             (NumericalConditioningError,
@@ -499,7 +516,7 @@ def test_store_lookups_run_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(opcache, "get", recording)
     bridge_mc_density(m, (0.1, 0.05), cfg, workers=2)
     simulate_forward(m, cfg, workers=2)
-    assert {p for p, _ in lookups} >= {"bridge_level", "forward_factor", "nodes"}
+    assert {p for p, _ in lookups} >= {"volterra", "inverse_operator", "forward_factor", "nodes"}
     assert {ident for _, ident in lookups} == {threading.get_ident()}
 
 
@@ -530,7 +547,8 @@ def test_blas_thread_count_is_one_inside_and_restored_after():
         bridge_mc_density(m, (0.1, 0.05), cfg, workers=1)
         assert get_threads() == 2
         bad = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 1.0, parse_drift("log(x + 0.2)"), ZERO)
-        with pytest.raises(DriftDomainError), pytest.warns(RuntimeWarning, match="sample box"):
+        with pytest.raises(DriftDomainError), pytest.warns(
+                RuntimeWarning, match="sample box|Lipschitz quotient grows|contraction horizon"):
             simulate_forward(bad, SimConfig(n_paths=4 * 2048, n_steps=32, seed=4),
                              workers=2)
         assert get_threads() == 2
@@ -688,12 +706,23 @@ def _forward_warnings(m, cfg):
 
 def test_forward_runs_past_a_drift_undefined_on_the_check_box():
     # the assumption check samples x within 15 sd of x0 = 0 and meets x < -1,
-    # where sqrt(x + 1) is undefined; no path at T = 0.01 goes below -0.31
+    # where sqrt(x + 1) is undefined, and reports on the other points (sqrt is
+    # not Lipschitz at -1); no path at T = 0.01 goes below -0.31
     m = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 0.01, parse_drift("sqrt(x + 1)"), ZERO)
     ens, messages = _forward_warnings(m, SimConfig(n_paths=4096, n_steps=32, seed=1))
     assert ens.n_paths == 4096 and np.isfinite(ens.terminal_x).all()
-    assert len(messages) == 1
-    assert "assumption check skipped" in messages[0] and "sqrt of negative" in messages[0]
+    assert len(messages) == 2
+    assert "points sampled in its sample box" in messages[0] and "sqrt of negative" in messages[0]
+    assert "Lipschitz quotient grows" in messages[1]
+
+
+def test_forward_skips_the_report_of_a_drift_undefined_on_the_whole_box():
+    from modalbridge.driftspec import DriftDomainError
+
+    m = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 0.01, parse_drift("log(-1 - x*x)"), ZERO)
+    with pytest.raises(DriftDomainError, match="in block 0"), pytest.warns(
+            RuntimeWarning, match="^assumption check skipped, drift undefined on its sample box"):
+        simulate_forward(m, SimConfig(n_paths=2048, n_steps=8, seed=1))
 
 
 def test_forward_runs_past_a_sample_box_that_floats_cannot_hold():
@@ -738,7 +767,7 @@ def test_forward_relays_the_report_for_a_linear_drift():
 
 def test_forward_checks_assumptions_once_per_model(monkeypatch):
     # the report depends only on the model, so a second call relays the same
-    # warnings without sampling again; a check the drift's domain ends, too
+    # warnings without sampling again; a report that drops undefined points, too
     calls = []
 
     def counted(model):
@@ -752,7 +781,7 @@ def test_forward_checks_assumptions_once_per_model(monkeypatch):
         calls.clear()
         _, first = _forward_warnings(m, cfg)
         _, second = _forward_warnings(m, cfg)
-        assert len(first) == 1 and second == first
+        assert first and second == first
         assert calls == [m]
         same = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, T, parse_drift(h1), ZERO)
         assert same == m and hash(same) == hash(m) and repr(same) == repr(m)
@@ -1088,28 +1117,16 @@ def test_bridge_with_two_step_half_grid_matches_column_loop_operator(n_steps, mo
     cfg = SimConfig(n_paths=2000, n_steps=n_steps, seed=8)
     a = bridge_mc_density(m, (0.1, 0.2), cfg)
     assert a.value > 0 and math.isfinite(a.discretization_bias)
-    monkeypatch.setattr(mc, "inverse_operator_matrix", column_loop)
-    opcache.clear()  # build the levels anew
-    try:
-        b = bridge_mc_density(m, (0.1, 0.2), cfg)
-    finally:
-        opcache.clear()  # no later test may get these column-loop levels
+    monkeypatch.setattr(mc, "inverse_operator_matrix", column_loop)  # each call builds its levels
+    b = bridge_mc_density(m, (0.1, 0.2), cfg)
     assert b.value == pytest.approx(a.value, rel=1e-12)
     assert b.discretization_bias == pytest.approx(a.discretization_bias, rel=1e-9, abs=1e-15)
 
 
-def test_bridge_levels_are_cached_read_only_and_model_free(monkeypatch):
-    # a level depends on (H, rho, T, n) only: a warm call with another drift
-    # and start point reuses both levels and matches a cold call
-    from modalbridge import mc
-
-    builds = []
-
-    def counting(grid, hurst):
-        builds.append(grid.n)
-        return volterra_weight_matrix(grid, hurst)
-
-    monkeypatch.setattr(mc, "volterra_weight_matrix", counting)
+def test_bridge_levels_are_cached_read_only_and_model_free():
+    # a level's stored operators depend on (H, T, n) only: a warm call with
+    # another drift and start point reuses the Volterra weights of both grids
+    # and matches a cold call
     opcache.clear()
     first = ModelSpec(Hurst(0.3), 0.4, 0.0, 0.0, 0.5, parse_drift("0.5*sin(x)"), ZERO)
     second = ModelSpec(Hurst(0.3), 0.4, 0.2, -0.1, 0.5, parse_drift("0.2"),
@@ -1117,14 +1134,43 @@ def test_bridge_levels_are_cached_read_only_and_model_free(monkeypatch):
     cfg = SimConfig(n_paths=500, n_steps=16, seed=2)
     bridge_mc_density(first, (0.1, 0.2), cfg)
     warm = bridge_mc_density(second, (0.1, 0.2), cfg)
-    assert sorted(builds) == [8, 16]
-    level = mc._bridge_level(second, 16)
+    assert opcache.stats()["volterra"] == {"builds": 2, "hits": 2, "evictions": 0,
+                                           "bytes": (16 * 16 + 8 * 8) * 8}
+    level = _BridgeLevel(second, 16)
     for op in (level.w_full, level.a, level.g_inv, level.inv_op_t):
         assert not op.flags.writeable
     opcache.clear()
     cold = bridge_mc_density(second, (0.1, 0.2), cfg)
     assert (warm.value, warm.std_err, warm.discretization_bias) == \
         (cold.value, cold.std_err, cold.discretization_bias)
+
+
+def test_both_estimators_read_one_stored_volterra_matrix_per_grid():
+    # the bridge's 128-step half grid and the 128-step forward factor's
+    # covariance share one W, and no bridge level is stored
+    m = ModelSpec(Hurst(0.3), 0.3, 0.0, 0.0, 0.25, parse_drift("0.5*sin(x)"),
+                  parse_drift("0.5*cos(y)"))
+    opcache.clear()
+    bridge_mc_density(m, (0.1, 0.05), SimConfig(n_paths=2048, n_steps=256, seed=1))
+    simulate_forward(m, SimConfig(n_paths=2048, n_steps=128, seed=1))
+    stats = opcache.stats()
+    assert stats["volterra"]["builds"] == 2 and stats["volterra"]["hits"] >= 1
+    assert stats["kernel_profile"]["builds"] == 1
+    assert "bridge_level" not in stats
+    assert sum(part["bytes"] for part in stats.values()) <= 1.9e6
+
+
+def test_bridge_level_views_the_stored_operators_and_refuses_writes():
+    from modalbridge.fraccalc import inverse_operator_matrix
+
+    m = _state_model(0.3)
+    level = _BridgeLevel(m, 64)
+    grid = TimeGrid(m.T, 64)
+    assert np.shares_memory(level.w_full, volterra_weight_matrix(grid, m.hurst))
+    assert np.shares_memory(level.inv_op_t, inverse_operator_matrix(grid, m.hurst))
+    for op in (level.w_full, level.a, level.g_inv, level.inv_op_t):
+        with pytest.raises(ValueError, match="read-only"):
+            op[...] = 0.0
 
 
 def test_bridge_overflow_raises_instead_of_nan():

@@ -213,7 +213,7 @@ def test_every_operator_the_store_hands_out_refuses_writes(monkeypatch):
     simulate_forward(model, cfg)
     assert set(opcache.stats()) == {
         "nodes", "jacobi_rule", "kernel_profile", "psi_profile", "product_matrix",
-        "inverse_operator", "modal_coeffs", "bridge_level", "forward_factor"}
+        "inverse_operator", "modal_coeffs", "volterra", "forward_factor"}
     for value in opcache._entries.values():
         _refuses_writes(value)
     # a value too large to keep is returned frozen as well
